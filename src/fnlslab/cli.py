@@ -32,7 +32,7 @@ from .kernels import kernel_ka, kernel_kp, positivity_report
 from .profiles import continue_in, gauge_fix, solve_defocusing, solve_focusing
 from .rearrange import polya_szego_check, potential_ordering_check
 from .reports import ResultBundle, emit
-from .spectrum import nondegeneracy_check, sector_spectra
+from .spectrum import _nondegeneracy_report, sector_spectra
 
 
 def _solve_profile(config: RunConfig):
@@ -86,9 +86,9 @@ def _cmd_solve(config: RunConfig) -> ResultBundle:
 def _cmd_spectrum(config: RunConfig) -> ResultBundle:
     prof = _solve_profile(config)
     size = config.grid["sector_size"]
-    rep = nondegeneracy_check(prof, size=size, workers=config.workers,
-                              include_jordan=config.problem.gamma == -1)
     spectra = sector_spectra(prof, size, workers=config.workers)
+    rep = _nondegeneracy_report(prof, spectra,
+                                include_jordan=config.problem.gamma == -1)
     eig_rows, fun_rows = [], []
     grounds = {}
     for (which, sector), spec in sorted(spectra.items()):

@@ -14,8 +14,8 @@ are l2 isometries.
 
 Orbital distance is the infimum of the energy-norm gap over phase
 rotations and translations: the phase minimization is closed-form and
-the translation is a spectral cross-correlation scan refined by a
-bounded one-dimensional search.
+the translation is a spectral cross-correlation scan refined by Newton
+steps on the slope of the correlation modulus.
 
 Stability indices (dN/dc, dQ/domega, dQ/dmu) come from warm-started
 continuation with central differences at two step sizes and a
@@ -31,14 +31,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
-from .fields import AntiperiodicField, lift, random_field, to_grid, translate
+from .fields import (AntiperiodicField, evaluate, lift, random_field, to_grid,
+                     translate)
 from .functionals import charge, inner, momentum, x_norm
 from .params import ProblemParams
-from .profiles import StandingProfile, continue_in
+from .profiles import StandingProfile, _refine_peak, family_pair
 from .spectrum import _even_coords, _kernel_scale, _odd_coords, _padded, assemble
 
 # hard ceiling on |u| during focusing runs, relative to the initial peak
@@ -176,6 +176,21 @@ class _Stepper:
     def field(self) -> AntiperiodicField:
         return AntiperiodicField(self.T, self.k, self.coeff.copy())
 
+    def log_row(self) -> tuple:
+        """(t, H, Q, N) at the current state."""
+        q, nmom, ham = self.conserved()
+        return (self.time, ham, q, nmom)
+
+    def logged_blocks(self, steps: int, log_interval: int):
+        """Advance `steps` steps in blocks of log_interval, yielding the
+        log row after each block."""
+        done = 0
+        while done < steps:
+            m = min(log_interval, steps - done)
+            self.advance(m)
+            done += m
+            yield self.log_row()
+
 
 def evolve(state: EvolutionState, params: ProblemParams, omega: float,
            steps: int, log_interval: int = 100, n_grid: int | None = None,
@@ -193,17 +208,8 @@ def evolve(state: EvolutionState, params: ProblemParams, omega: float,
     eng = _Stepper(state.field, params, omega, state.dt, n_grid=n_grid,
                    guard=guard, nonlinear=nonlinear)
     eng.time = state.time
-    rows = list(state.conserved_log)
-    if not rows:
-        q, nmom, ham = eng.conserved()
-        rows.append((state.time, ham, q, nmom))
-    done = 0
-    while done < steps:
-        m = min(log_interval, steps - done)
-        eng.advance(m)
-        done += m
-        q, nmom, ham = eng.conserved()
-        rows.append((eng.time, ham, q, nmom))
+    rows = list(state.conserved_log) or [eng.log_row()]
+    rows.extend(eng.logged_blocks(steps, log_interval))
     out = EvolutionState(field=eng.field(), time=eng.time, dt=state.dt,
                          conserved_log=np.array(rows))
     drift = max(out.drift().values())
@@ -234,37 +240,16 @@ def boost(f: AntiperiodicField, m: int) -> AntiperiodicField:
     return g.with_coeff(coeff)
 
 
-def _cross_correlation(u: AntiperiodicField, v: AntiperiodicField,
-                       alpha: float):
-    # A_k = T (1 + |pi k/T|^alpha) u_k conj(v_k); the optimal-phase inner
-    # product at shift x0 is |sum_k A_k e^(i pi k x0 / T)|
-    T = u.half_period
-    w = np.abs(np.pi * u.wavenumbers / T) ** alpha
-    amps = T * (1.0 + w) * u.coeff * np.conj(v.coeff)
-    rate = 1j * np.pi * u.wavenumbers / T
-
-    def z(x0):
-        return complex(np.sum(amps * np.exp(rate * x0)))
-
-    def slope(x0):
-        # d|z|^2/dx0; root-finding this locates the peak to full
-        # precision where maximizing the flat |z| itself cannot
-        ph = np.exp(rate * x0)
-        zv = complex(np.sum(amps * ph))
-        dz = complex(np.sum(amps * rate * ph))
-        return 2.0 * (zv.conjugate() * dz).real
-
-    return amps, z, slope
-
-
 def orbital_distance(u: AntiperiodicField, phi: StandingProfile) -> float:
     """Energy-norm distance from u to the group orbit of the profile.
 
     Phase is minimized in closed form; translation by a 512-point
-    spectral scan and a bounded refinement to better than 1e-10 in x0.
-    The returned value is the norm of the coefficient-space difference
-    at the optimal (phase, shift), not the expanded quadratic, so tiny
-    distances are not lost to cancellation of the O(1) norms.
+    spectral scan of the cross-correlation, refined by Newton on the
+    slope of its modulus; where the correlation peak is flat the scan
+    shift stands.  The returned value is the norm of the
+    coefficient-space difference at the optimal (phase, shift), not the
+    expanded quadratic, so tiny distances are not lost to cancellation
+    of the O(1) norms.
     """
     alpha = phi.params.alpha
     v = phi.field
@@ -274,21 +259,21 @@ def orbital_distance(u: AntiperiodicField, phi: StandingProfile) -> float:
         band = max(u.n_modes, v.n_modes)
         u = lift(u, band)
         v = lift(v, band)
-    amps, z, slope = _cross_correlation(u, v, alpha)
+    # A_k = T (1 + |pi k/T|^alpha) u_k conj(v_k); the optimal-phase inner
+    # product at shift x0 is |sum_k A_k e^(i pi k x0 / T)|
+    T = u.half_period
+    w = np.abs(np.pi * u.wavenumbers / T) ** alpha
+    corr = u.with_coeff(T * (1.0 + w) * u.coeff * np.conj(v.coeff))
     nscan = 512
     spec = np.zeros(nscan, dtype=complex)
-    np.add.at(spec, u.wavenumbers % nscan, amps)
+    np.add.at(spec, u.wavenumbers % nscan, corr.coeff)
     scan = np.abs(np.fft.ifft(spec) * nscan)
-    T = u.half_period
-    j = int(np.argmax(scan))
     width = 2.0 * T / nscan
-    shift = j * width
-    for half in (width, 2.0 * width):
-        lo, hi = shift - half, shift + half
-        if slope(lo) > 0.0 > slope(hi):
-            shift = brentq(slope, lo, hi, xtol=1e-13)
-            break
-    phase = z(shift)
+    shift = int(np.argmax(scan)) * width
+    refined = _refine_peak(corr, shift, width, 0.0)
+    if refined is not None:
+        shift = refined
+    phase = complex(evaluate(corr, shift)[0])
     if abs(phase) > 0.0:
         beta = math.atan2(phase.imag, phase.real)
     else:
@@ -348,24 +333,12 @@ def n_preserving_perturbation(profile: StandingProfile, epsilon: float,
     return v + idphi * s
 
 
-def _fd_pair(profile: StandingProfile, parameter: str, h: float):
-    base = {"c": profile.c, "mu": profile.mu,
-            "omega": profile.omega}[parameter]
-    lo = continue_in(profile, parameter, base - h, steps=1)
-    hi = continue_in(profile, parameter, base + h, steps=1)
-    if lo.failed_at is not None or hi.failed_at is not None:
-        raise StepTooLarge(f"continuation failed at step {h} in {parameter}")
-    return lo.profiles[-1], hi.profiles[-1]
-
-
-def _central(profile, parameter, functional, h):
-    lo, hi = _fd_pair(profile, parameter, h)
-    return (functional(hi) - functional(lo)) / (2.0 * h)
-
-
-def _richardson_index(profile, parameter, functional, h, rtol):
-    d1 = _central(profile, parameter, functional, h)
-    d2 = _central(profile, parameter, functional, 0.5 * h)
+def _richardson_index(parameter, pairs, functional, h, rtol):
+    """Central differences of `functional` over the family pairs at steps
+    h and h/2, accepted when they agree to rtol."""
+    (lo1, hi1), (lo2, hi2) = pairs
+    d1 = (functional(hi1) - functional(lo1)) / (2.0 * h)
+    d2 = (functional(hi2) - functional(lo2)) / (2.0 * (0.5 * h))
     scale = max(abs(d2), 1e-12)
     rel = abs(d1 - d2) / scale
     if rel > rtol:
@@ -408,20 +381,24 @@ def stability_indices(profile: StandingProfile, h: float = 1e-3,
     """
     out = {"dNdc": None, "dQdomega": None, "dQdmu": None,
            "lplus_inverse_pairing": None}
+
+    def pairs(parameter):
+        return [family_pair(profile, parameter, step) for step in (h, 0.5 * h)]
+
     if profile.params.gamma == -1:
         out["dNdc"] = _richardson_index(
-            profile, "c", lambda p: momentum(p.field), h, rtol)
+            "c", pairs("c"), lambda p: momentum(p.field), h, rtol)
+        mu_pairs = pairs("mu")
         out["dQdmu"] = _richardson_index(
-            profile, "mu", lambda p: charge(p.field), h, rtol)
-        domega = _richardson_index(
-            profile, "mu", lambda p: p.omega, h, rtol)
+            "mu", mu_pairs, lambda p: charge(p.field), h, rtol)
+        domega = _richardson_index("mu", mu_pairs, lambda p: p.omega, h, rtol)
         out["dQdomega"] = {"value": 1.0 / domega["value"],
                            "step": domega["step"],
                            "richardson_rel": domega["richardson_rel"],
                            "via": "1 / (domega/dmu)"}
     else:
         out["dQdomega"] = _richardson_index(
-            profile, "omega", lambda p: charge(p.field), h, rtol)
+            "omega", pairs("omega"), lambda p: charge(p.field), h, rtol)
         pairing = _lplus_pairing(profile, size=size)
         agree = abs(pairing["value"] + out["dQdomega"]["value"])
         agree /= max(abs(out["dQdomega"]["value"]), 1e-12)
@@ -551,20 +528,11 @@ def _run_perturbation(profile, omega, v, horizon, dt, log_interval, guard,
     size = x_norm(v, profile.params.alpha)
     state = initial_state(profile.field + v, dt)
     steps = max(1, int(round(horizon / dt)))
-    times = [0.0]
-    rhos = [orbital_distance(state.field, profile)]
     eng = _Stepper(state.field, profile.params, omega, dt, guard=guard)
-    rows = []
-    q, nmom, ham = eng.conserved()
-    rows.append((0.0, ham, q, nmom))
-    done = 0
-    while done < steps:
-        m = min(log_interval, steps - done)
-        eng.advance(m)
-        done += m
-        q, nmom, ham = eng.conserved()
-        rows.append((eng.time, ham, q, nmom))
-        times.append(eng.time)
+    rows = [eng.log_row()]
+    rhos = [orbital_distance(state.field, profile)]
+    for row in eng.logged_blocks(steps, log_interval):
+        rows.append(row)
         rhos.append(orbital_distance(eng.field(), profile))
     log = np.array(rows)
     final = EvolutionState(field=eng.field(), time=eng.time, dt=dt,
@@ -574,7 +542,7 @@ def _run_perturbation(profile, omega, v, horizon, dt, log_interval, guard,
         raise ConservationDriftExceeded(
             f"relative drift {max(drift.values()):.3e} exceeds "
             f"{tol_cons:.1e} over {steps} steps")
-    times = np.array(times)
+    times = log[:, 0]
     rhos = np.array(rhos)
     slope = float(np.polyfit(times, rhos, 1)[0]) if len(times) > 2 else 0.0
     return {

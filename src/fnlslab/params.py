@@ -12,7 +12,7 @@ EPS_FFT = 1e-12      # transform round-trip accuracy (relative)
 EPS_REAL = 1e-10     # realness defect (relative)
 EPS_ANTI = 1e-10     # antiperiodicity / even-mode defect (relative)
 TOL_PROFILE = 1e-9   # profile-equation residual, infinity norm
-MAX_ITER = 50000     # iteration cap for the profile solvers
+MAX_ITER = 20000     # cap on descent iterations in the profile solvers
 
 
 @dataclass(frozen=True)

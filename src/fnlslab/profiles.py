@@ -25,14 +25,13 @@ import numpy as np
 
 from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                      PositiveEta, SpeedOutOfRange, ValidationError)
-from .fields import (AntiperiodicField, cosine_field, evaluate, lift,
-                     odd_wavenumbers, to_grid)
+from .fields import (AntiperiodicField, cosine_field, lift, odd_wavenumbers,
+                     to_grid)
 from .functionals import (charge, kinetic, momentum, moving_frame_energy,
                           potential, quadratic_energy)
 from .params import MAX_ITER, TOL_PROFILE, ProblemParams
 
 _NEWTON_GATE = 1e-5     # relative projected-gradient size that hands off to Newton
-_BB_CAP = 20000         # descent iterations before giving up on the gate
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def _even_multiplication_matrix(ws: _Workspace, samples: np.ndarray) -> np.ndarr
 
 
 def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
-                      mu: float | None, tol: float, max_steps: int = 60):
+                      mu: float | None, max_steps: int = 60):
     """Newton polish on the real even branch.
 
     With `mu` given (defocusing) omega is an unknown and the charge
@@ -260,7 +259,7 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
 
 
 def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
-                    mu: float, tol: float, max_steps: int = 60):
+                    mu: float, max_steps: int = 60):
     """Bordered least-squares Newton for the complex traveling branch.
 
     The Jacobian is rank-deficient by the phase/translation symmetries;
@@ -334,33 +333,44 @@ def _center_and_realify(ws: _Workspace, coeff: np.ndarray):
     return a
 
 
-def _modulus_argmax(f: AntiperiodicField) -> float:
-    """Location of max |f| on [0, T), refined by Newton on d|f|^2/dx.
+def _refine_peak(f: AntiperiodicField, x: float, dx: float,
+                 flat: float) -> float | None:
+    """Location of the maximum of |f|^2 near the scan maximum x, by Newton
+    on d|f|^2/dx with steps clipped to the scan spacing dx.
 
     Locating the peak through function values alone stalls at sqrt(eps);
-    the derivative root is conditioned like eps itself.
+    the derivative root is conditioned like eps itself.  Returns None
+    where the curvature of |f|^2 is not below -flat: the peak is too flat
+    to locate.
     """
-    n = max(64, 8 * f.n_modes)
-    g = to_grid(f, n)
-    h = np.abs(g.values) ** 2
-    j = int(np.argmax(h))
-    x0 = float(g.x[j])
-    dx = 2.0 * f.half_period / n
-    w = 1j * np.pi * f.wavenumbers / f.half_period
-    f1 = f.with_coeff(w * f.coeff)
-    f2 = f.with_coeff(w * w * f.coeff)
-    h_scale = float(np.max(h))
-    x = x0
+    k = f.wavenumbers
+    w = 1j * np.pi * k / f.half_period
+    coeffs = (f.coeff, w * f.coeff, w * w * f.coeff)
     for _ in range(50):
-        v, v1, v2 = (evaluate(ff, x)[0] for ff in (f, f1, f2))
+        # the mode sum of `evaluate`, with the phases shared by f, f', f''
+        phase = np.exp(1j * np.pi * np.outer([x], k) / f.half_period)
+        v, v1, v2 = ((phase @ c)[0] for c in coeffs)
         hp = 2.0 * np.real(np.conj(v) * v1)
         hpp = 2.0 * np.real(np.conj(v) * v2) + 2.0 * abs(v1) ** 2
-        if abs(hpp) < 1e-8 * h_scale * (np.pi / f.half_period) ** 2:
-            raise GaugeAmbiguity("flat modulus peak: translation gauge undefined")
+        if not hpp < -flat:
+            return None
         step = -hp / hpp
         x += float(np.clip(step, -dx, dx))
         if abs(step) < 1e-15 * f.half_period:
             break
+    return x
+
+
+def _modulus_argmax(f: AntiperiodicField) -> float:
+    """Location of max |f| on [0, T): grid scan, then Newton refinement."""
+    n = max(64, 8 * f.n_modes)
+    g = to_grid(f, n)
+    h = np.abs(g.values) ** 2
+    x0 = float(g.x[int(np.argmax(h))])
+    flat = 1e-8 * float(np.max(h)) * (np.pi / f.half_period) ** 2
+    x = _refine_peak(f, x0, 2.0 * f.half_period / n, flat)
+    if x is None:
+        raise GaugeAmbiguity("flat modulus peak: translation gauge undefined")
     return x % f.half_period
 
 
@@ -410,10 +420,10 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
             return g - (ws.inner(g, u) / (2.0 * mu)) * u
 
         u, it_bb, _ = _bb_descent(ws, u, grad, project, renorm,
-                                  min(_BB_CAP, max_iter), keep_real=True)
+                                  max_iter, keep_real=True)
         omega = recovered_omega(ws.field(u), 0.0, params)
         a = _center_and_realify(ws, u)
-        a, omega, it_newton = _newton_real_even(ws, a, omega, mu, tol)
+        a, omega, it_newton = _newton_real_even(ws, a, omega, mu)
         u = _coeff_from_even_cos(ws, a)
     else:
         it_bb = 0
@@ -424,7 +434,7 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
             it_bb = base.iterations
             u = base.field.coeff.copy()
         omega = recovered_omega(ws.field(u), c, params)
-        u, omega, it_newton = _newton_complex(ws, u, omega, c, mu, tol)
+        u, omega, it_newton = _newton_complex(ws, u, omega, c, mu)
 
     field = ws.field(u)
     res = profile_residual(field, omega, c, params)
@@ -479,7 +489,7 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
         return g - (ws.inner(g, n) / denom) * n
 
     u, it_bb, _ = _bb_descent(ws, u, grad, project, renorm,
-                              min(_BB_CAP, max_iter), keep_real=True)
+                              max_iter, keep_real=True)
 
     r_omega = quadratic_energy(ws.field(u), omega, params.alpha)
     eta = -r_omega / ((sig + 1.0) * p0)
@@ -488,7 +498,7 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
     u = u * abs(eta) ** (1.0 / (2.0 * sig))
 
     a = _center_and_realify(ws, u)
-    a, omega, it_newton = _newton_real_even(ws, a, omega, None, tol)
+    a, omega, it_newton = _newton_real_even(ws, a, omega, None)
     u = _coeff_from_even_cos(ws, a)
 
     field = ws.field(u)
@@ -563,3 +573,21 @@ def continue_in(start: StandingProfile, parameter: str, target: float,
         profiles.append(prof)
         prev = prof
     return Sweep(parameter, [start_value] + values, profiles, None)
+
+
+def family_pair(profile: StandingProfile, parameter: str, h: float):
+    """Neighbours of `profile` at parameter -/+ h along its family.
+
+    Each is one warm-started continuation step at the default profile
+    tolerance; central differences of the pair give the family
+    derivatives.  Returns (lower, upper).
+    """
+    base = {"c": profile.c, "mu": profile.mu, "omega": profile.omega}[parameter]
+    pair = []
+    for target in (base - h, base + h):
+        sweep = continue_in(profile, parameter, target, steps=1)
+        if sweep.failed_at is not None:
+            raise NonConvergence(
+                f"neighbour solve at {parameter} = {target!r} did not converge")
+        pair.append(sweep.profiles[-1])
+    return pair[0], pair[1]

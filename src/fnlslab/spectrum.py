@@ -29,6 +29,7 @@ from .fields import (AntiperiodicField, apply_multiplier, derivative,
                      fractional_laplacian, imag_part, to_grid)
 from .functionals import _default_grid, charge, momentum
 from .params import EPS_REAL, ProblemParams
+from .profiles import family_pair
 
 _SECTORS = ("even", "odd")
 _OPERATORS = ("L_plus", "L_minus")
@@ -262,11 +263,18 @@ def nondegeneracy_check(profile, size: int, workers: int | None = None,
     of the second sector eigenfunctions; ground-state ordering consistent
     with the monotonicity of the potential on (0, T/2).
     """
+    return _nondegeneracy_report(
+        profile, sector_spectra(profile, size, workers=workers), include_jordan)
+
+
+def _nondegeneracy_report(profile, spectra: dict,
+                          include_jordan: bool) -> NondegeneracyReport:
+    """The checks of nondegeneracy_check on spectra already computed."""
     _require_real_resting(profile)
+    size = spectra[("L_plus", "even")].size
     if size < profile.field.n_modes:
         raise ValidationError(
             f"sector size {size} below the profile band {profile.field.n_modes}")
-    spectra = sector_spectra(profile, size, workers=workers)
     pars = profile.params
     phi_cos = _padded(_even_coords(profile.field), size)
     dphi = apply_multiplier(profile.field, derivative(pars.half_period))
@@ -364,24 +372,16 @@ def _apply_on_grid(profile, which: str, w: AntiperiodicField,
     return to_grid(lam_w, n).values + profile.omega * wg + v * wg
 
 
-def _fd_pair(profile, parameter: str, h: float):
-    """Profiles at parameter +/- h, warm-started from the base profile."""
-    from .profiles import solve_defocusing
-
-    pars = profile.params
-    m = profile.field.n_modes
-    out = []
-    for s in (+1.0, -1.0):
-        if parameter == "mu":
-            prof = solve_defocusing(pars, c=profile.c, mu=profile.mu + s * h,
-                                    n_modes=m, init=profile.field)
-        elif parameter == "c":
-            prof = solve_defocusing(pars, c=profile.c + s * h, mu=profile.mu,
-                                    n_modes=m, init=profile.field)
-        else:
-            raise ValidationError(f"no finite-difference route for {parameter!r}")
-        out.append(prof)
-    return out[0], out[1]
+def _mu_chain(profile, h: float, n: int):
+    """Charge-family neighbours, domega/dmu, and the chain residual
+    L_plus (dphi/dmu) + (domega/dmu) phi on the n-point grid, from
+    central differences."""
+    lower, upper = family_pair(profile, "mu", h)
+    dmu_field = (1.0 / (2.0 * h)) * (upper.field - lower.field)
+    domega_dmu = (upper.omega - lower.omega) / (2.0 * h)
+    chain = _apply_on_grid(profile, "L_plus", dmu_field, n) \
+        + domega_dmu * to_grid(profile.field, n).values
+    return (lower, upper), domega_dmu, chain
 
 
 def fredholm_range_checks(profile, spectra: dict, h: float = 1e-3,
@@ -400,7 +400,6 @@ def fredholm_range_checks(profile, spectra: dict, h: float = 1e-3,
         raise ValidationError(
             "range checks use the charge/speed parameterization of the "
             "defocusing branch")
-    from .profiles import continue_in
 
     f = profile.field
     dphi = apply_multiplier(f, derivative(pars.half_period))
@@ -421,11 +420,7 @@ def fredholm_range_checks(profile, spectra: dict, h: float = 1e-3,
     }
 
     # Parameter derivative chain L_plus (dphi/dmu) + (domega/dmu) phi = 0.
-    p_up, p_dn = _fd_pair(profile, "mu", h)
-    dmu_field = (1.0 / (2.0 * h)) * (p_up.field - p_dn.field)
-    domega_dmu = (p_up.omega - p_dn.omega) / (2.0 * h)
-    res_mu = _apply_on_grid(profile, "L_plus", dmu_field, n) \
-        + domega_dmu * to_grid(f, n).values
+    _, domega_dmu, res_mu = _mu_chain(profile, h, n)
     report["mu_chain_inf"] = float(np.max(np.abs(res_mu)))
     report["domega_dmu"] = float(domega_dmu)
 
@@ -446,13 +441,8 @@ def fredholm_range_checks(profile, spectra: dict, h: float = 1e-3,
     report["deflated_components"] = int(np.sum(~keep))
     report["deflated_drop"] = rel_drop
 
-    sweep_up = continue_in(profile, "c", +h, steps=1)
-    sweep_dn = continue_in(profile, "c", -h, steps=1)
-    if sweep_up.failed_at is not None or sweep_dn.failed_at is not None:
-        raise NonConvergence(
-            "speed perturbation for the finite difference did not converge")
-    dc_field = (1.0 / (2.0 * h)) * (sweep_up.profiles[-1].field
-                                    - sweep_dn.profiles[-1].field)
+    c_dn, c_up = family_pair(profile, "c", h)
+    dc_field = (1.0 / (2.0 * h)) * (c_up.field - c_dn.field)
     y_fd = _padded(_odd_coords(imag_part(dc_field)), size)
     denom = max(np.linalg.norm(y), 1e-300)
     report["c_consistency"] = float(np.linalg.norm(y - y_fd) / denom)
@@ -479,15 +469,11 @@ def jordan_structure(profile, h: float = 1e-3) -> dict:
     dphi = apply_multiplier(f, derivative(pars.half_period))
     n = 2 * _default_grid(f, pars.sigma)
 
-    p_up, p_dn = _fd_pair(profile, "mu", h)
-    dmu_field = (1.0 / (2.0 * h)) * (p_up.field - p_dn.field)
-    domega_dmu = (p_up.omega - p_dn.omega) / (2.0 * h)
+    (p_dn, p_up), domega_dmu, chain_mu = _mu_chain(profile, h, n)
     dq_dmu = (charge(p_up.field) - charge(p_dn.field)) / (2.0 * h)
     dn_dmu = (momentum(p_up.field) - momentum(p_dn.field)) / (2.0 * h)
-    chain_mu = _apply_on_grid(profile, "L_plus", dmu_field, n) \
-        + domega_dmu * to_grid(f, n).values
 
-    c_up, c_dn = _fd_pair(profile, "c", h)
+    c_dn, c_up = family_pair(profile, "c", h)
     dc_imag = imag_part((1.0 / (2.0 * h)) * (c_up.field - c_dn.field))
     dn_dc = (momentum(c_up.field) - momentum(c_dn.field)) / (2.0 * h)
     dq_dc = (charge(c_up.field) - charge(c_dn.field)) / (2.0 * h)

@@ -122,6 +122,47 @@ def test_spectrum_reports_morse_counts():
     assert res["jordan"]["dQ_dmu"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_spectrum_runs_one_sector_pass(monkeypatch):
+    import fnlslab.spectrum as spectrum
+
+    calls = {"sector_spectra": 0, "eigensolve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    sector_spectra = counted("sector_spectra", spectrum.sector_spectra)
+    monkeypatch.setattr(cli, "sector_spectra", sector_spectra)
+    monkeypatch.setattr(spectrum, "sector_spectra", sector_spectra)
+    monkeypatch.setattr(spectrum, "eigensolve",
+                        counted("eigensolve", spectrum.eigensolve))
+    cli.run(config_for("spectrum"))
+    assert calls == {"sector_spectra": 1, "eigensolve": 4}
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would add a large
+    # share of the start-up time of every CLI call
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fnlslab
+
+    src = str(Path(fnlslab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, fnlslab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_spectrum_eigenvalue_table_is_sorted_per_sector():
     bundle = cli.run(config_for("spectrum"))
     _, rows = bundle.tables["eigenvalues"]

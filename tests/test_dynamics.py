@@ -177,6 +177,14 @@ def test_distance_rejects_mismatched_periods(def15):
         orbital_distance(other, prof)
 
 
+def test_distance_of_zero_field_is_profile_norm(def15):
+    # zero correlation has no peak to refine, so the scan shift stands
+    _, prof = def15
+    rho = orbital_distance(prof.field * 0.0, prof)
+    assert math.isfinite(rho)
+    assert rho == x_norm(prof.field, 1.5)
+
+
 # ------------------------------------------------------- perturbations
 
 def test_n_preserving_perturbation_properties(def15):
@@ -207,6 +215,23 @@ def test_stability_indices_defocusing(def15):
     assert idx["dQdomega"]["value"] == pytest.approx(-1.16767203, rel=1e-6)
     assert idx["dNdc"]["richardson_rel"] < 1e-4
     assert idx["lplus_inverse_pairing"] is None
+
+
+def test_stability_indices_solve_each_neighbour_once(def15, monkeypatch):
+    import fnlslab.profiles as profiles
+
+    solve = profiles.solve_defocusing
+    targets = []
+
+    def counted(*args, **kwargs):
+        targets.append((kwargs["c"], kwargs["mu"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "solve_defocusing", counted)
+    stability_indices(def15[1])
+    # (c, mu) -/+ h and -/+ h/2; the mu pairs serve dQ/dmu and domega/dmu
+    assert len(targets) == 8
+    assert len(set(targets)) == 8
 
 
 def test_dndc_dual_route(def15, def20):

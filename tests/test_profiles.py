@@ -15,8 +15,8 @@ from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import (StandingProfile, continue_in, evenness_defect,
-                              gauge_fix, profile_residual, recovered_omega,
-                              solve_defocusing, solve_focusing)
+                              family_pair, gauge_fix, profile_residual,
+                              recovered_omega, solve_defocusing, solve_focusing)
 import oracles
 
 T = np.pi
@@ -257,6 +257,19 @@ def test_continue_in_partial_results_on_failure():
     sweep = continue_in(start, "c", 0.4, 2, tol=1e-16)  # unattainable tol
     assert sweep.failed_at == pytest.approx(0.2)
     assert sweep.profiles == [start]
+
+
+def test_family_pair_names_the_failed_neighbour(monkeypatch):
+    import fnlslab.profiles as profiles
+
+    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
+
+    def fail(*args, **kwargs):
+        raise NonConvergence("stalled")
+
+    monkeypatch.setattr(profiles, "solve_defocusing", fail)
+    with pytest.raises(NonConvergence, match=r"neighbour solve at c = -0\.001"):
+        family_pair(start, "c", 1e-3)
 
 
 def test_continue_in_rejects_foreign_parameter():
