@@ -2,7 +2,7 @@
 
 One executable, seven commands (solve, spectrum, kernels, rearrange,
 evolve, sweep, report), all configured through an INI file; flags can
-override the command, seed, worker count, and output directory.  Exit
+override the command, seed and output directory.  Exit
 codes separate failure kinds so batch scripts can tell them apart:
 
     0  success
@@ -86,7 +86,7 @@ def _cmd_solve(config: RunConfig) -> ResultBundle:
 def _cmd_spectrum(config: RunConfig) -> ResultBundle:
     prof = _solve_profile(config)
     size = config.grid["sector_size"]
-    spectra = sector_spectra(prof, size, workers=config.workers)
+    spectra = sector_spectra(prof, size)
     rep = _nondegeneracy_report(prof, spectra,
                                 include_jordan=config.problem.gamma == -1)
     eig_rows, fun_rows = [], []
@@ -233,7 +233,6 @@ def _cmd_report(config: RunConfig) -> ResultBundle:
     rep = stability_experiment(prof, perturbations, horizon=horizon,
                                dt=st["dt"],
                                log_interval=st["log_interval"],
-                               workers=config.workers,
                                spectrum_size=config.grid["sector_size"])
     runs = []
     rows = []
@@ -313,8 +312,6 @@ def main(argv=None) -> int:
                              "the config echo")
     parser.add_argument("--seed", type=int, default=None,
                         help="override run.seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override run.workers")
     parser.add_argument("--command", choices=COMMANDS, default=None,
                         help="override run.command")
     args = parser.parse_args(argv)
@@ -325,8 +322,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot read config: {exc}") from exc
         config = parse_config(text).with_overrides(
-            command=args.command, seed=args.seed, workers=args.workers,
-            out=args.out)
+            command=args.command, seed=args.seed, out=args.out)
         bundle = run(config)
         lines = []
         _flatten("", bundle.results, lines)

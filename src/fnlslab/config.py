@@ -3,7 +3,7 @@
 Grammar: standard INI sections. `[problem]` is required and carries
 alpha, sigma, gamma, half_period.  Everything else is optional:
 
-    [run]        command, seed, workers, out
+    [run]        command, seed, out
     [solver]     c, mu, omega, p0, n_modes, tol
     [grid]       n_grid, sector_size
     [kernels]    alpha, times, n          (times: comma list, units of (T/pi)^alpha)
@@ -30,7 +30,7 @@ COMMANDS = ("solve", "spectrum", "kernels", "rearrange", "evolve",
 
 _SECTIONS = {
     "problem": ("alpha", "sigma", "gamma", "half_period"),
-    "run": ("command", "seed", "workers", "out"),
+    "run": ("command", "seed", "out"),
     "solver": ("c", "mu", "omega", "p0", "n_modes", "tol"),
     "grid": ("n_grid", "sector_size"),
     "kernels": ("alpha", "times", "n"),
@@ -48,7 +48,6 @@ class RunConfig:
     problem: ProblemParams
     command: str | None
     seed: int
-    workers: int | None
     out: str | None
     solver: dict
     grid: dict
@@ -59,8 +58,7 @@ class RunConfig:
     rearrange: dict
     echo: str = field(repr=False, default="")
 
-    def with_overrides(self, command=None, seed=None, workers=None,
-                       out=None) -> "RunConfig":
+    def with_overrides(self, command=None, seed=None, out=None) -> "RunConfig":
         from dataclasses import replace
         kw = {}
         if command is not None:
@@ -70,8 +68,6 @@ class RunConfig:
             kw["command"] = command
         if seed is not None:
             kw["seed"] = int(seed)
-        if workers is not None:
-            kw["workers"] = int(workers)
         if out is not None:
             kw["out"] = out
         return replace(self, **kw) if kw else self
@@ -171,11 +167,8 @@ def parse_config(text: str) -> RunConfig:
         col.note(f"run.command must be one of {', '.join(COMMANDS)}, "
                  f"got {command!r}")
     seed = col.get("run", "seed", int, 0)
-    workers = col.get("run", "workers", int)
     out = col.get("run", "out", str)
     _window(col, seed is None or seed >= 0, "run.seed must be nonnegative")
-    _window(col, workers is None or workers >= 1,
-            "run.workers must be at least 1")
 
     solver = {
         "c": col.get("solver", "c", float, 0.0),
@@ -286,10 +279,10 @@ def parse_config(text: str) -> RunConfig:
     if col.problems:
         raise ValidationError(_summary(col.problems))
 
-    return RunConfig(problem=problem, command=command, seed=seed,
-                     workers=workers, out=out, solver=solver, grid=grid,
-                     kernels=kernels, evolve=evolve, sweep=sweep,
-                     stability=stability, rearrange=rearrange, echo=text)
+    return RunConfig(problem=problem, command=command, seed=seed, out=out,
+                     solver=solver, grid=grid, kernels=kernels, evolve=evolve,
+                     sweep=sweep, stability=stability, rearrange=rearrange,
+                     echo=text)
 
 
 def _summary(problems) -> str:

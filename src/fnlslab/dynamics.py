@@ -27,15 +27,14 @@ the deflated solve of L_plus y = phi, whose pairing with phi equals
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
-from .fields import (AntiperiodicField, evaluate, lift, random_field, to_grid,
-                     translate)
+from .fields import (AntiperiodicField, analyze, evaluate, lift, random_field,
+                     synthesize, to_grid, translate)
 from .functionals import charge, inner, momentum, x_norm
 from .params import ProblemParams
 from .profiles import StandingProfile, _refine_peak, family_pair
@@ -125,14 +124,6 @@ class _Stepper:
         self.time = 0.0
         self.steps_taken = 0
 
-    def _synth(self, c):
-        spec = np.zeros(self.n, dtype=complex)
-        spec[self.bins] = c
-        return np.fft.ifft(spec) * self.n
-
-    def _analyze(self, vals):
-        return np.fft.fft(vals)[self.bins] / self.n
-
     def _kick(self, vals, fraction):
         amp = np.abs(vals)
         peak = float(np.max(amp))
@@ -153,13 +144,14 @@ class _Stepper:
         """
         if m < 1:
             return
-        vals = self._kick(self._synth(self.coeff), 0.5)
+        bins, n, lin = self.bins, self.n, self.lin
+        vals = self._kick(synthesize(self.coeff, bins, n), 0.5)
         for _ in range(m - 1):
-            vals = self._kick(self._synth(self._analyze(vals) * self.lin), 1.0)
+            vals = self._kick(synthesize(analyze(vals, bins, n) * lin, bins, n), 1.0)
             self.time += self.dt
-        vals = self._kick(self._synth(self._analyze(vals) * self.lin), 0.5)
+        vals = self._kick(synthesize(analyze(vals, bins, n) * lin, bins, n), 0.5)
         self.time += self.dt
-        self.coeff = self._analyze(vals)
+        self.coeff = analyze(vals, bins, n)
         self.steps_taken += m
 
     def conserved(self):
@@ -168,7 +160,7 @@ class _Stepper:
         q = 0.5 * T * float(np.sum(np.abs(c) ** 2))
         nmom = -0.5 * np.pi * float(np.sum(self.k * np.abs(c) ** 2))
         kin = 0.5 * T * float(np.sum(self.sym * np.abs(c) ** 2))
-        vals = self._synth(c)
+        vals = synthesize(c, self.bins, self.n)
         p = (T / self.n) * float(np.sum(np.abs(vals) ** (self.two_sigma + 2.0)))
         p /= self.two_sigma + 2.0
         return q, nmom, kin - self.params.gamma * p
@@ -561,12 +553,11 @@ def stability_experiment(profile: StandingProfile, perturbations,
                          horizon: float, dt: float = 1e-3,
                          log_interval: int = 500,
                          tol_cons: float = 1e-6,
-                         workers: int | None = None,
                          spectrum_size: int = 128) -> StabilityReport:
     """Evolve perturbed profiles and log orbit distances and drifts.
 
     perturbations is an iterable of AntiperiodicField; trajectories run
-    independently (optionally threaded).  The report carries the
+    one after another.  The report carries the
     stability indices, the coercivity quadratic form evaluated at each
     perturbation, and the projected-eigensolve minima as verdict inputs.
     """
@@ -580,17 +571,12 @@ def stability_experiment(profile: StandingProfile, perturbations,
     guard = GUARD_FACTOR * peak
     omega = profile.omega
 
-    def one(v):
+    runs = []
+    for v in perturbations:
         run = _run_perturbation(profile, omega, v, horizon, dt, log_interval,
                                 guard, tol_cons)
         run["quadratic_form"] = second_variation_form(profile, v)
-        return run
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(one, perturbations))
-    else:
-        runs = [one(v) for v in perturbations]
+        runs.append(run)
     coercivity = coercivity_check(profile, size=spectrum_size)
     verdict = {
         "coercivity": coercivity,

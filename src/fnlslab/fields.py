@@ -148,6 +148,38 @@ class Multiplier:
         return np.asarray(self.symbol(np.asarray(k)), dtype=np.complex128)
 
 
+def synthesize(coeff: np.ndarray, bins, n: int) -> np.ndarray:
+    """Samples on the n-point grid of coefficients placed at FFT `bins`.
+
+    Works along the leading axis, so a (len(bins), B) array synthesizes
+    B columns at once.
+    """
+    spec = np.zeros((n, *coeff.shape[1:]), dtype=np.complex128)
+    spec[bins] = coeff
+    return np.fft.ifft(spec, axis=0) * n
+
+
+def analyze(values: np.ndarray, bins, n: int) -> np.ndarray:
+    """Coefficients at FFT `bins` (any index into the n bins) of samples
+    on the n-point grid, along the leading axis; inverse of synthesize."""
+    return np.fft.fft(values, axis=0)[bins] / n
+
+
+def cosine_block(samples: np.ndarray, size: int, sign: float) -> np.ndarray:
+    """Matrix of pointwise multiplication by a real even T-periodic V in
+    the cos (sign +1) or sin (sign -1) ((2j+1) pi x / T) basis, j < size:
+    0.5 (w_|j-l| +/- w_{j+l+1}) with w_m = (1/T) int_0^{2T} V cos(2 pi m x / T) dx
+    by trapezoid sums over the samples of V on the n-point 2T grid."""
+    n = len(samples)
+    if 2 * (2 * size - 1) >= n:
+        raise ValidationError("quadrature grid too small for multiplication matrix")
+    w = 2.0 * np.real(analyze(samples, 2 * np.arange(2 * size), n))
+    j = np.arange(size)
+    toeplitz = w[np.abs(j[:, None] - j[None, :])]
+    hankel = w[j[:, None] + j[None, :] + 1]
+    return 0.5 * (toeplitz + sign * hankel)
+
+
 def to_grid(f: AntiperiodicField, n: int) -> GridSamples:
     """Sample a field at N uniform points of its 2T period.
 
@@ -161,19 +193,19 @@ def to_grid(f: AntiperiodicField, n: int) -> GridSamples:
         raise SamplingError(
             f"grid size {n} too small for modes up to |k| = {f.max_wavenumber}"
         )
-    spectrum = np.zeros(n, dtype=np.complex128)
-    spectrum[f.wavenumbers % n] = f.coeff
-    values = np.fft.ifft(spectrum) * n
-    return GridSamples(f.half_period, values)
+    return GridSamples(f.half_period, synthesize(f.coeff, f.wavenumbers % n, n))
 
 
-def even_mode_defect(g: GridSamples) -> float:
-    """Relative l2 energy in even Fourier bins; zero for antiperiodic data."""
-    spec = np.fft.fft(g.values) / g.n
+def _even_bin_fraction(spec: np.ndarray) -> float:
     total = np.linalg.norm(spec)
     if total == 0.0:
         return 0.0
     return float(np.linalg.norm(spec[0::2]) / total)
+
+
+def even_mode_defect(g: GridSamples) -> float:
+    """Relative l2 energy in even Fourier bins; zero for antiperiodic data."""
+    return _even_bin_fraction(analyze(g.values, slice(None), g.n))
 
 
 def to_modes(g: GridSamples, n_modes: int | None = None,
@@ -196,12 +228,12 @@ def to_modes(g: GridSamples, n_modes: int | None = None,
         raise SamplingError(
             f"requested modes up to |k| = {k[-1]} but grid resolves |k| <= {n // 2 - 1}"
         )
-    defect = even_mode_defect(g)
+    spec = analyze(g.values, slice(None), n)
+    defect = _even_bin_fraction(spec)
     if defect > tol:
         raise AntiperiodicityViolation(
             f"even-mode energy fraction {defect:.3e} exceeds tolerance {tol:.3e}"
         )
-    spec = np.fft.fft(g.values) / n
     return AntiperiodicField(g.half_period, k, spec[k % n])
 
 

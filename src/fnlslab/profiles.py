@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                      PositiveEta, SpeedOutOfRange, ValidationError)
-from .fields import (AntiperiodicField, cosine_field, lift, odd_wavenumbers,
-                     to_grid)
+from .fields import (AntiperiodicField, analyze, cosine_block, cosine_field,
+                     lift, odd_wavenumbers, synthesize, to_grid)
 from .functionals import (charge, kinetic, momentum, moving_frame_energy,
                           potential, quadratic_energy)
 from .params import MAX_ITER, TOL_PROFILE, ProblemParams
@@ -113,17 +113,9 @@ class _Workspace:
         self.N = _default_grid(probe, params.sigma)
         self.bins = self.k % self.N
 
-    def grid_values(self, coeff: np.ndarray) -> np.ndarray:
-        spec = np.zeros(self.N, dtype=np.complex128)
-        spec[self.bins] = coeff
-        return np.fft.ifft(spec) * self.N
-
-    def band_coeff(self, values: np.ndarray) -> np.ndarray:
-        return (np.fft.fft(values) / self.N)[self.bins]
-
     def nonlinear(self, coeff: np.ndarray) -> np.ndarray:
-        v = self.grid_values(coeff)
-        return self.band_coeff(np.abs(v) ** (2.0 * self.params.sigma) * v)
+        v = synthesize(coeff, self.bins, self.N)
+        return analyze(np.abs(v) ** (2.0 * self.params.sigma) * v, self.bins, self.N)
 
     def field(self, coeff: np.ndarray) -> AntiperiodicField:
         return AntiperiodicField(self.T, self.k, coeff)
@@ -193,20 +185,6 @@ def _coeff_from_even_cos(ws: _Workspace, a: np.ndarray) -> np.ndarray:
     return c.astype(np.complex128)
 
 
-def _even_multiplication_matrix(ws: _Workspace, samples: np.ndarray) -> np.ndarray:
-    """Matrix of pointwise multiplication by a real even T-periodic function
-    in the cos((2j+1) pi x / T) basis: 0.5 (w_|j-l| + w_{j+l+1}) with
-    w_m = (1/T) int_0^{2T} V cos(2 pi m x / T) dx."""
-    n = len(samples)
-    m_max = 2 * ws.M - 1
-    if 2 * m_max >= n:
-        raise ValidationError("quadrature grid too small for multiplication matrix")
-    spec = np.fft.fft(samples.astype(np.complex128)) / n
-    wm = 2.0 * np.real(spec[2 * np.arange(m_max + 1)])
-    j = np.arange(ws.M)
-    return 0.5 * (wm[np.abs(j[:, None] - j[None, :])] + wm[j[:, None] + j[None, :] + 1])
-
-
 def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
                       mu: float | None, max_steps: int = 60):
     """Newton polish on the real even branch.
@@ -233,9 +211,9 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
         if norm_r < 1e-13 * max(1.0, np.linalg.norm(a)):
             return a, omega, it
         coeff = _coeff_from_even_cos(ws, a)
-        vals = ws.grid_values(coeff)
-        wmat = _even_multiplication_matrix(
-            ws, (2.0 * sig + 1.0) * np.abs(vals) ** (2.0 * sig))
+        vals = synthesize(coeff, ws.bins, ws.N)
+        wmat = cosine_block((2.0 * sig + 1.0) * np.abs(vals) ** (2.0 * sig),
+                            ws.M, 1.0)
         jac = np.diag(lam_e + omega) - gamma * wmat
         if mu is not None:
             jac = np.block([[jac, a[:, None]],
@@ -280,7 +258,7 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
         norm_r = np.linalg.norm(r)
         if norm_r < 1e-13 * max(1.0, np.linalg.norm(coeff)):
             return coeff, omega, it
-        vals = ws.grid_values(coeff)
+        vals = synthesize(coeff, ws.bins, ws.N)
         w1 = (sig + 1.0) * np.abs(vals) ** (2.0 * sig)
         mod2 = np.abs(vals) ** 2
         safe = np.where(mod2 > 1e-300, mod2, 1.0)
@@ -290,11 +268,9 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
         basis = np.zeros((nm, 2 * nm), dtype=np.complex128)
         basis[:, :nm] = np.eye(nm)
         basis[:, nm:] = 1j * np.eye(nm)
-        spec = np.zeros((ws.N, 2 * nm), dtype=np.complex128)
-        spec[ws.bins, :] = basis
-        vcols = np.fft.ifft(spec, axis=0) * ws.N
+        vcols = synthesize(basis, ws.bins, ws.N)
         prod = w1[:, None] * vcols + w2[:, None] * np.conj(vcols)
-        pcols = (np.fft.fft(prod, axis=0) / ws.N)[ws.bins, :]
+        pcols = analyze(prod, ws.bins, ws.N)
         jcols = (lin + omega)[:, None] * basis - gamma * pcols
         jac = np.zeros((2 * nm + 1, 2 * nm + 1))
         jac[:nm, : 2 * nm] = np.real(jcols)
@@ -316,21 +292,6 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
         else:
             return coeff, omega, it  # stalled; caller verifies the residual
     return coeff, omega, max_steps
-
-
-def _center_and_realify(ws: _Workspace, coeff: np.ndarray):
-    """Translate the modulus maximum to 0 and rotate the global phase so the
-    field is as real as possible, then return even-cos coefficients."""
-    f = ws.field(coeff)
-    x0 = _modulus_argmax(f)
-    coeff = coeff * np.exp(1j * np.pi * ws.k * x0 / ws.T)
-    big_w = np.sum(coeff * coeff[::-1])
-    if abs(big_w) > 1e-14 * np.sum(np.abs(coeff) ** 2):
-        coeff = coeff * np.exp(-0.5j * np.angle(big_w))
-    a = _even_cos_coeffs(ws, 0.5 * (coeff + np.conj(coeff[::-1])))
-    if np.sum(a) < 0.0:  # field value at x = 0
-        a = -a
-    return a
 
 
 def _refine_peak(f: AntiperiodicField, x: float, dx: float,
@@ -422,7 +383,7 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
         u, it_bb, _ = _bb_descent(ws, u, grad, project, renorm,
                                   max_iter, keep_real=True)
         omega = recovered_omega(ws.field(u), 0.0, params)
-        a = _center_and_realify(ws, u)
+        a = _gauged_cos_coeffs(ws, u)
         a, omega, it_newton = _newton_real_even(ws, a, omega, mu)
         u = _coeff_from_even_cos(ws, a)
     else:
@@ -470,7 +431,7 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
         u = lift(cosine_field(params.half_period, 1.0), n_modes).coeff
 
     def pot(u):
-        vals = ws.grid_values(u)
+        vals = synthesize(u, ws.bins, ws.N)
         dx = 2.0 * ws.T / ws.N
         return 0.5 * float(np.sum(np.abs(vals) ** (2 * sig + 2))) * dx / (2 * sig + 2)
 
@@ -497,7 +458,7 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
         raise PositiveEta(f"constraint multiplier eta = {eta} is not negative")
     u = u * abs(eta) ** (1.0 / (2.0 * sig))
 
-    a = _center_and_realify(ws, u)
+    a = _gauged_cos_coeffs(ws, u)
     a, omega, it_newton = _newton_real_even(ws, a, omega, None)
     u = _coeff_from_even_cos(ws, a)
 
@@ -521,11 +482,10 @@ def evenness_defect(f: AntiperiodicField) -> float:
     return float(np.max(np.abs(g.values - flip)) / max(scale, 1e-300))
 
 
-def gauge_fix(p: StandingProfile) -> StandingProfile:
-    """Normalize the free symmetries: translate the modulus maximum to
-    x = 0, then rotate the global phase to maximize the real part, fixing
-    the sign so the field is positive at the origin."""
-    f = p.field
+def _gauged(f: AntiperiodicField) -> AntiperiodicField:
+    """Translate the modulus maximum to x = 0, rotate the global phase to
+    maximize the real part, and fix the sign so the field is positive at
+    the origin."""
     x0 = _modulus_argmax(f)
     coeff = f.coeff * np.exp(1j * np.pi * f.wavenumbers * x0 / f.half_period)
     big_w = np.sum(coeff * coeff[::-1])
@@ -535,7 +495,17 @@ def gauge_fix(p: StandingProfile) -> StandingProfile:
     val0 = np.sum(coeff)  # field value at x = 0
     if np.real(val0) < 0.0:
         coeff = -coeff
-    return replace(p, field=f.with_coeff(coeff))
+    return f.with_coeff(coeff)
+
+
+def _gauged_cos_coeffs(ws: _Workspace, coeff: np.ndarray) -> np.ndarray:
+    """Even-cos coefficients of the real part of the gauged field."""
+    return _even_cos_coeffs(ws, _real_projection(_gauged(ws.field(coeff)).coeff))
+
+
+def gauge_fix(p: StandingProfile) -> StandingProfile:
+    """Normalize the free symmetries of the profile (see _gauged)."""
+    return replace(p, field=_gauged(p.field))
 
 
 def continue_in(start: StandingProfile, parameter: str, target: float,

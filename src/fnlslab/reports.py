@@ -74,7 +74,6 @@ def report_dict(bundle: ResultBundle) -> dict:
         "provenance": {
             "version": _package_version(),
             "seed": int(cfg.seed),
-            "workers": cfg.workers,
             "tolerances": {
                 "eps_fft": EPS_FFT,
                 "eps_real": EPS_REAL,

@@ -18,15 +18,15 @@ nondegeneracy of a computed profile.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ChainDoesNotTerminate, InconsistentRange, NonConvergence,
                      ProfileNotReal, SpectralGapTooSmall, ValidationError)
-from .fields import (AntiperiodicField, apply_multiplier, derivative,
-                     fractional_laplacian, imag_part, to_grid)
+from .fields import (AntiperiodicField, apply_multiplier, cosine_block,
+                     derivative, fractional_laplacian, imag_part, synthesize,
+                     to_grid)
 from .functionals import _default_grid, charge, momentum
 from .params import EPS_REAL, ProblemParams
 from .profiles import family_pair
@@ -37,6 +37,11 @@ _OPERATORS = ("L_plus", "L_minus")
 # Sector sizes up to this bound share one quadrature grid, so doubling the
 # basis changes truncation only, never the sampled potential coefficients.
 _SHARED_QUAD = 1024
+
+# Sector eigenfunctions are sampled at the interior points T i / _REFERENCE_N
+# of their reference interval: (-T/2, T/2) for even ones, (0, T) for odd
+# ones (every basis element vanishes at the endpoints).
+_REFERENCE_N = 4096
 
 # Grid values below this relative floor count as zero crossings rather than
 # sign changes; keeps numerical dust near nodes out of the oscillation count.
@@ -137,14 +142,9 @@ def assemble(profile, which: str, sector: str, size: int) -> SectorOperator:
     pars = profile.params
     n = _quadrature_size(profile.field, pars.sigma, size)
     v = _potential_samples(profile, which, n)
-    wm = 2.0 * np.real(np.fft.fft(v)) / n
-
-    j = np.arange(size)
-    lam = (np.pi * (2 * j + 1) / pars.half_period) ** pars.alpha
-    toeplitz = wm[2 * np.abs(j[:, None] - j[None, :])]
-    hankel = wm[2 * (j[:, None] + j[None, :] + 1)]
+    lam = (np.pi * (2 * np.arange(size) + 1) / pars.half_period) ** pars.alpha
     sign = 1.0 if sector == "even" else -1.0
-    mat = np.diag(lam + profile.omega) + 0.5 * (toeplitz + sign * hankel)
+    mat = np.diag(lam + profile.omega) + cosine_block(v, size, sign)
     return SectorOperator(sector=sector, size=size, matrix=mat,
                           which=which, params=pars, profile=profile)
 
@@ -159,21 +159,10 @@ def eigensolve(op: SectorOperator) -> SectorSpectrum:
                           sector=op.sector, which=op.which)
 
 
-def sector_spectra(profile, size: int, workers: int | None = None) -> dict:
-    """Spectra of all four (operator, sector) pairs, keyed by that tuple.
-
-    Assembly and eigensolve of the four blocks are independent; `workers`
-    > 1 fans them out on a thread pool (LAPACK releases the GIL).
-    """
-    keys = [(which, sector) for which in _OPERATORS for sector in _SECTORS]
-
-    def one(key):
-        return key, eigensolve(assemble(profile, key[0], key[1], size))
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(keys))) as pool:
-            return dict(pool.map(one, keys))
-    return dict(one(k) for k in keys)
+def sector_spectra(profile, size: int) -> dict:
+    """Spectra of all four (operator, sector) pairs, keyed by that tuple."""
+    return {(which, sector): eigensolve(assemble(profile, which, sector, size))
+            for which in _OPERATORS for sector in _SECTORS}
 
 
 def _even_coords(field: AntiperiodicField) -> np.ndarray:
@@ -209,12 +198,23 @@ def _kernel_scale(profile, which: str) -> float:
         float(np.max(np.abs(v)))
 
 
-def _sector_values(sector: str, vec: np.ndarray, half_period: float,
-                   xs: np.ndarray) -> np.ndarray:
-    j = np.arange(len(vec))
-    phase = np.outer(xs, (2 * j + 1) * np.pi / half_period)
-    basis = np.cos(phase) if sector == "even" else np.sin(phase)
-    return basis @ vec
+def _sector_values(sector: str, vec: np.ndarray) -> np.ndarray:
+    """sum_j vec_j cos or sin((2j+1) pi x / T) at the interior reference
+    points of the sector (see _REFERENCE_N).
+
+    One synthesis of the positive-k modes on the 2T grid of
+    _REFERENCE_N r points gives the cosine sum as its real part and the
+    sine sum as its imaginary part; r >= 1 keeps the band 2 len(vec) - 1
+    alias-free, and the reference points are every r-th grid point.
+    """
+    size = len(vec)
+    r = -(-4 * size // (2 * _REFERENCE_N))
+    n = 2 * _REFERENCE_N * r
+    vals = synthesize(vec, 2 * np.arange(size) + 1, n)
+    i = np.arange(1, _REFERENCE_N)
+    if sector == "even":
+        return vals[(i - _REFERENCE_N // 2) * r].real
+    return vals[i * r].imag
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -226,16 +226,6 @@ def _sign_changes(values: np.ndarray) -> int:
         return 0
     s = np.sign(live)
     return int(np.sum(s[1:] != s[:-1]))
-
-
-def _reference_points(sector: str, half_period: float, n: int = 4096) -> np.ndarray:
-    """Interior samples of the sector's reference interval: (-T/2, T/2)
-    for even eigenfunctions, (0, T) for odd ones (every basis element
-    vanishes at the endpoints)."""
-    t = (np.arange(1, n) / n)
-    if sector == "even":
-        return (t - 0.5) * half_period
-    return t * half_period
 
 
 def _potential_premise(profile, which: str) -> str:
@@ -252,7 +242,7 @@ def _potential_premise(profile, which: str) -> str:
     return "none"
 
 
-def nondegeneracy_check(profile, size: int, workers: int | None = None,
+def nondegeneracy_check(profile, size: int,
                         include_jordan: bool = False) -> NondegeneracyReport:
     """Kernel, Morse-index, and sign-structure certification.
 
@@ -264,7 +254,7 @@ def nondegeneracy_check(profile, size: int, workers: int | None = None,
     with the monotonicity of the potential on (0, T/2).
     """
     return _nondegeneracy_report(
-        profile, sector_spectra(profile, size, workers=workers), include_jordan)
+        profile, sector_spectra(profile, size), include_jordan)
 
 
 def _nondegeneracy_report(profile, spectra: dict,
@@ -315,13 +305,9 @@ def _nondegeneracy_report(profile, spectra: dict,
 
         counts = {}
         for s in _SECTORS:
-            xs = _reference_points(s, pars.half_period)
-            ground = _sector_values(s, spectra[(which, s)].eigenvectors[:, 0],
-                                    pars.half_period, xs)
-            second = _sector_values(s, spectra[(which, s)].eigenvectors[:, 1],
-                                    pars.half_period, xs)
-            counts[s] = {"ground": _sign_changes(ground),
-                         "second": _sign_changes(second)}
+            vecs = spectra[(which, s)].eigenvectors
+            counts[s] = {"ground": _sign_changes(_sector_values(s, vecs[:, 0])),
+                         "second": _sign_changes(_sector_values(s, vecs[:, 1]))}
         sign_counts[which] = counts
 
         premise = _potential_premise(profile, which)

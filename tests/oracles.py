@@ -22,6 +22,15 @@ def direct_synthesis(k, coeff, half_period, n):
     return out
 
 
+def sector_sum(sector, vec, half_period, xs):
+    """sum_j vec_j cos or sin((2j+1) pi x / T) at points xs, by a dense
+    cos/sin matrix."""
+    j = np.arange(len(vec))
+    phase = np.outer(xs, (2 * j + 1) * np.pi / half_period)
+    basis = np.cos(phase) if sector == "even" else np.sin(phase)
+    return basis @ vec
+
+
 def direct_analysis(values, k):
     """Naive DFT projection onto bins k (values on the uniform 2T grid)."""
     n = len(values)

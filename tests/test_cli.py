@@ -60,7 +60,7 @@ n_grid = 256
 
 def config_for(command, extra="", base=BASE, seed=3):
     return parse_config(base + extra).with_overrides(
-        command=command, seed=seed, workers=None, out=None)
+        command=command, seed=seed, out=None)
 
 
 def test_run_requires_a_command():
@@ -86,7 +86,7 @@ n_modes = 48
 n_grid = 1024
 """
     bundle = cli.run(parse_config(text).with_overrides(
-        command="solve", seed=0, workers=None, out=None))
+        command="solve", seed=0, out=None))
     _, _, om_true = oracles.snoidal_params(m, T)
     assert abs(bundle.results["profile"]["omega"] - om_true) < 1e-8
 
@@ -157,10 +157,14 @@ def test_import_loads_no_scipy():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, fnlslab; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    scipy_modules, pools = out.split()
+    assert scipy_modules == "[]"
+    # the package runs everything serially and loads no pool machinery
+    assert pools == "False"
 
 
 def test_spectrum_eigenvalue_table_is_sorted_per_sector():
@@ -270,6 +274,22 @@ def test_main_validation_exit_code(tmp_path, capsys):
     rc = cli.main(["--config", str(cfg), "--command", "solve"])
     assert rc == 2
     assert "(1, 2]" in capsys.readouterr().err
+
+
+def test_main_rejects_run_workers_key(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE + "\n[run]\nworkers = 2\n")
+    rc = cli.main(["--config", str(cfg), "--command", "solve"])
+    assert rc == 2
+    assert "unknown key run.workers" in capsys.readouterr().err
+
+
+def test_main_rejects_workers_flag(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "--command", "solve", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_main_missing_config_exit_code(tmp_path, capsys):

@@ -27,7 +27,6 @@ def test_minimal_config_fills_defaults():
                                         half_period=3.14159)
     assert cfg.command is None
     assert cfg.seed == 0
-    assert cfg.workers is None
     assert cfg.solver["mu"] == 1.0
     assert cfg.solver["c"] == 0.0
     assert cfg.solver["n_modes"] == 48
@@ -41,7 +40,6 @@ def test_full_config_round_trip():
 [run]
 command = evolve
 seed = 17
-workers = 2
 
 [evolve]
 dt = 5e-5
@@ -56,7 +54,6 @@ steps = 6
     cfg = parse_config(text)
     assert cfg.command == "evolve"
     assert cfg.seed == 17
-    assert cfg.workers == 2
     assert cfg.evolve == {"dt": 5e-5, "steps": 100000, "log_interval": 1000}
     assert cfg.sweep == {"parameter": "mu", "target": 2.0, "steps": 6}
 
@@ -171,14 +168,11 @@ def test_run_command_enum():
 
 def test_overrides_replace_only_given_fields():
     cfg = parse_config(MINIMAL + "\n[run]\ncommand = solve\nseed = 4\n")
-    out = cfg.with_overrides(command="evolve", seed=None, workers=3,
-                             out="/tmp/x")
-    assert (out.command, out.seed, out.workers, out.out) == \
-        ("evolve", 4, 3, "/tmp/x")
+    out = cfg.with_overrides(command="evolve", seed=None, out="/tmp/x")
+    assert (out.command, out.seed, out.out) == ("evolve", 4, "/tmp/x")
     assert out.problem == cfg.problem
     with pytest.raises(ValidationError, match="command"):
-        cfg.with_overrides(command="frobnicate", seed=None, workers=None,
-                           out=None)
+        cfg.with_overrides(command="frobnicate", seed=None, out=None)
 
 
 def test_command_list_is_fixed():

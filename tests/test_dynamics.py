@@ -331,7 +331,7 @@ def test_stability_experiment_report(def15):
     rng = np.random.default_rng(7)
     vs = [n_preserving_perturbation(prof, e, rng) for e in (1e-4, 1e-3)]
     rep = stability_experiment(prof, vs, horizon=5 * T, dt=1e-3,
-                               log_interval=1000, workers=2)
+                               log_interval=1000)
     assert rep.dNdc["value"] > 0.0
     assert len(rep.orbital_distance_series) == 2
     for run, eps in zip(rep.orbital_distance_series, (1e-4, 1e-3)):
@@ -348,14 +348,12 @@ def test_stability_experiment_report(def15):
         r["perturbation_norm"] for r in rep.orbital_distance_series)
 
 
-def test_stability_experiment_is_deterministic_across_workers(def15):
+def test_stability_experiment_is_deterministic_on_rerun(def15):
     _, prof = def15
     vs = [n_preserving_perturbation(prof, 1e-3, np.random.default_rng(s))
           for s in (1, 2)]
-    a = stability_experiment(prof, vs, horizon=T, dt=1e-3,
-                             log_interval=500, workers=2)
-    b = stability_experiment(prof, vs, horizon=T, dt=1e-3,
-                             log_interval=500, workers=None)
+    a = stability_experiment(prof, vs, horizon=T, dt=1e-3, log_interval=500)
+    b = stability_experiment(prof, vs, horizon=T, dt=1e-3, log_interval=500)
     for ra, rb in zip(a.orbital_distance_series, b.orbital_distance_series):
         assert np.array_equal(ra["rho"], rb["rho"])
 

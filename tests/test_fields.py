@@ -5,12 +5,14 @@ import pytest
 
 from fnlslab.errors import (AntiperiodicityViolation, SamplingError,
                             ValidationError)
-from fnlslab.fields import (AntiperiodicField, GridSamples, apply_multiplier,
-                            conjugate, cosine_field, derivative, evaluate,
-                            even_mode_defect, fractional_laplacian,
-                            heat_semigroup, hilbert_transform, imag_part, lift,
+from fnlslab.fields import (AntiperiodicField, GridSamples, analyze,
+                            apply_multiplier, conjugate, cosine_field,
+                            derivative, evaluate, even_mode_defect,
+                            fractional_laplacian, heat_semigroup,
+                            hilbert_transform, imag_part, lift,
                             odd_wavenumbers, random_field, real_part,
-                            rotate_phase, to_grid, to_modes, translate)
+                            rotate_phase, synthesize, to_grid, to_modes,
+                            translate)
 from fnlslab.functionals import inner, l2_norm
 
 from oracles import direct_analysis, direct_synthesis, elliptic_field
@@ -35,6 +37,26 @@ def test_round_trip_matches_direct_summation():
     # analysis against the naive projection as well
     ref_modes = direct_analysis(g.values, f.wavenumbers)
     assert rel(ref_modes, f.coeff) < 1e-12
+
+
+def test_synthesize_and_analyze_match_grid_and_modes():
+    f = random_field(T, 16, RNG)
+    bins = f.wavenumbers % 128
+    vals = synthesize(f.coeff, bins, 128)
+    assert np.array_equal(vals, to_grid(f, 128).values)
+    assert np.array_equal(analyze(vals, bins, 128),
+                          to_modes(GridSamples(T, vals), 16).coeff)
+
+
+def test_synthesize_and_analyze_round_trip_batches():
+    k = odd_wavenumbers(12)
+    batch = RNG.standard_normal((len(k), 5)) + 1j * RNG.standard_normal((len(k), 5))
+    vals = synthesize(batch, k % 96, 96)
+    assert vals.shape == (96, 5)
+    for col in range(5):
+        ref = direct_synthesis(k, batch[:, col], T, 96)
+        assert rel(vals[:, col], ref) < 1e-12
+    assert rel(analyze(vals, k % 96, 96), batch) < 1e-12
 
 
 def test_grid_samples_are_antiperiodic():

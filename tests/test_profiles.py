@@ -318,6 +318,18 @@ def test_gauge_fix_flags_flat_modulus():
         gauge_fix(prof)
 
 
+def test_gauge_fix_flags_vanishing_int_phi_squared():
+    # modes k = 1, 5, -3 have a clear modulus peak but no k, -k pair, so
+    # int phi^2 = sum c_k c_-k vanishes and no phase maximizes Re phi
+    f = zero_field(T, 3)
+    c = f.coeff.copy()
+    c[np.searchsorted(f.wavenumbers, [1, 5, -3])] = [1.0, 0.1, 0.1]
+    prof = StandingProfile(defoc(), f.with_coeff(c), -1.0, 0.0, 1.0, 1.0,
+                           0.0, 0, 0.0)
+    with pytest.raises(GaugeAmbiguity, match="int phi\\^2 vanishes"):
+        gauge_fix(prof)
+
+
 # --- validation and failure modes ---------------------------------------------
 
 def test_defocusing_input_validation():

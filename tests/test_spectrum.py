@@ -18,6 +18,7 @@ from fnlslab.spectrum import (NondegeneracyReport, SectorOperator,
                               SectorSpectrum, assemble, eigensolve,
                               fredholm_range_checks, jordan_structure,
                               nondegeneracy_check, sector_spectra)
+from fnlslab.spectrum import _REFERENCE_N, _sector_values, _sign_changes
 import oracles
 
 T = np.pi
@@ -158,13 +159,16 @@ def test_eigenpair_residuals_meet_bound():
     assert np.max(np.linalg.norm(res, axis=0)) <= 1e-9 * norm_a
 
 
-def test_threaded_sector_spectra_agree_with_serial():
-    prof = defoc_profile()
-    serial = sector_spectra(prof, 96)
-    threaded = sector_spectra(prof, 96, workers=4)
-    for key, spec in serial.items():
-        assert np.allclose(spec.eigenvalues, threaded[key].eigenvalues,
-                           rtol=0.0, atol=1e-12)
+@pytest.mark.parametrize("size", [8, 128, 2049])  # 4 * 2049 > 8192
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_sector_values_match_dense_sum(sector, size):
+    vec = np.random.default_rng(size).standard_normal(size)
+    t = np.arange(1, _REFERENCE_N) / _REFERENCE_N
+    xs = (t - 0.5) * T if sector == "even" else t * T
+    ref = oracles.sector_sum(sector, vec, T, xs)
+    got = _sector_values(sector, vec)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert _sign_changes(got) == _sign_changes(ref)
 
 
 # --- spectra against independent discretizations ----------------------------
