@@ -10,7 +10,11 @@ The integrator is Strang splitting with two exact substeps: the
 nonlinear part only rotates the pointwise phase (|w| is invariant), and
 the linear part is a diagonal Fourier multiplier.  All error is
 splitting error; charge is conserved to roundoff because both substeps
-are l2 isometries.
+are l2 isometries.  The stepper advances a (K, B) ensemble of
+coefficient columns with one FFT pair per substep, so the perturbations
+of a stability experiment run together; every column is bit-identical
+to a lone run, and the experiment stops at the first log block whose
+drift passes its tolerance.
 
 Orbital distance is the infimum of the energy-norm gap over phase
 rotations and translations: the phase minimization is closed-form and
@@ -81,10 +85,16 @@ class EvolutionState:
             return {"hamiltonian": 0.0, "charge": 0.0, "momentum": 0.0}
         first = self.conserved_log[0, 1:]
         dev = np.max(np.abs(self.conserved_log[:, 1:] - first), axis=0)
-        scale = np.maximum(np.abs(first), max(np.max(np.abs(first)), 1e-300))
-        rel = dev / scale
-        return {"hamiltonian": float(rel[0]), "charge": float(rel[1]),
-                "momentum": float(rel[2])}
+        return _relative_drift(first, dev)
+
+
+def _relative_drift(first: np.ndarray, dev: np.ndarray) -> dict:
+    """The drift dict of EvolutionState.drift from the first (H, Q, N)
+    and the largest deviation of each from it."""
+    scale = np.maximum(np.abs(first), max(np.max(np.abs(first)), 1e-300))
+    rel = dev / scale
+    return {"hamiltonian": float(rel[0]), "charge": float(rel[1]),
+            "momentum": float(rel[2])}
 
 
 def initial_state(field: AntiperiodicField, dt: float) -> EvolutionState:
@@ -95,32 +105,46 @@ def initial_state(field: AntiperiodicField, dt: float) -> EvolutionState:
 
 
 class _Stepper:
-    """Fused Strang splitting on a fixed dealiasing grid."""
+    """Fused Strang splitting of an ensemble on a fixed dealiasing grid.
 
-    def __init__(self, field: AntiperiodicField, params: ProblemParams,
-                 omega: float, dt: float, n_grid: int | None = None,
+    The coefficients are a (K, B) array, one column per trajectory over
+    a shared band.  Every column gets exactly the arithmetic of a lone
+    trajectory, so B runs cost one transform call per substep.
+    """
+
+    def __init__(self, fields, params: ProblemParams, omega: float,
+                 dt: float, n_grid: int | None = None,
                  guard: float = math.inf, nonlinear: bool = True):
         if dt <= 0.0:
             raise ValidationError(f"time step must be positive, got {dt}")
-        T = field.half_period
-        k = field.wavenumbers
+        head = fields[0]
+        T = head.half_period
+        k = head.wavenumbers
         if n_grid is None:
-            n_grid = max(256, 1 << int(math.ceil(math.log2(4 * field.n_modes))))
-        if n_grid < 2 * (field.max_wavenumber + 1):
+            n_grid = max(256, 1 << int(math.ceil(math.log2(4 * head.n_modes))))
+        if n_grid < 2 * (head.max_wavenumber + 1):
             raise ValidationError(
-                f"grid of size {n_grid} cannot hold wavenumbers up to {field.max_wavenumber}")
+                f"grid of size {n_grid} cannot hold wavenumbers up to {head.max_wavenumber}")
+        if n_grid & (n_grid - 1):
+            raise ValidationError(
+                f"grid size {n_grid} is not a power of two; the fused "
+                f"linear substep is exact only for powers of two")
         self.params = params
         self.T = T
         self.k = k
         self.n = n_grid
         self.bins = k % n_grid
         self.sym = np.abs(np.pi * k / T) ** params.alpha
-        self.lin = np.exp(-1j * (self.sym + omega) * dt)
+        lin = np.exp(-1j * (self.sym + omega) * dt)
+        # lin on all n bins (zero off the band) and in every column, so the
+        # multiply is the same contiguous loop as a lone trajectory's
+        self.full = np.zeros((n_grid, len(fields)), dtype=complex)
+        self.full[self.bins] = lin[:, None]
         self.dt = dt
         self.guard = guard
         self.rate = params.gamma * dt if nonlinear else 0.0
         self.two_sigma = 2.0 * params.sigma
-        self.coeff = field.coeff.astype(complex)
+        self.coeff = np.stack([f.coeff for f in fields], axis=1).astype(complex)
         self.time = 0.0
         self.steps_taken = 0
 
@@ -141,21 +165,24 @@ class _Stepper:
         Fusing two adjacent half-kicks into one is exact in continuum
         but differs from per-step closure at the dealiasing-tail level,
         because the band projection between them sees a different phase.
+        Each linear substep is one multiply of the full spectrum by
+        `full`: since n is a power of two, the 1/n of analyze and the n
+        of synthesize are exact, and the result equals
+        synthesize(analyze(vals) * lin) bit for bit.
         """
         if m < 1:
             return
-        bins, n, lin = self.bins, self.n, self.lin
+        bins, n, full = self.bins, self.n, self.full
         vals = self._kick(synthesize(self.coeff, bins, n), 0.5)
-        for _ in range(m - 1):
-            vals = self._kick(synthesize(analyze(vals, bins, n) * lin, bins, n), 1.0)
+        for i in range(m):
+            spec = np.fft.fft(vals, axis=0)
+            spec *= full
+            vals = self._kick(np.fft.ifft(spec, axis=0), 1.0 if i < m - 1 else 0.5)
             self.time += self.dt
-        vals = self._kick(synthesize(analyze(vals, bins, n) * lin, bins, n), 0.5)
-        self.time += self.dt
         self.coeff = analyze(vals, bins, n)
         self.steps_taken += m
 
-    def conserved(self):
-        c = self.coeff
+    def _conserved(self, c):
         T = self.T
         q = 0.5 * T * float(np.sum(np.abs(c) ** 2))
         nmom = -0.5 * np.pi * float(np.sum(self.k * np.abs(c) ** 2))
@@ -165,23 +192,26 @@ class _Stepper:
         p /= self.two_sigma + 2.0
         return q, nmom, kin - self.params.gamma * p
 
-    def field(self) -> AntiperiodicField:
-        return AntiperiodicField(self.T, self.k, self.coeff.copy())
+    def field(self, j: int = 0) -> AntiperiodicField:
+        return AntiperiodicField(self.T, self.k, self.coeff[:, j].copy())
 
-    def log_row(self) -> tuple:
-        """(t, H, Q, N) at the current state."""
-        q, nmom, ham = self.conserved()
-        return (self.time, ham, q, nmom)
+    def log_rows(self) -> list:
+        """(t, H, Q, N) of every column at the current state."""
+        rows = []
+        for c in self.coeff.T:
+            q, nmom, ham = self._conserved(np.ascontiguousarray(c))
+            rows.append((self.time, ham, q, nmom))
+        return rows
 
     def logged_blocks(self, steps: int, log_interval: int):
         """Advance `steps` steps in blocks of log_interval, yielding the
-        log row after each block."""
+        log rows after each block."""
         done = 0
         while done < steps:
             m = min(log_interval, steps - done)
             self.advance(m)
             done += m
-            yield self.log_row()
+            yield self.log_rows()
 
 
 def evolve(state: EvolutionState, params: ProblemParams, omega: float,
@@ -197,11 +227,11 @@ def evolve(state: EvolutionState, params: ProblemParams, omega: float,
         raise ValidationError(f"need at least one step, got {steps}")
     if log_interval < 1:
         raise ValidationError(f"log interval must be positive, got {log_interval}")
-    eng = _Stepper(state.field, params, omega, state.dt, n_grid=n_grid,
+    eng = _Stepper([state.field], params, omega, state.dt, n_grid=n_grid,
                    guard=guard, nonlinear=nonlinear)
     eng.time = state.time
-    rows = list(state.conserved_log) or [eng.log_row()]
-    rows.extend(eng.logged_blocks(steps, log_interval))
+    rows = list(state.conserved_log) or eng.log_rows()
+    rows.extend(block[0] for block in eng.logged_blocks(steps, log_interval))
     out = EvolutionState(field=eng.field(), time=eng.time, dt=state.dt,
                          conserved_log=np.array(rows))
     drift = max(out.drift().values())
@@ -515,40 +545,6 @@ class StabilityReport:
         return max(run["c_emp"] for run in self.orbital_distance_series)
 
 
-def _run_perturbation(profile, omega, v, horizon, dt, log_interval, guard,
-                      tol_cons):
-    size = x_norm(v, profile.params.alpha)
-    state = initial_state(profile.field + v, dt)
-    steps = max(1, int(round(horizon / dt)))
-    eng = _Stepper(state.field, profile.params, omega, dt, guard=guard)
-    rows = [eng.log_row()]
-    rhos = [orbital_distance(state.field, profile)]
-    for row in eng.logged_blocks(steps, log_interval):
-        rows.append(row)
-        rhos.append(orbital_distance(eng.field(), profile))
-    log = np.array(rows)
-    final = EvolutionState(field=eng.field(), time=eng.time, dt=dt,
-                           conserved_log=log)
-    drift = final.drift()
-    if max(drift.values()) > tol_cons:
-        raise ConservationDriftExceeded(
-            f"relative drift {max(drift.values()):.3e} exceeds "
-            f"{tol_cons:.1e} over {steps} steps")
-    times = log[:, 0]
-    rhos = np.array(rhos)
-    slope = float(np.polyfit(times, rhos, 1)[0]) if len(times) > 2 else 0.0
-    return {
-        "perturbation_norm": size,
-        "times": times,
-        "rho": rhos,
-        "c_emp": float(np.max(rhos) / size),
-        "secular_slope": slope,
-        "secular_fraction": slope * float(times[-1]) / max(float(np.max(rhos)), 1e-300),
-        "drift": drift,
-        "quadratic_form": None,
-    }
-
-
 def stability_experiment(profile: StandingProfile, perturbations,
                          horizon: float, dt: float = 1e-3,
                          log_interval: int = 500,
@@ -556,10 +552,15 @@ def stability_experiment(profile: StandingProfile, perturbations,
                          spectrum_size: int = 128) -> StabilityReport:
     """Evolve perturbed profiles and log orbit distances and drifts.
 
-    perturbations is an iterable of AntiperiodicField; trajectories run
-    one after another.  The report carries the
-    stability indices, the coercivity quadratic form evaluated at each
-    perturbation, and the projected-eigensolve minima as verdict inputs.
+    perturbations is an iterable of AntiperiodicField; all trajectories
+    advance together as one ensemble (phi + v lifted to a common band),
+    each column bit-identical to a run of its own.  After every log
+    block each run's (t, H, Q, N) row and orbit distance are logged and
+    its drift checked: the first run past tol_cons raises
+    ConservationDriftExceeded there, not at the horizon.  The report
+    carries the stability indices, the coercivity quadratic form
+    evaluated at each perturbation, and the projected-eigensolve minima
+    as verdict inputs.
     """
     perturbations = list(perturbations)
     if not perturbations:
@@ -569,14 +570,44 @@ def stability_experiment(profile: StandingProfile, perturbations,
     indices = stability_indices(profile)
     peak = float(np.max(np.abs(to_grid(profile.field, 512).values)))
     guard = GUARD_FACTOR * peak
-    omega = profile.omega
+
+    starts = [profile.field + v for v in perturbations]
+    band = max(f.n_modes for f in starts)
+    starts = [lift(f, band) for f in starts]
+    steps = max(1, int(round(horizon / dt)))
+    eng = _Stepper(starts, profile.params, profile.omega, dt, guard=guard)
+    logs = [[row] for row in eng.log_rows()]
+    rhos = [[orbital_distance(f, profile)] for f in starts]
+    first = [np.array(log[0][1:]) for log in logs]
+    dev = [np.zeros(3) for _ in logs]
+    for rows in eng.logged_blocks(steps, log_interval):
+        for i, row in enumerate(rows):
+            logs[i].append(row)
+            dev[i] = np.maximum(dev[i], np.abs(np.array(row[1:]) - first[i]))
+            worst = max(_relative_drift(first[i], dev[i]).values())
+            if worst > tol_cons:
+                raise ConservationDriftExceeded(
+                    f"perturbation {i}: relative drift {worst:.3e} exceeds "
+                    f"{tol_cons:.1e} at t = {eng.time:.6f}, step "
+                    f"{eng.steps_taken} of {steps}")
+            rhos[i].append(orbital_distance(eng.field(i), profile))
 
     runs = []
-    for v in perturbations:
-        run = _run_perturbation(profile, omega, v, horizon, dt, log_interval,
-                                guard, tol_cons)
-        run["quadratic_form"] = second_variation_form(profile, v)
-        runs.append(run)
+    for v, log, rho, first_i, dev_i in zip(perturbations, logs, rhos, first, dev):
+        size = x_norm(v, profile.params.alpha)
+        times = np.array(log)[:, 0]
+        rho = np.array(rho)
+        slope = float(np.polyfit(times, rho, 1)[0]) if len(times) > 2 else 0.0
+        runs.append({
+            "perturbation_norm": size,
+            "times": times,
+            "rho": rho,
+            "c_emp": float(np.max(rho) / size),
+            "secular_slope": slope,
+            "secular_fraction": slope * float(times[-1]) / max(float(np.max(rho)), 1e-300),
+            "drift": _relative_drift(first_i, dev_i),
+            "quadratic_form": second_variation_form(profile, v),
+        })
     coercivity = coercivity_check(profile, size=spectrum_size)
     verdict = {
         "coercivity": coercivity,

@@ -183,17 +183,25 @@ def _padded(coords: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _kernel_scale(profile, which: str) -> float:
+def _scale_samples(profile, which: str) -> np.ndarray:
+    """The potential of `which` on the smallest quadrature grid, as read
+    by _kernel_scale and _potential_premise."""
+    n = _quadrature_size(profile.field, profile.params.sigma, 1)
+    return _potential_samples(profile, which, n)
+
+
+def _kernel_scale(profile, which: str, v: np.ndarray | None = None) -> float:
     """Magnitude scale of the low-lying spectrum: first multiplier
-    eigenvalue plus |omega| plus the potential sup norm.
+    eigenvalue plus |omega| plus the potential sup norm (over the
+    samples v of _scale_samples, computed when not given).
 
     The raw matrix spectral radius grows like size^alpha and would make
     a radius-proportional kernel tolerance meaningless at large sector
     sizes, so the estimate deliberately excludes the high diagonal.
     """
     pars = profile.params
-    n = _quadrature_size(profile.field, pars.sigma, 1)
-    v = _potential_samples(profile, which, n)
+    if v is None:
+        v = _scale_samples(profile, which)
     return (np.pi / pars.half_period) ** pars.alpha + abs(profile.omega) + \
         float(np.max(np.abs(v)))
 
@@ -228,11 +236,9 @@ def _sign_changes(values: np.ndarray) -> int:
     return int(np.sum(s[1:] != s[:-1]))
 
 
-def _potential_premise(profile, which: str) -> str:
-    """Monotonicity of V on (0, T/2), sampled on the quadrature grid."""
-    n = _quadrature_size(profile.field, profile.params.sigma, 1)
-    v = _potential_samples(profile, which, n)
-    quarter = v[:n // 4 + 1]
+def _potential_premise(v: np.ndarray) -> str:
+    """Monotonicity of V on (0, T/2) from its samples v on the 2T grid."""
+    quarter = v[:len(v) // 4 + 1]
     slack = 1e-10 * max(np.max(np.abs(v)), 1e-300)
     d = np.diff(quarter)
     if np.all(d <= slack):
@@ -276,7 +282,9 @@ def _nondegeneracy_report(profile, spectra: dict,
     sign_counts = {}
     ordering = {}
     for which in _OPERATORS:
-        tolk = 1e-6 * _kernel_scale(profile, which)
+        v = _scale_samples(profile, which)
+        scale = _kernel_scale(profile, which, v)
+        tolk = 1e-6 * scale
         union = np.concatenate([spectra[(which, s)].eigenvalues for s in _SECTORS])
         by_abs = np.sort(np.abs(union))
         if by_abs[1] - by_abs[0] < 10.0 * tolk:
@@ -310,10 +318,10 @@ def _nondegeneracy_report(profile, spectra: dict,
                          "second": _sign_changes(_sector_values(s, vecs[:, 1]))}
         sign_counts[which] = counts
 
-        premise = _potential_premise(profile, which)
+        premise = _potential_premise(v)
         even_ground = float(spectra[(which, "even")].eigenvalues[0])
         odd_ground = float(spectra[(which, "odd")].eigenvalues[0])
-        slack = 1e-12 * _kernel_scale(profile, which)
+        slack = 1e-12 * scale
         if premise == "nonincreasing":
             consistent = bool(odd_ground <= even_ground + slack)
         elif premise == "nondecreasing":

@@ -192,3 +192,40 @@ def brute_charge(field, n=16384):
 def finite_difference_directional(func, u, v, h):
     """Central difference (func(u + h v) - func(u - h v)) / 2h on fields."""
     return (func(u + h * v) - func(u + (-h) * v)) / (2.0 * h)
+
+
+def strang_reference(coeff, k, half_period, params, omega, dt, steps,
+                     log_interval, n):
+    """Final coefficients of one Strang split-step trajectory, stepped one
+    substep at a time: every linear substep projects the samples onto the
+    band (FFT bins k mod n), multiplies by exp(-i (|pi k/T|^alpha + omega) dt)
+    and synthesizes again; half-kicks open and close each block of
+    log_interval steps, full kicks join the steps inside it."""
+    bins = k % n
+    sym = np.abs(np.pi * k / half_period) ** params.alpha
+    lin = np.exp(-1j * (sym + omega) * dt)
+    rate = params.gamma * dt
+
+    def synthesize(c):
+        spec = np.zeros(n, dtype=complex)
+        spec[bins] = c
+        return np.fft.ifft(spec) * n
+
+    def analyze(values):
+        return np.fft.fft(values)[bins] / n
+
+    def kick(values, fraction):
+        return values * np.exp((1j * rate * fraction)
+                               * np.abs(values) ** (2.0 * params.sigma))
+
+    c = np.asarray(coeff, dtype=complex)
+    done = 0
+    while done < steps:
+        m = min(log_interval, steps - done)
+        values = kick(synthesize(c), 0.5)
+        for i in range(m):
+            values = kick(synthesize(analyze(values) * lin),
+                          1.0 if i < m - 1 else 0.5)
+        c = analyze(values)
+        done += m
+    return c

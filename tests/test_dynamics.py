@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from fnlslab import dynamics
 from fnlslab.dynamics import (EvolutionState, boost, coercivity_check,
                               dndc_spectral, evolve, galilean_residual,
                               initial_state, n_preserving_perturbation,
@@ -98,6 +100,26 @@ def test_step_chain_matches_unfused_evolve(def15):
     # so they agree with per-step closure only to the dealiasing tail
     fused = evolve(st, pars, prof.omega, steps=5, log_interval=5)
     assert x_norm(fused.field - bulk.field, 1.5) < 1e-9
+
+
+def test_evolve_matches_substep_reference(def15, def20):
+    # the fused spectral multiply reproduces analyze -> * lin -> synthesize
+    # bit for bit over blocks of every shape, the short last one included
+    for pars, prof in (def15, def20):
+        w0 = prof.field + n_preserving_perturbation(
+            prof, 1e-3, np.random.default_rng(3))
+        out = evolve(initial_state(w0, 1e-3), pars, prof.omega, steps=1200,
+                     log_interval=500)
+        ref = oracles.strang_reference(w0.coeff, w0.wavenumbers, T, pars,
+                                       prof.omega, 1e-3, 1200, 500, 256)
+        assert np.array_equal(out.field.coeff, ref)
+
+
+def test_evolve_rejects_grid_that_is_not_a_power_of_two(def15):
+    pars, prof = def15
+    with pytest.raises(ValidationError, match="768"):
+        evolve(initial_state(prof.field, 1e-3), pars, prof.omega, steps=1,
+               n_grid=768)
 
 
 def test_blowup_guard_trips(def15):
@@ -358,12 +380,47 @@ def test_stability_experiment_is_deterministic_on_rerun(def15):
         assert np.array_equal(ra["rho"], rb["rho"])
 
 
+def test_stability_experiment_ensemble_equals_single_runs(def15):
+    _, prof = def15
+    rng = np.random.default_rng(11)
+    vs = [n_preserving_perturbation(prof, e, rng) for e in (1e-4, 1e-3, 3e-3)]
+    together = stability_experiment(prof, vs, horizon=T, dt=1e-3,
+                                    log_interval=500)
+    for v, run in zip(vs, together.orbital_distance_series):
+        alone = stability_experiment(prof, [v], horizon=T, dt=1e-3,
+                                     log_interval=500)
+        single = alone.orbital_distance_series[0]
+        assert np.array_equal(run["rho"], single["rho"])
+        assert np.array_equal(run["times"], single["times"])
+        assert run["drift"] == single["drift"]
+
+
 def test_experiment_raises_on_conservation_drift(def15):
     _, prof = def15
     v = n_preserving_perturbation(prof, 1e-3, np.random.default_rng(1))
     with pytest.raises(ConservationDriftExceeded, match="drift"):
         stability_experiment(prof, [v], horizon=T, dt=1e-3,
                              log_interval=500, tol_cons=1e-16)
+
+
+def test_experiment_drift_raises_at_first_block_past_tolerance(def15,
+                                                             monkeypatch):
+    _, prof = def15
+    v = n_preserving_perturbation(prof, 1e-3, np.random.default_rng(1))
+    advanced = []
+    advance = dynamics._Stepper.advance
+
+    def counted(self, m):
+        advanced.append(m)
+        return advance(self, m)
+
+    monkeypatch.setattr(dynamics._Stepper, "advance", counted)
+    with pytest.raises(ConservationDriftExceeded,
+                       match=r"perturbation 0: .* at t = 0\.500000"):
+        stability_experiment(prof, [v], horizon=T, dt=1e-3,
+                             log_interval=500, tol_cons=1e-16)
+    # one log block of the 3142-step horizon
+    assert advanced == [500]
 
 
 def test_experiment_input_validation(def15):

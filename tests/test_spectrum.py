@@ -314,6 +314,24 @@ def test_kernel_tolerance_independent_of_sector_size():
             rep_b.ker_alignments[which]["tol_kernel"]
 
 
+def test_nondegeneracy_report_samples_each_potential_once(monkeypatch):
+    import fnlslab.spectrum as spectrum
+
+    prof = defoc_profile()
+    spectra = sector_spectra(prof, 128)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return to_grid(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "to_grid", counted)
+    spectrum._nondegeneracy_report(prof, spectra, include_jordan=False)
+    # one potential per operator for the kernel scale and the premise,
+    # one per re-assembled kernel-residual matrix
+    assert len(calls) == 4
+
+
 def test_degenerate_gap_is_refused():
     # a zero profile with omega at the band edge has a double eigenvalue
     # at zero (one per sector), so kernel identification must abort
