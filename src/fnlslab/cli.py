@@ -253,7 +253,7 @@ def _cmd_report(config: RunConfig) -> ResultBundle:
         "runs": runs,
         "c_emp": rep.c_emp,
         "horizon": horizon,
-        "coercivity": rep.verdict_inputs["coercivity"],
+        "coercivity": rep.coercivity,
         "profile": _profile_scalars(prof, config),
     }
     return ResultBundle(

@@ -20,7 +20,8 @@ ParseError naming the offending line.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
 from .params import TOL_PROFILE, ProblemParams
@@ -59,7 +60,6 @@ class RunConfig:
     echo: str = field(repr=False, default="")
 
     def with_overrides(self, command=None, seed=None, out=None) -> "RunConfig":
-        from dataclasses import replace
         kw = {}
         if command is not None:
             if command not in COMMANDS:
@@ -89,21 +89,28 @@ class _Collector:
         raw = self.parser.get(section, key).strip()
         try:
             if kind is float:
-                return float(raw)
+                return _finite(raw)
             if kind is int:
-                val = float(raw)
+                val = _finite(raw)
                 if val != int(val):
                     raise ValueError
                 return int(val)
             if kind is list:
-                return [float(tok) for tok in raw.split(",") if tok.strip()]
+                return [_finite(tok) for tok in raw.split(",") if tok.strip()]
             return raw
         except ValueError:
-            noun = {"float": "number", "int": "integer",
-                    "list": "comma-separated number list"}.get(
-                        kind.__name__, kind.__name__)
-            self.note(f"{section}.{key} must be a {noun}, got {raw!r}")
+            noun = {float: "a finite number", int: "an integer",
+                    list: "a comma-separated list of finite numbers"}[kind]
+            self.note(f"{section}.{key} must be {noun}, got {raw!r}")
             return default
+
+
+def _finite(text: str) -> float:
+    """float(text), with inf, nan and overflow (1e400) a ValueError."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(text)
+    return val
 
 
 def _window(col, cond, msg):
@@ -154,7 +161,8 @@ def parse_config(text: str) -> RunConfig:
             ("gamma", gamma, lambda v: v in (-1, 1), "{-1, +1}"),
             ("half_period", half_period, lambda v: v > 0.0, "(0, inf)")):
         if val is None:
-            col.note(f"problem.{name} is required")
+            if not parser.has_option("problem", name):
+                col.note(f"problem.{name} is required")
             fine = False
         elif not good(val):
             col.note(f"problem.{name} must lie in {window}, got {val}")

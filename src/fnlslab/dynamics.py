@@ -39,15 +39,19 @@ from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
 from .fields import (AntiperiodicField, analyze, evaluate, lift, random_field,
                      synthesize, to_grid, translate)
-from .functionals import charge, inner, momentum, x_norm
-from .params import ProblemParams
+from .functionals import charge, gradient, inner, l2_norm, momentum, x_norm
+from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
 from .profiles import StandingProfile, _refine_peak, family_pair
-from .spectrum import _even_coords, _kernel_scale, _odd_coords, _padded, assemble
+from .spectrum import assemble, deflated_solve, eigensolve, sector_coords
 
 # hard ceiling on |u| during focusing runs, relative to the initial peak
 GUARD_FACTOR = 1e3
 # conserved-quantity drift beyond this flags the run
 TOL_CONS = 1e-8
+# even-sector size of the focusing cross-check <L_plus^(-1) phi, phi>
+_PAIRING_SIZE = 128
+# quadrature grid of second_variation_form
+_FORM_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -113,32 +117,25 @@ class _Stepper:
     """
 
     def __init__(self, fields, params: ProblemParams, omega: float,
-                 dt: float, n_grid: int | None = None,
-                 guard: float = math.inf, nonlinear: bool = True):
+                 dt: float, guard: float = math.inf, nonlinear: bool = True):
         if dt <= 0.0:
             raise ValidationError(f"time step must be positive, got {dt}")
         head = fields[0]
         T = head.half_period
         k = head.wavenumbers
-        if n_grid is None:
-            n_grid = max(256, 1 << int(math.ceil(math.log2(4 * head.n_modes))))
-        if n_grid < 2 * (head.max_wavenumber + 1):
-            raise ValidationError(
-                f"grid of size {n_grid} cannot hold wavenumbers up to {head.max_wavenumber}")
-        if n_grid & (n_grid - 1):
-            raise ValidationError(
-                f"grid size {n_grid} is not a power of two; the fused "
-                f"linear substep is exact only for powers of two")
+        # at least 4M = 2 (max|k| + 1), so the band fits, and a power of
+        # two: the fused linear substep is exact only for powers of two
+        n = max(256, 1 << int(math.ceil(math.log2(4 * head.n_modes))))
         self.params = params
         self.T = T
         self.k = k
-        self.n = n_grid
-        self.bins = k % n_grid
+        self.n = n
+        self.bins = k % n
         self.sym = np.abs(np.pi * k / T) ** params.alpha
         lin = np.exp(-1j * (self.sym + omega) * dt)
         # lin on all n bins (zero off the band) and in every column, so the
         # multiply is the same contiguous loop as a lone trajectory's
-        self.full = np.zeros((n_grid, len(fields)), dtype=complex)
+        self.full = np.zeros((n, len(fields)), dtype=complex)
         self.full[self.bins] = lin[:, None]
         self.dt = dt
         self.guard = guard
@@ -215,9 +212,8 @@ class _Stepper:
 
 
 def evolve(state: EvolutionState, params: ProblemParams, omega: float,
-           steps: int, log_interval: int = 100, n_grid: int | None = None,
-           guard: float = math.inf, nonlinear: bool = True,
-           tol_cons: float = TOL_CONS) -> EvolutionState:
+           steps: int, log_interval: int = 100, guard: float = math.inf,
+           nonlinear: bool = True, tol_cons: float = TOL_CONS) -> EvolutionState:
     """Advance `steps` Strang steps, logging conserved quantities.
 
     Returns a new state whose log extends the input's; the flag is set
@@ -227,8 +223,8 @@ def evolve(state: EvolutionState, params: ProblemParams, omega: float,
         raise ValidationError(f"need at least one step, got {steps}")
     if log_interval < 1:
         raise ValidationError(f"log interval must be positive, got {log_interval}")
-    eng = _Stepper([state.field], params, omega, state.dt, n_grid=n_grid,
-                   guard=guard, nonlinear=nonlinear)
+    eng = _Stepper([state.field], params, omega, state.dt, guard=guard,
+                   nonlinear=nonlinear)
     eng.time = state.time
     rows = list(state.conserved_log) or eng.log_rows()
     rows.extend(block[0] for block in eng.logged_blocks(steps, log_interval))
@@ -242,10 +238,9 @@ def evolve(state: EvolutionState, params: ProblemParams, omega: float,
 
 
 def step(state: EvolutionState, params: ProblemParams, omega: float,
-         n_grid: int | None = None, guard: float = math.inf) -> EvolutionState:
+         guard: float = math.inf) -> EvolutionState:
     """A single Strang step; convenience wrapper over evolve."""
-    return evolve(state, params, omega, steps=1, log_interval=1,
-                  n_grid=n_grid, guard=guard)
+    return evolve(state, params, omega, steps=1, log_interval=1, guard=guard)
 
 
 def boost(f: AntiperiodicField, m: int) -> AntiperiodicField:
@@ -355,43 +350,34 @@ def n_preserving_perturbation(profile: StandingProfile, epsilon: float,
     return v + idphi * s
 
 
-def _richardson_index(parameter, pairs, functional, h, rtol):
+def _richardson_index(parameter, pairs, functional):
     """Central differences of `functional` over the family pairs at steps
-    h and h/2, accepted when they agree to rtol."""
+    h = FD_STEP and h/2, accepted when they agree to TOL_RICHARDSON."""
+    h = FD_STEP
     (lo1, hi1), (lo2, hi2) = pairs
     d1 = (functional(hi1) - functional(lo1)) / (2.0 * h)
     d2 = (functional(hi2) - functional(lo2)) / (2.0 * (0.5 * h))
     scale = max(abs(d2), 1e-12)
     rel = abs(d1 - d2) / scale
-    if rel > rtol:
+    if rel > TOL_RICHARDSON:
         raise StepTooLarge(
             f"central differences at steps {h} and {h/2} disagree by "
-            f"{rel:.2e} (> {rtol:.1e}) for {parameter}")
+            f"{rel:.2e} (> {TOL_RICHARDSON:.1e}) for {parameter}")
     return {"value": d2, "step": 0.5 * h, "richardson_rel": rel}
 
 
-def _lplus_pairing(profile: StandingProfile, size: int = 128,
-                   deflate_tol: float = 1e-8) -> dict:
+def _lplus_pairing(profile: StandingProfile) -> dict:
     """<L_plus^(-1) phi, phi> over [0, T] by deflated even-sector solve."""
-    op = assemble(profile, "L_plus", "even", size)
-    vals, vecs = np.linalg.eigh(op.matrix)
-    p = _padded(_even_coords(profile.field), size)
-    tolk = 1e-6 * _kernel_scale(profile, "L_plus")
-    keep = np.abs(vals) > tolk
-    comp = vecs.T @ p
-    dropped = float(np.linalg.norm(comp[~keep]) / np.linalg.norm(comp))
-    if dropped > deflate_tol:
-        raise InconsistentRange(
-            f"phi has relative component {dropped:.2e} along deflated "
-            f"L_plus directions")
-    y = vecs[:, keep] @ (comp[keep] / vals[keep])
+    size = _PAIRING_SIZE
+    spec = eigensolve(assemble(profile, "L_plus", "even", size))
+    p = sector_coords(profile.field, "even", size)
+    y, deflated, dropped = deflated_solve(profile, spec, p)
     # sector coordinates integrate over [0, 2T): halve for [0, T]
-    return {"value": 0.5 * float(y @ p), "deflated": int(np.sum(~keep)),
+    return {"value": 0.5 * float(y @ p), "deflated": deflated,
             "dropped": dropped}
 
 
-def stability_indices(profile: StandingProfile, h: float = 1e-3,
-                      rtol: float = 1e-4, size: int = 128) -> dict:
+def stability_indices(profile: StandingProfile) -> dict:
     """Slopes of the conserved quantities along the profile's family.
 
     Defocusing families are parameterized by (c, mu) with Q = mu pinned,
@@ -405,27 +391,28 @@ def stability_indices(profile: StandingProfile, h: float = 1e-3,
            "lplus_inverse_pairing": None}
 
     def pairs(parameter):
-        return [family_pair(profile, parameter, step) for step in (h, 0.5 * h)]
+        return [family_pair(profile, parameter, step)
+                for step in (FD_STEP, 0.5 * FD_STEP)]
 
     if profile.params.gamma == -1:
         out["dNdc"] = _richardson_index(
-            "c", pairs("c"), lambda p: momentum(p.field), h, rtol)
+            "c", pairs("c"), lambda p: momentum(p.field))
         mu_pairs = pairs("mu")
         out["dQdmu"] = _richardson_index(
-            "mu", mu_pairs, lambda p: charge(p.field), h, rtol)
-        domega = _richardson_index("mu", mu_pairs, lambda p: p.omega, h, rtol)
+            "mu", mu_pairs, lambda p: charge(p.field))
+        domega = _richardson_index("mu", mu_pairs, lambda p: p.omega)
         out["dQdomega"] = {"value": 1.0 / domega["value"],
                            "step": domega["step"],
                            "richardson_rel": domega["richardson_rel"],
                            "via": "1 / (domega/dmu)"}
     else:
         out["dQdomega"] = _richardson_index(
-            "omega", pairs("omega"), lambda p: charge(p.field), h, rtol)
-        pairing = _lplus_pairing(profile, size=size)
+            "omega", pairs("omega"), lambda p: charge(p.field))
+        pairing = _lplus_pairing(profile)
         agree = abs(pairing["value"] + out["dQdomega"]["value"])
         agree /= max(abs(out["dQdomega"]["value"]), 1e-12)
         pairing["relative_mismatch"] = agree
-        if agree > 10.0 * rtol:
+        if agree > 10.0 * TOL_RICHARDSON:
             raise InconsistentRange(
                 f"<L_plus^-1 phi, phi> = {pairing['value']:.6e} vs "
                 f"-dQ/domega = {-out['dQdomega']['value']:.6e} "
@@ -442,15 +429,13 @@ def dndc_spectral(profile: StandingProfile, size: int = 128) -> float:
     sector, so dN/dc = -<phi', L_minus^(-1) phi'>.  The sector
     coordinate dot runs over [0, 2T); halve for the [0, T] functional.
     """
-    op = assemble(profile, "L_minus", "odd", size)
-    vals, vecs = np.linalg.eigh(op.matrix)
-    tolk = 1e-9 * _kernel_scale(profile, "L_minus")
-    if np.min(np.abs(vals)) < tolk:
+    spec = eigensolve(assemble(profile, "L_minus", "odd", size))
+    d = sector_coords(_derivative_field(profile.field), "odd", size)
+    y, deflated, _ = deflated_solve(profile, spec, d)
+    if deflated:
         raise InconsistentRange(
             "L_minus has a near-kernel odd direction; dN/dc is singular")
-    d = _padded(_odd_coords(_derivative_field(profile.field)), size)
-    comp = vecs.T @ d
-    return -0.5 * float(np.sum(comp**2 / vals))
+    return -0.5 * float(y @ d)
 
 
 def galilean_residual(profile: StandingProfile) -> dict:
@@ -463,7 +448,6 @@ def galilean_residual(profile: StandingProfile) -> dict:
     defect N(boosted) - N(phi) + 2 pi mu / T, which is arithmetic and
     vanishes for every alpha.
     """
-    from .functionals import gradient, l2_norm
     T = profile.params.half_period
     lattice_speed = 4.0 * np.pi / T
     b = boost(profile.field, 1)
@@ -485,8 +469,8 @@ def coercivity_check(profile: StandingProfile, size: int = 128) -> dict:
     recorded; all four strictly positive is the convexity backing the
     empirical stability runs (the L2-quotient version of the lemma).
     """
-    p_even = _padded(_even_coords(profile.field), size)
-    d_odd = _padded(_odd_coords(_derivative_field(profile.field)), size)
+    p_even = sector_coords(profile.field, "even", size)
+    d_odd = sector_coords(_derivative_field(profile.field), "odd", size)
     out = {}
     for which in ("L_plus", "L_minus"):
         for sector, q in (("even", p_even), ("odd", d_odd)):
@@ -504,8 +488,8 @@ def coercivity_check(profile: StandingProfile, size: int = 128) -> dict:
     return out
 
 
-def second_variation_form(profile: StandingProfile, v: AntiperiodicField,
-                          n_grid: int = 1024) -> float:
+def second_variation_form(profile: StandingProfile,
+                          v: AntiperiodicField) -> float:
     """<delta^2 E0(phi) v, v> over [0, T] for a complex perturbation v.
 
     Equals <L_plus a, a> + <L_minus b, b> for v = a + i b on a real
@@ -517,6 +501,7 @@ def second_variation_form(profile: StandingProfile, v: AntiperiodicField,
     T = v.half_period
     w = np.abs(np.pi * v.wavenumbers / T) ** alpha
     quad = T * float(np.sum((w + profile.omega) * np.abs(v.coeff) ** 2))
+    n_grid = _FORM_GRID
     phi_vals = to_grid(profile.field, n_grid).values.real
     v_vals = to_grid(lift(v, max(v.n_modes, profile.field.n_modes)),
                      n_grid).values
@@ -531,14 +516,13 @@ def second_variation_form(profile: StandingProfile, v: AntiperiodicField,
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Indices, per-perturbation trajectories, and verdict inputs."""
+    """Indices, per-perturbation trajectories, and the coercivity check."""
 
     dNdc: dict | None
     dQdomega: dict | None
     dQdmu: dict | None
     orbital_distance_series: tuple
-    perturbation_size: tuple
-    verdict_inputs: dict
+    coercivity: dict
 
     @property
     def c_emp(self) -> float:
@@ -560,7 +544,7 @@ def stability_experiment(profile: StandingProfile, perturbations,
     ConservationDriftExceeded there, not at the horizon.  The report
     carries the stability indices, the coercivity quadratic form
     evaluated at each perturbation, and the projected-eigensolve minima
-    as verdict inputs.
+    of coercivity_check.
     """
     perturbations = list(perturbations)
     if not perturbations:
@@ -608,18 +592,10 @@ def stability_experiment(profile: StandingProfile, perturbations,
             "drift": _relative_drift(first_i, dev_i),
             "quadratic_form": second_variation_form(profile, v),
         })
-    coercivity = coercivity_check(profile, size=spectrum_size)
-    verdict = {
-        "coercivity": coercivity,
-        "dNdc": None if indices["dNdc"] is None else indices["dNdc"]["value"],
-        "dQdomega": None if indices["dQdomega"] is None
-        else indices["dQdomega"]["value"],
-    }
     return StabilityReport(
         dNdc=indices["dNdc"],
         dQdomega=indices["dQdomega"],
         dQdmu=indices["dQdmu"],
         orbital_distance_series=tuple(runs),
-        perturbation_size=tuple(r["perturbation_norm"] for r in runs),
-        verdict_inputs=verdict,
+        coercivity=coercivity_check(profile, size=spectrum_size),
     )

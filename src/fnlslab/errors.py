@@ -47,7 +47,7 @@ class ConvergenceError(FnlslabError):
 
 
 class NonConvergence(ConvergenceError):
-    """Solver hit max_iter before the stopping test was met."""
+    """Solver hit its iteration cap before the stopping test was met."""
 
 
 class PositiveEta(ConvergenceError):

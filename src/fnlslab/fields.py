@@ -88,8 +88,8 @@ class AntiperiodicField:
             return 0.0
         return float(np.linalg.norm(self.coeff - mirror) / scale)
 
-    def is_real(self, tol: float = EPS_REAL) -> bool:
-        return self.realness_defect() <= tol
+    def is_real(self) -> bool:
+        return self.realness_defect() <= EPS_REAL
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ class GridSamples:
         mism = self.values[half:] + self.values[:half]
         return float(np.linalg.norm(mism) / scale)
 
-    def real_values(self, tol: float = EPS_REAL) -> np.ndarray:
+    def real_values(self) -> np.ndarray:
         scale = np.max(np.abs(self.values)) or 1.0
-        if np.max(np.abs(self.values.imag)) > tol * scale:
+        if np.max(np.abs(self.values.imag)) > EPS_REAL * scale:
             raise ComplexInput("samples have nonnegligible imaginary part")
         return self.values.real.copy()
 

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntiperiodicityViolation
-from .fields import (AntiperiodicField, GridSamples, apply_multiplier, derivative,
-                     fractional_laplacian, to_grid, to_modes)
+from .fields import (AntiperiodicField, GridSamples, _aligned, apply_multiplier,
+                     derivative, fractional_laplacian, to_grid, to_modes)
 from .params import EPS_ANTI, ProblemParams
 
 
 def inner(u: AntiperiodicField, v: AntiperiodicField) -> float:
     """Re int_0^T u conj(v) dx = Re[T sum u_k conj(v_k)] (equal bands)."""
     if not np.array_equal(u.wavenumbers, v.wavenumbers):
-        from .fields import _aligned
         u, v = _aligned(u, v)
     return float(np.real(u.half_period * np.sum(u.coeff * np.conj(v.coeff))))
 
@@ -69,47 +68,42 @@ def _default_grid(u: AntiperiodicField, sigma: float) -> int:
     return n + (n % 2)
 
 
-def _nonlinear_samples(u: AntiperiodicField, sigma: float, n_grid: int | None):
-    if n_grid is None:
-        n_grid = _default_grid(u, sigma)
-    g = to_grid(u, n_grid)
+def _nonlinear_samples(u: AntiperiodicField, sigma: float):
+    g = to_grid(u, _default_grid(u, sigma))
     return g, np.abs(g.values) ** (2.0 * sigma)
 
 
-def potential(u: AntiperiodicField, sigma: float, n_grid: int | None = None) -> float:
+def potential(u: AntiperiodicField, sigma: float) -> float:
     """P(u) by trapezoid quadrature on the oversampled grid (spectrally exact
     for resolved data; |u|^(2 sigma + 2) is T-periodic so one period is half
     the 2T grid sum)."""
-    g, mod = _nonlinear_samples(u, sigma, n_grid)
+    g, mod = _nonlinear_samples(u, sigma)
     dx = 2.0 * u.half_period / g.n
     integral = 0.5 * float(np.sum(mod * np.abs(g.values) ** 2)) * dx
     return integral / (2.0 * sigma + 2.0)
 
 
-def nonlinear_term(u: AntiperiodicField, sigma: float,
-                   n_grid: int | None = None,
-                   defect_tol: float = EPS_ANTI) -> AntiperiodicField:
+def nonlinear_term(u: AntiperiodicField, sigma: float) -> AntiperiodicField:
     """|u|^(2 sigma) u projected back to the odd band of u.
 
     Computed pointwise on a grid with N >= 4M.  The even-mode (aliasing)
-    defect of the product is monitored against `defect_tol`.
+    defect of the product is monitored against EPS_ANTI.
     """
-    g, mod = _nonlinear_samples(u, sigma, n_grid)
+    g, mod = _nonlinear_samples(u, sigma)
     prod = GridSamples(u.half_period, mod * g.values)
-    if prod.antiperiodic_defect() > defect_tol:
+    if prod.antiperiodic_defect() > EPS_ANTI:
         raise AntiperiodicityViolation("nonlinear product lost antiperiodicity")
-    return to_modes(prod, u.n_modes, tol=defect_tol)
+    return to_modes(prod, u.n_modes)
 
 
-def hamiltonian(u: AntiperiodicField, params: ProblemParams,
-                n_grid: int | None = None) -> float:
-    return kinetic(u, params.alpha) - params.gamma * potential(u, params.sigma, n_grid)
+def hamiltonian(u: AntiperiodicField, params: ProblemParams) -> float:
+    return kinetic(u, params.alpha) - params.gamma * potential(u, params.sigma)
 
 
-def moving_frame_energy(u: AntiperiodicField, c: float, params: ProblemParams,
-                        n_grid: int | None = None) -> float:
+def moving_frame_energy(u: AntiperiodicField, c: float,
+                        params: ProblemParams) -> float:
     """H + c N, the objective minimized at fixed charge."""
-    return hamiltonian(u, params, n_grid) + c * momentum(u)
+    return hamiltonian(u, params) + c * momentum(u)
 
 
 def quadratic_energy(u: AntiperiodicField, omega: float, alpha: float) -> float:
@@ -118,20 +112,20 @@ def quadratic_energy(u: AntiperiodicField, omega: float, alpha: float) -> float:
 
 
 def lagrangian(u: AntiperiodicField, c: float, omega: float,
-               params: ProblemParams, n_grid: int | None = None) -> float:
-    return (hamiltonian(u, params, n_grid) + omega * charge(u)
+               params: ProblemParams) -> float:
+    return (hamiltonian(u, params) + omega * charge(u)
             + c * momentum(u))
 
 
 def gradient(u: AntiperiodicField, c: float, omega: float,
-             params: ProblemParams, n_grid: int | None = None) -> AntiperiodicField:
+             params: ProblemParams) -> AntiperiodicField:
     """First variation of the Lagrangian with respect to <.,.>:
 
         Lambda^alpha u + omega u + i c u' - gamma |u|^(2 sigma) u.
     """
     lam = apply_multiplier(u, fractional_laplacian(u.half_period, params.alpha))
     dx = apply_multiplier(u, derivative(u.half_period))
-    nl = nonlinear_term(u, params.sigma, n_grid)
+    nl = nonlinear_term(u, params.sigma)
     return lam + omega * u + (1j * c) * dx + (-params.gamma) * nl
 
 
@@ -147,11 +141,10 @@ class FunctionalValues:
 
 
 def functional_values(u: AntiperiodicField, params: ProblemParams,
-                      c: float = 0.0, omega: float = 0.0,
-                      n_grid: int | None = None) -> FunctionalValues:
+                      c: float = 0.0, omega: float = 0.0) -> FunctionalValues:
     q = charge(u)
     n = momentum(u)
     k = kinetic(u, params.alpha)
-    p = potential(u, params.sigma, n_grid)
+    p = potential(u, params.sigma)
     h = k - params.gamma * p
     return FunctionalValues(q, n, k, p, h, h + c * n, h + omega * q + c * n)

@@ -32,6 +32,10 @@ _TERM_FLOOR = 1e-16
 # Truncation-tail budget in kernel units; worse means the grid is too
 # coarse for the requested diffusion time.
 _TAIL_BUDGET = 1e-12
+# Grid of the semigroup positivity probe, and the odd powers of cos and sin
+# it mixes (cos^11 and sin^11 still lie inside the 6-mode band).
+_PROBE_N = 2048
+_PROBE_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -218,8 +222,7 @@ def positivity_report(ka: KernelSamples) -> dict:
 
 
 def semigroup_positivity_probe(alpha: float, half_period: float, t: float,
-                               trials: int, n: int = 2048, terms: int = 6,
-                               seed: int = 0) -> dict:
+                               trials: int, seed: int = 0) -> dict:
     """Positivity improvement of e^(-Lambda^alpha t) on sector cones.
 
     Random nonnegative mixtures sum_j a_j cos(pi x/T)^(2j+1) (even sector,
@@ -228,6 +231,7 @@ def semigroup_positivity_probe(alpha: float, half_period: float, t: float,
     output must stay strictly positive on the interior of the reference
     interval.  Minima over all trials are reported.
     """
+    n, terms = _PROBE_N, _PROBE_TERMS
     _validate_kernel_args(alpha, half_period, t, n)
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")

@@ -27,11 +27,12 @@ from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                      PositiveEta, SpeedOutOfRange, ValidationError)
 from .fields import (AntiperiodicField, analyze, cosine_block, cosine_field,
                      lift, odd_wavenumbers, synthesize, to_grid)
-from .functionals import (charge, kinetic, momentum, moving_frame_energy,
-                          potential, quadratic_energy)
+from .functionals import (_default_grid, charge, kinetic, momentum,
+                          moving_frame_energy, potential, quadratic_energy)
 from .params import MAX_ITER, TOL_PROFILE, ProblemParams
 
 _NEWTON_GATE = 1e-5     # relative projected-gradient size that hands off to Newton
+_NEWTON_STEPS = 60      # cap on Newton polish steps
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,12 @@ def recovered_omega(field: AntiperiodicField, c: float, params: ProblemParams) -
 
 
 def profile_residual(field: AntiperiodicField, omega: float, c: float,
-                     params: ProblemParams, n_fine: int | None = None) -> float:
+                     params: ProblemParams) -> float:
     """Infinity norm of Lambda^alpha phi + omega phi + i c phi' -
     gamma |phi|^(2s) phi on a fine grid (linear parts are band-limited
     exact; the nonlinearity is sampled pointwise, so out-of-band content
     is included)."""
-    from .functionals import _default_grid
-
-    if n_fine is None:
-        n_fine = 2 * _default_grid(field, params.sigma)
+    n_fine = 2 * _default_grid(field, params.sigma)
     T = field.half_period
     k = field.wavenumbers
     w = np.pi * k / T
@@ -101,8 +99,6 @@ class _Workspace:
     """Precomputed lattice data for one (params, M, N) combination."""
 
     def __init__(self, params: ProblemParams, n_modes: int):
-        from .functionals import _default_grid
-
         self.params = params
         self.T = params.half_period
         self.M = n_modes
@@ -132,32 +128,30 @@ def _real_projection(coeff: np.ndarray) -> np.ndarray:
     return 0.5 * (coeff + np.conj(coeff[::-1]))
 
 
-def _bb_descent(ws: _Workspace, u: np.ndarray, grad_fn, project_fn, renorm_fn,
-                max_iter: int, keep_real: bool):
+def _bb_descent(ws: _Workspace, u: np.ndarray, grad_fn, project_fn, renorm_fn):
     """Projected, preconditioned Barzilai-Borwein descent to the Newton gate.
 
-    With keep_real the iterates are projected onto the real-field cone
-    every step.  The real restriction is structural, not cosmetic: in the
-    full complex class the fixed-charge energy descends past the real
-    branch toward the constant-modulus single-mode wave (which minimizes
-    kinetic and potential terms simultaneously), and roundoff-seeded
-    imaginary noise grows exponentially along that direction.  The branch
-    all downstream theory lives on is the real one.
+    The iterates are projected onto the real-field cone every step.  The
+    real restriction is structural, not cosmetic: in the full complex
+    class the fixed-charge energy descends past the real branch toward
+    the constant-modulus single-mode wave (which minimizes kinetic and
+    potential terms simultaneously), and roundoff-seeded imaginary noise
+    grows exponentially along that direction.  The branch all downstream
+    theory lives on is the real one.
 
-    Returns (u, iterations, reached_gate)."""
+    Returns (u, iterations); iterations == MAX_ITER means the gate was
+    not reached."""
     pre = 1.0 / (1.0 + ws.lam)
-    if keep_real:
-        u = _real_projection(u)
-    u = renorm_fn(u)
+    u = renorm_fn(_real_projection(u))
     step = 0.2
     u_prev = None
     d_prev = None
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         g = grad_fn(u)
         gt = project_fn(g, u)
         scale = max(float(np.linalg.norm(u)), 1e-30)
         if np.linalg.norm(gt) / scale < _NEWTON_GATE:
-            return u, it, True
+            return u, it
         d = project_fn(pre * gt, u)
         if u_prev is not None:
             du = u - u_prev
@@ -167,11 +161,8 @@ def _bb_descent(ws: _Workspace, u: np.ndarray, grad_fn, project_fn, renorm_fn,
                 step = abs(ws.inner(du, du) / denom)
             step = min(max(step, 1e-4), 1e3)
         u_prev, d_prev = u, d
-        u = u - step * d
-        if keep_real:
-            u = _real_projection(u)
-        u = renorm_fn(u)
-    return u, max_iter, False
+        u = renorm_fn(_real_projection(u - step * d))
+    return u, MAX_ITER
 
 
 def _even_cos_coeffs(ws: _Workspace, coeff: np.ndarray) -> np.ndarray:
@@ -186,7 +177,7 @@ def _coeff_from_even_cos(ws: _Workspace, a: np.ndarray) -> np.ndarray:
 
 
 def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
-                      mu: float | None, max_steps: int = 60):
+                      mu: float | None):
     """Newton polish on the real even branch.
 
     With `mu` given (defocusing) omega is an unknown and the charge
@@ -206,7 +197,7 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
         return r
 
     r = residual_vec(a, omega)
-    for it in range(max_steps):
+    for it in range(_NEWTON_STEPS):
         norm_r = np.linalg.norm(r)
         if norm_r < 1e-13 * max(1.0, np.linalg.norm(a)):
             return a, omega, it
@@ -233,11 +224,11 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
             scale *= 0.5
         else:
             return a, omega, it  # stalled; caller verifies the residual
-    return a, omega, max_steps
+    return a, omega, _NEWTON_STEPS
 
 
 def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
-                    mu: float, max_steps: int = 60):
+                    mu: float):
     """Bordered least-squares Newton for the complex traveling branch.
 
     The Jacobian is rank-deficient by the phase/translation symmetries;
@@ -254,7 +245,7 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
                                [ws.charge(coeff) - mu]])
 
     r = residual_vec(coeff, omega)
-    for it in range(max_steps):
+    for it in range(_NEWTON_STEPS):
         norm_r = np.linalg.norm(r)
         if norm_r < 1e-13 * max(1.0, np.linalg.norm(coeff)):
             return coeff, omega, it
@@ -291,7 +282,7 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
             scale *= 0.5
         else:
             return coeff, omega, it  # stalled; caller verifies the residual
-    return coeff, omega, max_steps
+    return coeff, omega, _NEWTON_STEPS
 
 
 def _refine_peak(f: AntiperiodicField, x: float, dx: float,
@@ -337,7 +328,6 @@ def _modulus_argmax(f: AntiperiodicField) -> float:
 
 def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
                      n_modes: int = 64, tol: float = TOL_PROFILE,
-                     max_iter: int = MAX_ITER,
                      init: AntiperiodicField | None = None) -> StandingProfile:
     """Profile on the real-standing-wave branch at fixed charge Q = mu.
 
@@ -380,8 +370,7 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
         def project(g, u):
             return g - (ws.inner(g, u) / (2.0 * mu)) * u
 
-        u, it_bb, _ = _bb_descent(ws, u, grad, project, renorm,
-                                  max_iter, keep_real=True)
+        u, it_bb = _bb_descent(ws, u, grad, project, renorm)
         omega = recovered_omega(ws.field(u), 0.0, params)
         a = _gauged_cos_coeffs(ws, u)
         a, omega, it_newton = _newton_real_even(ws, a, omega, mu)
@@ -391,7 +380,7 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
         if init is not None:
             u = renorm(lift(init, n_modes).coeff.copy())
         else:
-            base = solve_defocusing(params, 0.0, mu, n_modes, tol, max_iter)
+            base = solve_defocusing(params, 0.0, mu, n_modes, tol)
             it_bb = base.iterations
             u = base.field.coeff.copy()
         omega = recovered_omega(ws.field(u), c, params)
@@ -411,7 +400,6 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
 
 def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
                    n_modes: int = 64, tol: float = TOL_PROFILE,
-                   max_iter: int = MAX_ITER,
                    init: AntiperiodicField | None = None) -> StandingProfile:
     """Minimizer of K + omega Q on {P = p0}, rescaled onto the profile
     equation with unit nonlinearity coefficient."""
@@ -449,8 +437,7 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
         denom = ws.inner(n, n)
         return g - (ws.inner(g, n) / denom) * n
 
-    u, it_bb, _ = _bb_descent(ws, u, grad, project, renorm,
-                              max_iter, keep_real=True)
+    u, it_bb = _bb_descent(ws, u, grad, project, renorm)
 
     r_omega = quadratic_energy(ws.field(u), omega, params.alpha)
     eta = -r_omega / ((sig + 1.0) * p0)

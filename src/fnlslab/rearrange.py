@@ -53,7 +53,7 @@ class RearrangedPair:
 def _real_samples(g: GridSamples) -> np.ndarray:
     if not isinstance(g, GridSamples):
         raise ValidationError("rearrangement acts on GridSamples")
-    return g.real_values(tol=EPS_REAL)
+    return g.real_values()
 
 
 def _star_ranks(n: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from .fields import (AntiperiodicField, apply_multiplier, cosine_block,
                      derivative, fractional_laplacian, imag_part, synthesize,
                      to_grid)
 from .functionals import _default_grid, charge, momentum
-from .params import EPS_REAL, ProblemParams
+from .params import EPS_REAL, FD_STEP, TOL_DEFLATE
 from .profiles import family_pair
 
 _SECTORS = ("even", "odd")
@@ -56,8 +56,6 @@ class SectorOperator:
     size: int
     matrix: np.ndarray
     which: str
-    params: ProblemParams
-    profile: object
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -145,8 +143,7 @@ def assemble(profile, which: str, sector: str, size: int) -> SectorOperator:
     lam = (np.pi * (2 * np.arange(size) + 1) / pars.half_period) ** pars.alpha
     sign = 1.0 if sector == "even" else -1.0
     mat = np.diag(lam + profile.omega) + cosine_block(v, size, sign)
-    return SectorOperator(sector=sector, size=size, matrix=mat,
-                          which=which, params=pars, profile=profile)
+    return SectorOperator(sector=sector, size=size, matrix=mat, which=which)
 
 
 def eigensolve(op: SectorOperator) -> SectorSpectrum:
@@ -165,22 +162,35 @@ def sector_spectra(profile, size: int) -> dict:
             for which in _OPERATORS for sector in _SECTORS}
 
 
-def _even_coords(field: AntiperiodicField) -> np.ndarray:
-    """Coordinates of a real even field in the orthonormal cosine basis."""
+def sector_coords(field: AntiperiodicField, sector: str, size: int) -> np.ndarray:
+    """First `size` coordinates of a real field's even (cosine) or odd
+    (sine) part in the orthonormal sector basis, zero-padded."""
     pos = field.coeff[field.n_modes:]
-    return 2.0 * np.real(pos) * math.sqrt(field.half_period)
-
-
-def _odd_coords(field: AntiperiodicField) -> np.ndarray:
-    """Coordinates of a real odd field in the orthonormal sine basis."""
-    pos = field.coeff[field.n_modes:]
-    return -2.0 * np.imag(pos) * math.sqrt(field.half_period)
-
-
-def _padded(coords: np.ndarray, size: int) -> np.ndarray:
+    part = np.real(pos) if sector == "even" else -np.imag(pos)
+    coords = 2.0 * part * math.sqrt(field.half_period)
     out = np.zeros(size)
     out[:len(coords)] = coords[:size]
     return out
+
+
+def deflated_solve(profile, spec: SectorSpectrum, rhs: np.ndarray):
+    """Solve A y = rhs on the range of a sector matrix A from its spectrum.
+
+    Eigenvalues with |lambda| <= 1e-6 _kernel_scale of the operator are
+    deflated.  The share of rhs along deflated eigenvectors is measured
+    against TOL_DEFLATE and dropped; a larger share raises InconsistentRange.
+    Returns (y, number of deflated directions, dropped share).
+    """
+    vals, vecs = spec.eigenvalues, spec.eigenvectors
+    keep = np.abs(vals) > 1e-6 * _kernel_scale(profile, spec.which)
+    comp = vecs.T @ rhs
+    dropped = float(np.linalg.norm(comp[~keep]) / np.linalg.norm(comp))
+    if dropped > TOL_DEFLATE:
+        raise InconsistentRange(
+            f"{spec.which} ({spec.sector} sector): right-hand side has "
+            f"relative component {dropped:.3e} along deflated directions")
+    y = vecs[:, keep] @ (comp[keep] / vals[keep])
+    return y, int(np.sum(~keep)), dropped
 
 
 def _scale_samples(profile, which: str) -> np.ndarray:
@@ -272,9 +282,9 @@ def _nondegeneracy_report(profile, spectra: dict,
         raise ValidationError(
             f"sector size {size} below the profile band {profile.field.n_modes}")
     pars = profile.params
-    phi_cos = _padded(_even_coords(profile.field), size)
+    phi_cos = sector_coords(profile.field, "even", size)
     dphi = apply_multiplier(profile.field, derivative(pars.half_period))
-    dphi_sin = _padded(_odd_coords(dphi), size)
+    dphi_sin = sector_coords(dphi, "odd", size)
     generator = {"L_plus": ("odd", dphi_sin), "L_minus": ("even", phi_cos)}
 
     morse = {}
@@ -348,16 +358,15 @@ def _nondegeneracy_report(profile, spectra: dict,
 
 
 def _apply_on_grid(profile, which: str, w: AntiperiodicField,
-                   n: int | None = None) -> np.ndarray:
-    """(Lambda^alpha + omega + V) w sampled pointwise on a fine grid.
+                   n: int) -> np.ndarray:
+    """(Lambda^alpha + omega + V) w sampled pointwise on a fine grid of at
+    least n points.
 
     Works for any band-limited w, not just sector elements; the product
     V w is evaluated pointwise so truncation shows up honestly in
     infinity-norm residuals.
     """
     pars = profile.params
-    if n is None:
-        n = 2 * _default_grid(profile.field, pars.sigma)
     n = max(n, 2 * (w.max_wavenumber + 1), 2 * (profile.field.max_wavenumber + 1))
     n += n % 2
     lam_w = apply_multiplier(w, fractional_laplacian(pars.half_period, pars.alpha))
@@ -366,10 +375,11 @@ def _apply_on_grid(profile, which: str, w: AntiperiodicField,
     return to_grid(lam_w, n).values + profile.omega * wg + v * wg
 
 
-def _mu_chain(profile, h: float, n: int):
+def _mu_chain(profile, n: int):
     """Charge-family neighbours, domega/dmu, and the chain residual
     L_plus (dphi/dmu) + (domega/dmu) phi on the n-point grid, from
-    central differences."""
+    central differences of step FD_STEP."""
+    h = FD_STEP
     lower, upper = family_pair(profile, "mu", h)
     dmu_field = (1.0 / (2.0 * h)) * (upper.field - lower.field)
     domega_dmu = (upper.omega - lower.omega) / (2.0 * h)
@@ -378,15 +388,15 @@ def _mu_chain(profile, h: float, n: int):
     return (lower, upper), domega_dmu, chain
 
 
-def fredholm_range_checks(profile, spectra: dict, h: float = 1e-3,
-                          deflate_tol: float = 1e-8) -> dict:
+def fredholm_range_checks(profile, spectra: dict) -> dict:
     """Range identities for the sector operators at a defocusing profile.
 
     Verifies on a fine grid that L_minus phi' = 2 sigma gamma phi^(2 sigma) phi'
     and L_plus phi = -2 sigma gamma phi^(2 sigma + 1) (rearrangements of the
     profile equation and its x-derivative), that L_plus (dphi/dmu) =
-    -(domega/dmu) phi with finite-difference derivatives, and that the
-    deflated odd-sector solve L_minus y = -phi' reproduces Im dphi/dc.
+    -(domega/dmu) phi with finite-difference derivatives (step FD_STEP),
+    and that the deflated odd-sector solve L_minus y = -phi' reproduces
+    Im dphi/dc.
     """
     _require_real_resting(profile)
     pars = profile.params
@@ -414,42 +424,33 @@ def fredholm_range_checks(profile, spectra: dict, h: float = 1e-3,
     }
 
     # Parameter derivative chain L_plus (dphi/dmu) + (domega/dmu) phi = 0.
-    _, domega_dmu, res_mu = _mu_chain(profile, h, n)
+    _, domega_dmu, res_mu = _mu_chain(profile, n)
     report["mu_chain_inf"] = float(np.max(np.abs(res_mu)))
     report["domega_dmu"] = float(domega_dmu)
 
     # Deflated odd-sector solve against the speed derivative of the field.
     spec = spectra[("L_minus", "odd")]
     size = spec.size
-    d = _padded(_odd_coords(dphi), size)
-    tolk = 1e-6 * _kernel_scale(profile, "L_minus")
-    keep = np.abs(spec.eigenvalues) > tolk
-    proj = spec.eigenvectors[:, keep].T @ (-d)
-    y = spec.eigenvectors[:, keep] @ (proj / spec.eigenvalues[keep])
-    dropped = (-d) - spec.eigenvectors[:, keep] @ proj
-    rel_drop = float(np.linalg.norm(dropped) / np.linalg.norm(d))
-    if rel_drop > deflate_tol:
-        raise InconsistentRange(
-            f"-phi' has a component {rel_drop:.3e} outside the deflated "
-            f"range of L_minus (odd sector)")
-    report["deflated_components"] = int(np.sum(~keep))
-    report["deflated_drop"] = rel_drop
+    d = sector_coords(dphi, "odd", size)
+    y, deflated, dropped = deflated_solve(profile, spec, -d)
+    report["deflated_components"] = deflated
+    report["deflated_drop"] = dropped
 
-    c_dn, c_up = family_pair(profile, "c", h)
-    dc_field = (1.0 / (2.0 * h)) * (c_up.field - c_dn.field)
-    y_fd = _padded(_odd_coords(imag_part(dc_field)), size)
+    c_dn, c_up = family_pair(profile, "c", FD_STEP)
+    dc_field = (1.0 / (2.0 * FD_STEP)) * (c_up.field - c_dn.field)
+    y_fd = sector_coords(imag_part(dc_field), "odd", size)
     denom = max(np.linalg.norm(y), 1e-300)
     report["c_consistency"] = float(np.linalg.norm(y - y_fd) / denom)
     report["dspeed_norm"] = float(np.linalg.norm(y_fd))
     return report
 
 
-def jordan_structure(profile, h: float = 1e-3) -> dict:
+def jordan_structure(profile) -> dict:
     """Height-2 generalized-kernel chains and the parameter Jacobians.
 
     Confirms numerically that L_plus (dphi/dmu) = -(domega/dmu) phi and
-    L_minus Im(dphi/dc) = -phi' (finite differences on the solver
-    branch), that the chains terminate (the pairings dN/dc and dQ/dmu
+    L_minus Im(dphi/dc) = -phi' (central differences of step FD_STEP on
+    the solver branch), that the chains terminate (the pairings dN/dc and dQ/dmu
     stay away from zero) and that the Jacobians d(N,Q)/d(c,mu) and
     d(c,omega)/d(c,mu) are nonsingular.
     """
@@ -463,7 +464,8 @@ def jordan_structure(profile, h: float = 1e-3) -> dict:
     dphi = apply_multiplier(f, derivative(pars.half_period))
     n = 2 * _default_grid(f, pars.sigma)
 
-    (p_dn, p_up), domega_dmu, chain_mu = _mu_chain(profile, h, n)
+    h = FD_STEP
+    (p_dn, p_up), domega_dmu, chain_mu = _mu_chain(profile, n)
     dq_dmu = (charge(p_up.field) - charge(p_dn.field)) / (2.0 * h)
     dn_dmu = (momentum(p_up.field) - momentum(p_dn.field)) / (2.0 * h)
 

@@ -276,6 +276,24 @@ def test_main_validation_exit_code(tmp_path, capsys):
     assert "(1, 2]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, keys", [
+    ("n_modes = 32", "n_modes = -inf", ["solver.n_modes"]),
+    ("[grid]", "[run]\nseed = inf\n\n[grid]", ["run.seed"]),
+    ("sector_size = 64", "sector_size = 1e400", ["grid.sector_size"]),
+    (f"half_period = {T!r}\n\n[solver]\nmu = 1",
+     "half_period = inf\n\n[solver]\nmu = -1",
+     ["problem.half_period", "solver.mu"]),
+], ids=["n_modes", "seed", "sector_size", "half_period_and_mu"])
+def test_main_non_finite_values_exit_2(tmp_path, capsys, old, new, keys):
+    cfg = tmp_path / "bad.ini"
+    assert old in BASE
+    cfg.write_text(BASE.replace(old, new))
+    rc = cli.main(["--config", str(cfg), "--command", "solve"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
+
+
 def test_main_rejects_run_workers_key(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(BASE + "\n[run]\nworkers = 2\n")

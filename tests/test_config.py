@@ -3,8 +3,10 @@ and line-numbered parse errors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fnlslab.config import COMMANDS, RunConfig, parse_config
+from fnlslab.config import _SECTIONS, COMMANDS, RunConfig, parse_config
 from fnlslab.errors import ParseError, ValidationError
 from fnlslab.params import ProblemParams
 
@@ -183,3 +185,58 @@ def test_command_list_is_fixed():
 def test_negative_seed_rejected():
     with pytest.raises(ValidationError, match="seed"):
         parse_config(MINIMAL + "\n[run]\nseed = -1\n")
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("\n[run]\nseed = inf\n", "run.seed"),
+    ("n_modes = -inf\n", "solver.n_modes"),
+    ("\n[grid]\nsector_size = 1e400\n", "grid.sector_size"),
+    ("\n[stability]\nepsilons = 1e-4, nan\n", "stability.epsilons"),
+])
+def test_non_finite_values_rejected_by_key(extra, key):
+    with pytest.raises(ValidationError, match=key):
+        parse_config(MINIMAL + extra)
+
+
+def test_non_finite_half_period_listed_with_other_problems():
+    text = MINIMAL.replace("half_period = 3.14159", "half_period = inf")
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text.replace("mu = 1", "mu = -1"))
+    message = str(exc.value)
+    assert "2 problem(s)" in message
+    assert "problem.half_period" in message and "solver.mu" in message
+
+
+_KEYS = {**{name: keys + ("bogus",) for name, keys in _SECTIONS.items()},
+         "widgets": ("x",)}
+_VALID = {"alpha": ("1.5", "2"), "sigma": ("1", "0.5"), "gamma": ("-1", "1"),
+          "half_period": ("3.14159", "1")}
+_POOL = ("inf", "-inf", "nan", "1e400", "-1e400", "", "fast", "1..2", "0x1p3",
+         "1, 2", "1e-4, inf", ",", "0", "-1", "1", "2.5", "4", "128", "1e-3",
+         "0.1, 1, 10", "solve", "c", "True")
+
+
+def _problem_value(key):
+    return st.sampled_from(_VALID[key]) | st.sampled_from(_POOL)
+
+
+_problem = st.fixed_dictionaries(
+    {}, optional={key: _problem_value(key) for key in _VALID})
+_other = st.sampled_from(sorted(_KEYS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.dictionaries(
+        st.sampled_from(_KEYS[name]), st.sampled_from(_POOL), max_size=5)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(problem=st.none() | _problem,
+       others=st.lists(_other, max_size=5, unique_by=lambda s: s[0]))
+def test_any_ini_text_parses_or_raises_validation_error(problem, others):
+    sections = [] if problem is None else [("problem", problem)]
+    sections += [(name, keys) for name, keys in others if name != "problem"]
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections)
+    try:
+        cfg = parse_config(text)
+    except ValidationError:
+        return
+    assert isinstance(cfg, RunConfig)

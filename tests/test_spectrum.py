@@ -15,9 +15,10 @@ from fnlslab.fields import (apply_multiplier, derivative, evaluate,
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import StandingProfile, solve_defocusing, solve_focusing
 from fnlslab.spectrum import (NondegeneracyReport, SectorOperator,
-                              SectorSpectrum, assemble, eigensolve,
-                              fredholm_range_checks, jordan_structure,
-                              nondegeneracy_check, sector_spectra)
+                              SectorSpectrum, assemble, deflated_solve,
+                              eigensolve, fredholm_range_checks,
+                              jordan_structure, nondegeneracy_check,
+                              sector_spectra)
 from fnlslab.spectrum import _REFERENCE_N, _sector_values, _sign_changes
 import oracles
 
@@ -127,8 +128,7 @@ def test_complex_or_moving_profiles_rejected():
 def test_eigensolve_two_by_two_closed_form():
     a, b, d = 0.7, -0.4, 2.1
     op = SectorOperator(sector="even", size=2,
-                        matrix=np.array([[a, b], [b, d]]), which="L_plus",
-                        params=defoc(), profile=None)
+                        matrix=np.array([[a, b], [b, d]]), which="L_plus")
     spec = eigensolve(op)
     half = 0.5 * (a + d)
     disc = np.sqrt(0.25 * (a - d) ** 2 + b * b)
@@ -140,8 +140,7 @@ def test_eigensolve_reconstructs_random_symmetric():
     rng = np.random.default_rng(20240819)
     raw = rng.standard_normal((50, 50))
     sym = 0.5 * (raw + raw.T)
-    op = SectorOperator(sector="odd", size=50, matrix=sym, which="L_minus",
-                        params=defoc(), profile=None)
+    op = SectorOperator(sector="odd", size=50, matrix=sym, which="L_minus")
     spec = eigensolve(op)
     rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
     assert np.max(np.abs(rebuilt - sym)) < 1e-10
@@ -371,6 +370,29 @@ def test_fredholm_detects_rhs_outside_deflated_range():
                                                "odd", "L_minus")
     with pytest.raises(InconsistentRange):
         fredholm_range_checks(prof, specs)
+
+
+def test_deflated_solve_drops_planted_kernel_direction():
+    prof = defoc_profile()
+    rng = np.random.default_rng(11)
+    vecs = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    vals = np.arange(20.0) - 3.0  # exact zero planted at index 3
+    spec = SectorSpectrum(vals, vecs, "odd", "L_minus")
+    coords = rng.standard_normal(20)
+    coords[3] = 0.0
+    rhs = vecs @ (vals * coords)
+    y, deflated, dropped = deflated_solve(prof, spec, rhs)
+    assert deflated == 1
+    assert dropped < 1e-14
+    assert np.allclose(y, vecs @ coords, rtol=0.0, atol=1e-12)
+    # a kernel share below TOL_DEFLATE is dropped and reported
+    small = 1e-10 * np.linalg.norm(rhs)
+    y2, _, dropped2 = deflated_solve(prof, spec, rhs + small * vecs[:, 3])
+    assert dropped2 == pytest.approx(1e-10, rel=1e-4)
+    assert np.allclose(y2, y, rtol=0.0, atol=1e-12)
+    # a larger one means rhs is outside the range
+    with pytest.raises(InconsistentRange, match="deflated"):
+        deflated_solve(prof, spec, rhs + 1e4 * small * vecs[:, 3])
 
 
 def test_range_checks_are_defocusing_only():
