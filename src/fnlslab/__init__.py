@@ -13,8 +13,7 @@ from .fields import (AntiperiodicField, GridSamples, Multiplier, apply_multiplie
                      conjugate, cosine_field, derivative, evaluate, even_mode_defect,
                      fractional_laplacian, heat_semigroup, hilbert_transform,
                      imag_part, lift, odd_wavenumbers, random_field, real_part,
-                     rotate_phase, schroedinger_step, to_grid, to_modes, translate,
-                     zero_field)
+                     rotate_phase, to_grid, to_modes, translate, zero_field)
 from .functionals import (FunctionalValues, charge, functional_values, gradient,
                           hamiltonian, inner, kinetic, l2_norm, lagrangian,
                           momentum, moving_frame_energy, nonlinear_term, potential,

@@ -194,8 +194,8 @@ def parse_config(text: str) -> RunConfig:
             "solver.mu must be positive")
     _window(col, solver["p0"] is None or solver["p0"] > 0,
             "solver.p0 must be positive")
-    _window(col, solver["n_modes"] is None or solver["n_modes"] >= 4,
-            "solver.n_modes must be at least 4")
+    _window(col, solver["n_modes"] is None or 4 <= solver["n_modes"] <= 1024,
+            "solver.n_modes must lie in [4, 1024]")
     _window(col, solver["tol"] is None or 0 < solver["tol"] <= 1e-3,
             "solver.tol must lie in (0, 1e-3]")
 
@@ -204,10 +204,10 @@ def parse_config(text: str) -> RunConfig:
         "sector_size": col.get("grid", "sector_size", int, 128),
     }
     _window(col, grid["n_grid"] is None or
-            (grid["n_grid"] >= 8 and grid["n_grid"] % 4 == 0),
-            "grid.n_grid must be a multiple of 4, at least 8")
-    _window(col, grid["sector_size"] is None or grid["sector_size"] >= 8,
-            "grid.sector_size must be at least 8")
+            (8 <= grid["n_grid"] <= 65536 and grid["n_grid"] % 4 == 0),
+            "grid.n_grid must be a multiple of 4 in [8, 65536]")
+    _window(col, grid["sector_size"] is None or 8 <= grid["sector_size"] <= 4096,
+            "grid.sector_size must lie in [8, 4096]")
 
     # kernels.alpha falls back to problem.alpha at dispatch time
     kernels = {
@@ -221,8 +221,8 @@ def parse_config(text: str) -> RunConfig:
             all(t > 0 for t in kernels["times"]),
             "kernels.times must all be positive")
     _window(col, kernels["n"] is None or
-            (kernels["n"] >= 8 and kernels["n"] % 4 == 0),
-            "kernels.n must be a multiple of 4, at least 8")
+            (8 <= kernels["n"] <= 65536 and kernels["n"] % 4 == 0),
+            "kernels.n must be a multiple of 4 in [8, 65536]")
 
     evolve = {
         "dt": col.get("evolve", "dt", float, 1e-4),
@@ -276,13 +276,13 @@ def parse_config(text: str) -> RunConfig:
         "n_modes": col.get("rearrange", "n_modes", int, 16),
         "n_grid": col.get("rearrange", "n_grid", int, 1024),
     }
-    _window(col, rearrange["trials"] is None or rearrange["trials"] >= 1,
-            "rearrange.trials must be at least 1")
-    _window(col, rearrange["n_modes"] is None or rearrange["n_modes"] >= 1,
-            "rearrange.n_modes must be at least 1")
+    _window(col, rearrange["trials"] is None or 1 <= rearrange["trials"] <= 100000,
+            "rearrange.trials must lie in [1, 100000]")
+    _window(col, rearrange["n_modes"] is None or 1 <= rearrange["n_modes"] <= 1024,
+            "rearrange.n_modes must lie in [1, 1024]")
     _window(col, rearrange["n_grid"] is None or
-            (rearrange["n_grid"] >= 8 and rearrange["n_grid"] % 4 == 0),
-            "rearrange.n_grid must be a multiple of 4, at least 8")
+            (8 <= rearrange["n_grid"] <= 65536 and rearrange["n_grid"] % 4 == 0),
+            "rearrange.n_grid must be a multiple of 4 in [8, 65536]")
 
     if col.problems:
         raise ValidationError(_summary(col.problems))

@@ -14,7 +14,8 @@ are l2 isometries.  The stepper advances a (K, B) ensemble of
 coefficient columns with one FFT pair per substep, so the perturbations
 of a stability experiment run together; every column is bit-identical
 to a lone run, and the experiment stops at the first log block whose
-drift passes its tolerance.
+drift passes its tolerance.  A log block holds the samples as (B, n)
+rows and steps them in place, in buffers allocated once per block.
 
 Orbital distance is the infimum of the energy-norm gap over phase
 rotations and translations: the phase minimization is closed-form and
@@ -112,8 +113,9 @@ class _Stepper:
     """Fused Strang splitting of an ensemble on a fixed dealiasing grid.
 
     The coefficients are a (K, B) array, one column per trajectory over
-    a shared band.  Every column gets exactly the arithmetic of a lone
-    trajectory, so B runs cost one transform call per substep.
+    a shared band, transposed to (B, n) samples only at block edges;
+    `full` is (B, n) too.  Every row gets exactly the arithmetic of a
+    lone trajectory, so B runs cost one transform call per substep.
     """
 
     def __init__(self, fields, params: ProblemParams, omega: float,
@@ -133,10 +135,10 @@ class _Stepper:
         self.bins = k % n
         self.sym = np.abs(np.pi * k / T) ** params.alpha
         lin = np.exp(-1j * (self.sym + omega) * dt)
-        # lin on all n bins (zero off the band) and in every column, so the
-        # multiply is the same contiguous loop as a lone trajectory's
-        self.full = np.zeros((n, len(fields)), dtype=complex)
-        self.full[self.bins] = lin[:, None]
+        # lin on all n bins (zero off the band), one row per trajectory, so
+        # each row's multiply is the same contiguous loop as a lone run's
+        self.full = np.zeros((len(fields), n), dtype=complex)
+        self.full[:, self.bins] = lin
         self.dt = dt
         self.guard = guard
         self.rate = params.gamma * dt if nonlinear else 0.0
@@ -145,16 +147,22 @@ class _Stepper:
         self.time = 0.0
         self.steps_taken = 0
 
-    def _kick(self, vals, fraction):
-        amp = np.abs(vals)
-        peak = float(np.max(amp))
+    def _kick(self, vals, fraction, amp, theta, rot):
+        """Guard, then rotate vals in place by theta = rate fraction
+        |vals|^(2 sigma): cos + i sin of theta equal the complex
+        exp(0 + i theta) bit for bit."""
+        np.abs(vals, out=amp)
+        peak = float(amp.max())
         if not peak <= self.guard:
             raise BlowupDetected(
                 f"|u| reached {peak:.3e} (guard {self.guard:.3e}) at t = "
                 f"{self.time:.6f}")
         if self.rate != 0.0:
-            vals *= np.exp((1j * self.rate * fraction) * amp**self.two_sigma)
-        return vals
+            np.power(amp, self.two_sigma, out=theta)
+            theta *= self.rate * fraction
+            np.cos(theta, out=rot.real)
+            np.sin(theta, out=rot.imag)
+            vals *= rot
 
     def advance(self, m: int):
         """m fused Strang steps; half-kicks only open and close the block.
@@ -162,21 +170,26 @@ class _Stepper:
         Fusing two adjacent half-kicks into one is exact in continuum
         but differs from per-step closure at the dealiasing-tail level,
         because the band projection between them sees a different phase.
-        Each linear substep is one multiply of the full spectrum by
-        `full`: since n is a power of two, the 1/n of analyze and the n
-        of synthesize are exact, and the result equals
+        The samples are (B, n) rows and every substep writes into buffers
+        allocated once per block.  Each linear substep is one multiply of
+        the full spectrum by `full`: since n is a power of two, the 1/n of
+        analyze and the n of synthesize are exact, and the result equals
         synthesize(analyze(vals) * lin) bit for bit.
         """
         if m < 1:
             return
         bins, n, full = self.bins, self.n, self.full
-        vals = self._kick(synthesize(self.coeff, bins, n), 0.5)
+        vals = np.ascontiguousarray(synthesize(self.coeff, bins, n).T)
+        spec, rot = np.empty_like(vals), np.empty_like(vals)
+        amp, theta = np.empty(vals.shape), np.empty(vals.shape)
+        self._kick(vals, 0.5, amp, theta, rot)
         for i in range(m):
-            spec = np.fft.fft(vals, axis=0)
+            np.fft.fft(vals, axis=-1, out=spec)
             spec *= full
-            vals = self._kick(np.fft.ifft(spec, axis=0), 1.0 if i < m - 1 else 0.5)
+            np.fft.ifft(spec, axis=-1, out=vals)
+            self._kick(vals, 1.0 if i < m - 1 else 0.5, amp, theta, rot)
             self.time += self.dt
-        self.coeff = analyze(vals, bins, n)
+        self.coeff = analyze(vals.T, bins, n)
         self.steps_taken += m
 
     def _conserved(self, c):

@@ -50,12 +50,8 @@ class NonConvergence(ConvergenceError):
     """Solver hit its iteration cap before the stopping test was met."""
 
 
-class PositiveEta(ConvergenceError):
-    """Constrained minimizer returned a nonnegative multiplier."""
-
-
 class StepTooLarge(ConvergenceError):
-    """Time step too large for the requested accuracy."""
+    """Finite differences at two step sizes disagree past tolerance."""
 
 
 class BlowupDetected(ConvergenceError):

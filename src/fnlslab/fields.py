@@ -282,17 +282,6 @@ def heat_semigroup(half_period: float, alpha: float, t: float) -> Multiplier:
     return Multiplier(f"heat({t})", symbol)
 
 
-def schroedinger_step(half_period: float, alpha: float, omega: float,
-                      dt: float) -> Multiplier:
-    """Symbol exp(-i (|pi k / T|^alpha + omega) dt): exact linear flow."""
-    w = np.pi / half_period
-
-    def symbol(k):
-        return np.exp(-1j * (np.abs(w * k) ** alpha + omega) * dt)
-
-    return Multiplier(f"schroedinger({dt})", symbol)
-
-
 def evaluate(f: AntiperiodicField, x: np.ndarray) -> np.ndarray:
     """Direct mode-sum evaluation at arbitrary points (O(NM); small inputs)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))

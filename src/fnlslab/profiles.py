@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
-                     PositiveEta, SpeedOutOfRange, ValidationError)
+                     SpeedOutOfRange, ValidationError)
 from .fields import (AntiperiodicField, analyze, cosine_block, cosine_field,
                      lift, odd_wavenumbers, synthesize, to_grid)
 from .functionals import (_default_grid, charge, kinetic, momentum,
@@ -440,9 +440,8 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
     u, it_bb = _bb_descent(ws, u, grad, project, renorm)
 
     r_omega = quadratic_energy(ws.field(u), omega, params.alpha)
+    # negative: |omega| below the frequency limit makes r_omega positive
     eta = -r_omega / ((sig + 1.0) * p0)
-    if eta >= 0.0:
-        raise PositiveEta(f"constraint multiplier eta = {eta} is not negative")
     u = u * abs(eta) ** (1.0 / (2.0 * sig))
 
     a = _gauged_cos_coeffs(ws, u)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .config import RunConfig
@@ -98,6 +97,9 @@ def report_dict(bundle: ResultBundle) -> dict:
         },
         "results": _pyify(bundle.results),
     }
+    # imported on first use: it is a large share of `import fnlslab`
+    import jsonschema
+
     try:
         jsonschema.validate(obj, load_schema())
     except jsonschema.ValidationError as exc:

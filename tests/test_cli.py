@@ -143,8 +143,9 @@ def test_spectrum_runs_one_sector_pass(monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing it would add a large
-    # share of the start-up time of every CLI call
+    # scipy is a test-only dependency and jsonschema is loaded only to
+    # validate a report; importing either would add a large share of the
+    # start-up time of every CLI call
     import os
     import subprocess
     import sys
@@ -158,11 +159,13 @@ def test_import_loads_no_scipy():
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, fnlslab; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "print('concurrent.futures' in sys.modules)")
+            "print('concurrent.futures' in sys.modules); "
+            "print('jsonschema' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    scipy_modules, pools = out.split()
+    scipy_modules, pools, schema = out.split()
     assert scipy_modules == "[]"
+    assert schema == "False"
     # the package runs everything serially and loads no pool machinery
     assert pools == "False"
 
@@ -292,6 +295,15 @@ def test_main_non_finite_values_exit_2(tmp_path, capsys, old, new, keys):
     assert rc == 2
     err = capsys.readouterr().err
     assert all(key in err for key in keys)
+
+
+def test_main_huge_sector_size_exits_2(tmp_path, capsys):
+    # rejected while parsing, before anything is allocated
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(BASE.replace("sector_size = 64", "sector_size = 1e15"))
+    rc = cli.main(["--config", str(cfg), "--command", "spectrum"])
+    assert rc == 2
+    assert "grid.sector_size" in capsys.readouterr().err
 
 
 def test_main_rejects_run_workers_key(tmp_path, capsys):

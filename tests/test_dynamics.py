@@ -11,12 +11,12 @@ from fnlslab.dynamics import (EvolutionState, boost, coercivity_check,
                               orbital_distance, second_variation_form,
                               stability_experiment, stability_indices, step)
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
-                            InconsistentRange, NonConvergence,
+                            InconsistentRange, NonConvergence, StepTooLarge,
                             ValidationError)
 from fnlslab.fields import (cosine_field, random_field, rotate_phase,
                             translate)
 from fnlslab.functionals import charge, inner, l2_norm, momentum, x_norm
-from fnlslab.params import ProblemParams
+from fnlslab.params import FD_STEP, ProblemParams
 from fnlslab.profiles import solve_defocusing, solve_focusing
 from fnlslab.spectrum import assemble, sector_coords
 
@@ -104,16 +104,47 @@ def test_step_chain_matches_unfused_evolve(def15):
 
 
 def test_evolve_matches_substep_reference(def15, def20):
-    # the fused spectral multiply reproduces analyze -> * lin -> synthesize
-    # bit for bit over blocks of every shape, the short last one included
-    for pars, prof in (def15, def20):
+    # the fused spectral multiply and the cos/sin kick reproduce
+    # analyze -> * lin -> synthesize and the complex exp kick of the
+    # oracle bit for bit over blocks of every shape, the short last one
+    # included: on both dispersions, both sigma = 1/2 and 2, a focusing
+    # profile, and a column of a two-trajectory ensemble
+    def reference(w0, pars, omega):
+        return oracles.strang_reference(w0.coeff, w0.wavenumbers, T, pars,
+                                        omega, 1e-3, 1200, 500, 256)
+
+    foc = ProblemParams(alpha=1.5, sigma=1.0, gamma=1, half_period=T)
+    focusing = (foc, solve_focusing(foc, omega=0.5, n_modes=48, tol=1e-12))
+    for pars, prof in (def15, def20, focusing):
         w0 = prof.field + n_preserving_perturbation(
             prof, 1e-3, np.random.default_rng(3))
         out = evolve(initial_state(w0, 1e-3), pars, prof.omega, steps=1200,
                      log_interval=500)
-        ref = oracles.strang_reference(w0.coeff, w0.wavenumbers, T, pars,
-                                       prof.omega, 1e-3, 1200, 500, 256)
-        assert np.array_equal(out.field.coeff, ref)
+        assert np.array_equal(out.field.coeff, reference(w0, pars, prof.omega))
+    for sigma in (0.5, 2.0):
+        pars = ProblemParams(alpha=1.5, sigma=sigma, gamma=-1, half_period=T)
+        w0 = random_field(T, 48, np.random.default_rng(4), scale=2.0)
+        out = evolve(initial_state(w0, 1e-3), pars, 1.0, steps=1200,
+                     log_interval=500)
+        assert np.array_equal(out.field.coeff, reference(w0, pars, 1.0))
+    pars, prof = def15
+    pair = [prof.field + n_preserving_perturbation(
+        prof, 1e-3, np.random.default_rng(seed)) for seed in (5, 6)]
+    eng = dynamics._Stepper(pair, pars, prof.omega, 1e-3)
+    for _ in eng.logged_blocks(1200, 500):
+        pass
+    assert np.array_equal(eng.field(1).coeff,
+                          reference(pair[1], pars, prof.omega))
+
+
+def test_nan_in_field_trips_guard(def15):
+    # a NaN peak fails `peak <= guard` even for an infinite guard
+    pars, prof = def15
+    coeff = prof.field.coeff.copy()
+    coeff[3] = np.nan
+    with pytest.raises(BlowupDetected, match="nan"):
+        evolve(initial_state(prof.field.with_coeff(coeff), 1e-3), pars,
+               prof.omega, steps=10, guard=math.inf)
 
 
 def test_blowup_guard_trips(def15):
@@ -323,6 +354,14 @@ def test_boosted_profile_evolves_by_galilean_flow(def20):
     exact = boost(translate(prof.field, c * t), 1) * np.exp(-1j * c * c * t / 4.0)
     assert x_norm(out.field - exact, 2.0) < 1e-7
     assert not out.flagged
+
+
+def test_richardson_disagreement_raises_step_too_large():
+    # x^3 / h^2 has central differences 1 at step h and 1/4 at h/2
+    h = FD_STEP
+    pairs = ((-h, h), (-0.5 * h, 0.5 * h))
+    with pytest.raises(StepTooLarge, match="disagree by 3.00e"):
+        dynamics._richardson_index("c", pairs, lambda x: x**3 / h**2)
 
 
 def test_focusing_pairing_matches_slope():

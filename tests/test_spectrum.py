@@ -8,8 +8,10 @@ import functools
 import numpy as np
 import pytest
 
-from fnlslab.errors import (InconsistentRange, ProfileNotReal,
-                            SpectralGapTooSmall, ValidationError)
+from fnlslab import spectrum
+from fnlslab.errors import (ChainDoesNotTerminate, InconsistentRange,
+                            ProfileNotReal, SpectralGapTooSmall,
+                            ValidationError)
 from fnlslab.fields import (apply_multiplier, derivative, evaluate,
                             odd_wavenumbers, rotate_phase, to_grid, zero_field)
 from fnlslab.params import ProblemParams
@@ -416,6 +418,14 @@ def test_jordan_chain_structure():
     assert abs(rep["det_comega"] - rep["domega_dmu"]) < 1e-12
     assert abs(rep["det_NQ"] - rep["dN_dc"] * rep["dQ_dmu"]) < 1e-6
     assert abs(rep["domega_dmu"]) > 1e-3
+
+
+def test_jordan_structure_rejects_vanishing_pairing(monkeypatch):
+    # momentum flat along the c family makes dN/dc = 0: the odd chain
+    # does not close at height 2
+    monkeypatch.setattr(spectrum, "momentum", lambda f: 0.0)
+    with pytest.raises(ChainDoesNotTerminate, match="dN/dc = 0.000e"):
+        jordan_structure(defoc_profile())
 
 
 def test_speed_pairing_agrees_with_resolvent_route():
