@@ -137,6 +137,20 @@ def test_evolve_matches_substep_reference(def15, def20):
                           reference(pair[1], pars, prof.omega))
 
 
+def test_pocketfft_binding_matches_np_fft():
+    # the stepper calls numpy's private pocketfft gufuncs with the factors
+    # np.fft passes them; a numpy release that moves or changes them must
+    # fail here rather than move trajectories
+    rng = np.random.default_rng(12)
+    for shape in ((1, 256), (2, 256), (6, 256), (1, 512)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec, back = np.empty_like(x), np.empty_like(x)
+        dynamics._fft(x, 1.0, out=spec)
+        dynamics._ifft(x, 1.0 / shape[1], out=back)
+        assert np.array_equal(spec, np.fft.fft(x, axis=-1))
+        assert np.array_equal(back, np.fft.ifft(x, axis=-1))
+
+
 def test_nan_in_field_trips_guard(def15):
     # a NaN peak fails `peak <= guard` even for an infinite guard
     pars, prof = def15
