@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AntiperiodicityViolation, ComplexInput, SamplingError, ValidationError
 from .params import EPS_ANTI, EPS_REAL
@@ -165,19 +166,28 @@ def analyze(values: np.ndarray, bins, n: int) -> np.ndarray:
     return np.fft.fft(values, axis=0)[bins] / n
 
 
+def toeplitz_plus_hankel(tline, hline, sign: float) -> np.ndarray:
+    """T + sign H, T[j, l] = tline[s-1-j+l] and H[j, l] = hline[j+l] for j, l < s
+    (lines of length 2s - 1), from window views into one (s, s) array."""
+    size = (len(tline) + 1) // 2
+    out = np.multiply(sliding_window_view(hline, size), sign,
+                      out=np.empty((size, size)))
+    return np.add(sliding_window_view(tline, size)[::-1], out, out=out)
+
+
 def cosine_block(samples: np.ndarray, size: int, sign: float) -> np.ndarray:
     """Matrix of pointwise multiplication by a real even T-periodic V in
     the cos (sign +1) or sin (sign -1) ((2j+1) pi x / T) basis, j < size:
     0.5 (w_|j-l| +/- w_{j+l+1}) with w_m = (1/T) int_0^{2T} V cos(2 pi m x / T) dx
-    by trapezoid sums over the samples of V on the n-point 2T grid."""
+    by trapezoid sums over the samples of V on the n-point 2T grid; T and H
+    are window views of w, so the block is the one (size, size) allocation."""
     n = len(samples)
     if 2 * (2 * size - 1) >= n:
         raise ValidationError("quadrature grid too small for multiplication matrix")
     w = 2.0 * np.real(analyze(samples, 2 * np.arange(2 * size), n))
-    j = np.arange(size)
-    toeplitz = w[np.abs(j[:, None] - j[None, :])]
-    hankel = w[j[:, None] + j[None, :] + 1]
-    return 0.5 * (toeplitz + sign * hankel)
+    block = toeplitz_plus_hankel(np.concatenate([w[size - 1:0:-1], w[:size]]),
+                                 w[1:], sign)
+    return np.multiply(block, 0.5, out=block)
 
 
 def to_grid(f: AntiperiodicField, n: int) -> GridSamples:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (AntiperiodicityViolation, PositivityViolation,
                      SamplingError, UnderResolved, ValidationError)
-from .fields import GridSamples, apply_multiplier, heat_semigroup, to_grid, to_modes
+from .fields import (GridSamples, apply_multiplier, heat_semigroup, to_grid,
+                     to_modes, toeplitz_plus_hankel)
 
 # Fourier terms below this size are dropped from the kernel synthesis.
 _TERM_FLOOR = 1e-16
@@ -165,7 +166,8 @@ def positivity_report(ka: KernelSamples) -> dict:
     (i) K_a > 0 on the interior of (-T/2, T/2); (ii) strictly decreasing
     on (0, T); (iii) K_a(x-y) + K_a(x+y) > 0 on (-T/2, T/2)^2;
     (iv) K_a(x-y) - K_a(x+y) > 0 on (0, T)^2.  Tensor grids exclude a
-    one-cell boundary margin; minima are recorded as margins.
+    one-cell boundary margin; minima are recorded as margins.  Each pair
+    tensor is Toeplitz +/- Hankel in window views of K_a; one is held at a time.
     """
     if ka.kind != "Ka":
         raise ValidationError(f"positivity_report needs a Ka kernel, got {ka.kind}")
@@ -187,28 +189,20 @@ def positivity_report(ka: KernelSamples) -> dict:
         raise _violation("monotone decrease of K_a", (j_min + 1) * step,
                          float(drops[j_min]))
 
-    diff = (half[:, None] - half[None, :]) % n
-    summ = (half[:, None] + half[None, :]) % n
-    even_pair = off[diff] + off[summ]
-    k = int(np.argmin(even_pair))
-    if even_pair.flat[k] <= 0.0:
-        xi, yi = np.unravel_index(k, even_pair.shape)
-        raise _violation("even pair kernel", half[xi] * step,
-                         float(even_pair.flat[k]),
-                         extra=f", y = {half[yi] * step:+.6f}")
-    even_min = float(even_pair.flat[k])
-
-    full = np.arange(1, n // 2)                  # (0, T) interior
-    diff = (full[:, None] - full[None, :]) % n
-    summ = (full[:, None] + full[None, :]) % n
-    odd_pair = off[diff] - off[summ]
-    k = int(np.argmin(odd_pair))
-    if odd_pair.flat[k] <= 0.0:
-        xi, yi = np.unravel_index(k, odd_pair.shape)
-        raise _violation("odd pair kernel", full[xi] * step,
-                         float(odd_pair.flat[k]),
-                         extra=f", y = {full[yi] * step:+.6f}")
-    odd_min = float(odd_pair.flat[k])
+    # pairs over offsets lo + (0..m-1): K_a(x - y) is shared, K_a(x + y) is not
+    m = n // 2 - 1
+    line = np.arange(2 * m - 1)
+    tline = off[(m - 1 - line) % n]
+    pair_min = {}
+    for tag, lo, sign in (("even", -n // 4 + 1, 1.0), ("odd", 1, -1.0)):
+        pair = toeplitz_plus_hankel(tline, off[(line + 2 * lo) % n], sign)
+        k = int(np.argmin(pair))
+        pair_min[tag] = float(pair.flat[k])
+        del pair                                 # one tensor at a time
+        if pair_min[tag] <= 0.0:
+            xi, yi = np.unravel_index(k, (m, m))
+            raise _violation(f"{tag} pair kernel", (lo + xi) * step,
+                             pair_min[tag], extra=f", y = {(lo + yi) * step:+.6f}")
 
     return {
         "alpha": ka.alpha,
@@ -216,8 +210,8 @@ def positivity_report(ka: KernelSamples) -> dict:
         "n": n,
         "interior_min": float(vals[i_min]),
         "decrease_min": float(drops[j_min]),
-        "even_pair_min": even_min,
-        "odd_pair_min": odd_min,
+        "even_pair_min": pair_min["even"],
+        "odd_pair_min": pair_min["odd"],
     }
 
 

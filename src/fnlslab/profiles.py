@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,8 @@ def profile_residual(field: AntiperiodicField, omega: float, c: float,
 # --- low-level mode/grid workspace -----------------------------------------
 
 class _Workspace:
-    """Precomputed lattice data for one (params, M, N) combination."""
+    """Precomputed lattice data for one (params, M, N) combination; the
+    complex Newton unit columns are built on first use, shared by all steps."""
 
     def __init__(self, params: ProblemParams, n_modes: int):
         self.params = params
@@ -108,6 +110,15 @@ class _Workspace:
         probe = AntiperiodicField(self.T, self.k, np.zeros(2 * n_modes, complex))
         self.N = _default_grid(probe, params.sigma)
         self.bins = self.k % self.N
+
+    @cached_property
+    def unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit real and imaginary perturbations of each mode and their samples."""
+        nm = 2 * self.M
+        basis = np.zeros((nm, 2 * nm), dtype=np.complex128)
+        basis[:, :nm] = np.eye(nm)
+        basis[:, nm:] = 1j * np.eye(nm)
+        return basis, synthesize(basis, self.bins, self.N)
 
     def nonlinear(self, coeff: np.ndarray) -> np.ndarray:
         v = synthesize(coeff, self.bins, self.N)
@@ -255,11 +266,7 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
         safe = np.where(mod2 > 1e-300, mod2, 1.0)
         w2 = sig * np.abs(vals) ** (2.0 * sig) * np.where(mod2 > 1e-300,
                                                           vals * vals / safe, 0.0)
-        # columns: real and imaginary unit perturbations of every mode
-        basis = np.zeros((nm, 2 * nm), dtype=np.complex128)
-        basis[:, :nm] = np.eye(nm)
-        basis[:, nm:] = 1j * np.eye(nm)
-        vcols = synthesize(basis, ws.bins, ws.N)
+        basis, vcols = ws.unit_columns
         prod = w1[:, None] * vcols + w2[:, None] * np.conj(vcols)
         pcols = analyze(prod, ws.bins, ws.N)
         jcols = (lin + omega)[:, None] * basis - gamma * pcols

@@ -179,6 +179,32 @@ def poisson_closed_form(x, t, half_period):
     return (1.0 / ell) * np.sinh(a) / (np.cosh(a) - np.cos(2.0 * np.pi * x / ell))
 
 
+# --- structured matrices gathered through dense index grids.
+
+
+def cosine_block_dense(w, size, sign):
+    """0.5 (w_|j-l| + sign w_{j+l+1}) for j, l < size: the sector potential
+    block from its cosine line w (length 2 size), one gather per part."""
+    j = np.arange(size)
+    toeplitz = w[np.abs(j[:, None] - j[None, :])]
+    hankel = w[j[:, None] + j[None, :] + 1]
+    return 0.5 * (toeplitz + sign * hankel)
+
+
+def pair_tensor_dense(off, parity):
+    """K_a(x - y) +/- K_a(x + y) on the interior offsets of (-T/2, T/2)
+    (even) or (0, T) (odd), from the modular offset line off[m] =
+    K_a(2T m / N).  Returns (tensor, offsets): entry (i, j) sits at
+    x = offsets[i] step, y = offsets[j] step."""
+    n = len(off)
+    idx = np.arange(-n // 4 + 1, n // 4) if parity == "even" else np.arange(1, n // 2)
+    diff = (idx[:, None] - idx[None, :]) % n
+    summ = (idx[:, None] + idx[None, :]) % n
+    if parity == "even":
+        return off[diff] + off[summ], idx
+    return off[diff] - off[summ], idx
+
+
 # --- brute-force functional evaluations on fine grids.
 
 

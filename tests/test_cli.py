@@ -3,14 +3,23 @@ produces a schema-valid bundle, the solve tables reproduce the elliptic
 closed form, reruns with one seed are byte-identical, and exit codes
 separate validation, convergence, and property failures."""
 
+import contextlib
 import csv
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fnlslab.cli as cli
+import fnlslab.errors as errors
 from fnlslab.config import parse_config
-from fnlslab.errors import (ConservationDriftExceeded, NonConvergence,
+from fnlslab.errors import (ConservationDriftExceeded, ConvergenceError,
+                            NonConvergence, PropertyViolation,
                             ValidationError)
 from fnlslab.reports import report_dict
 import oracles
@@ -354,6 +363,31 @@ def test_main_maps_failure_kinds_to_exit_codes(tmp_path, capsys,
     monkeypatch.setitem(cli._DISPATCH, "solve", boom_property)
     assert cli.main(["--config", str(cfg), "--command", "solve"]) == 4
     assert "drift" in capsys.readouterr().err
+
+
+_EXIT_CODES = {ValidationError: 2, ConvergenceError: 3, PropertyViolation: 4}
+_FAILURES = [cls for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, tuple(_EXIT_CODES))]
+
+
+@pytest.mark.parametrize("cls", _FAILURES, ids=lambda cls: cls.__name__)
+@settings(max_examples=10)
+@given(message=st.text(max_size=40))
+def test_main_maps_every_failure_class_to_its_exit_code(cls, message):
+    (code,) = [c for base, c in _EXIT_CODES.items() if issubclass(cls, base)]
+
+    def boom(config):
+        raise cls(message)
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(cli._DISPATCH, {"solve": boom}), \
+            contextlib.redirect_stderr(err):
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(BASE)
+        rc = cli.main(["--config", str(cfg), "--command", "solve"])
+    assert rc == code
+    assert err.getvalue() == f"error: {message}\n"
 
 
 def test_flag_overrides_win_over_config(tmp_path, capsys):

@@ -243,7 +243,7 @@ _other = st.sampled_from(sorted(_KEYS)).flatmap(
         st.sampled_from(_KEYS[name]), st.sampled_from(_POOL), max_size=5)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(problem=st.none() | _problem,
        others=st.lists(_other, max_size=5, unique_by=lambda s: s[0]))
 def test_any_ini_text_parses_or_raises_validation_error(problem, others):

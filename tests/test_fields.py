@@ -2,22 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fnlslab.errors import (AntiperiodicityViolation, SamplingError,
                             ValidationError)
+import fnlslab.fields as fields
 from fnlslab.fields import (AntiperiodicField, GridSamples, analyze,
-                            apply_multiplier, conjugate, cosine_field,
-                            derivative, evaluate, even_mode_defect,
-                            fractional_laplacian, heat_semigroup,
-                            hilbert_transform, imag_part, lift,
-                            odd_wavenumbers, random_field, real_part,
+                            apply_multiplier, conjugate, cosine_block,
+                            cosine_field, derivative, evaluate,
+                            even_mode_defect, fractional_laplacian,
+                            heat_semigroup, hilbert_transform, imag_part,
+                            lift, odd_wavenumbers, random_field, real_part,
                             rotate_phase, synthesize, to_grid, to_modes,
                             translate)
 from fnlslab.functionals import inner, l2_norm
 
-from oracles import direct_analysis, direct_synthesis, elliptic_field
+from oracles import (cosine_block_dense, direct_analysis, direct_synthesis,
+                     elliptic_field)
 
 T = np.pi
 RNG = np.random.default_rng(7)
@@ -95,7 +97,7 @@ _ROUND_TRIP_TOL = 1e-14
 _EVEN_DEFECT_TOL = 5e-15
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(n_modes=st.integers(1, 64), pad=st.integers(0, 8),
        decay=st.floats(0.0, 4.0), exponent=st.floats(-6.0, 6.0),
        real=st.booleans(), seed=st.integers(0, 2**32 - 1),
@@ -234,3 +236,29 @@ def test_fields_are_immutable():
     u = random_field(T, 4, RNG)
     with pytest.raises((ValueError, AttributeError)):
         u.coeff[0] = 1.0
+
+
+@settings(max_examples=200)
+@given(size=st.integers(1, 1100), sign=st.sampled_from([1.0, -1.0]),
+       seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 8))
+@example(size=48, sign=1.0, seed=1, zeros=3)
+@example(size=48, sign=-1.0, seed=2, zeros=3)
+@example(size=1, sign=-1.0, seed=3, zeros=2)
+def test_cosine_block_matches_dense_oracle(size, sign, seed, zeros):
+    # byte equality, so a flipped sign of zero fails too
+    rng = np.random.default_rng(seed)
+    n = 4 * size
+    samples = rng.standard_normal(n)
+    w = 2.0 * np.real(np.fft.fft(samples)[2 * np.arange(2 * size)] / n)
+    assert (cosine_block(samples, size, sign).tobytes()
+            == cosine_block_dense(w, size, sign).tobytes())
+
+    # a random cosine line with planted +0.0 and -0.0 entries, fed to
+    # cosine_block in place of the transform of its samples
+    line = rng.standard_normal(2 * size)
+    line[rng.integers(0, 2 * size, zeros)] = np.copysign(
+        0.0, rng.standard_normal(zeros))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "analyze", lambda values, bins, n: line)
+        block = cosine_block(samples, size, sign)
+    assert block.tobytes() == cosine_block_dense(2.0 * line, size, sign).tobytes()

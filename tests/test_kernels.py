@@ -1,8 +1,13 @@
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fnlslab.kernels as kernels
 from fnlslab.errors import (PositivityViolation, SamplingError, UnderResolved,
                             ValidationError)
 from fnlslab.fields import (apply_multiplier, heat_semigroup, random_field,
@@ -10,8 +15,8 @@ from fnlslab.fields import (apply_multiplier, heat_semigroup, random_field,
 from fnlslab.kernels import (KernelSamples, kernel_ka, kernel_kp,
                              kernel_sector, positivity_report,
                              semigroup_positivity_probe)
-from oracles import (gaussian_lattice_kernel, poisson_closed_form,
-                     poisson_lattice_kernel)
+from oracles import (gaussian_lattice_kernel, pair_tensor_dense,
+                     poisson_closed_form, poisson_lattice_kernel)
 
 T = np.pi
 
@@ -145,6 +150,112 @@ def test_doctored_kernel_trips_the_certificate():
     bad = dataclasses.replace(ka, grid=-ka.grid)
     with pytest.raises(PositivityViolation):
         positivity_report(bad)
+
+
+def doctored(ka, index, value):
+    """ka with K_a at the modular offset index (x = index * step) set to value."""
+    grid = ka.grid.copy()
+    grid[(index + ka.n // 2) % ka.n] = value
+    return dataclasses.replace(ka, grid=grid)
+
+
+def test_interior_certificate_names_the_first_minimum():
+    ka = kernel_ka(1.5, T, 0.5, 256)
+    n, step = ka.n, 2 * T / ka.n
+    bad = doctored(ka, n - 5, -1e-3)                 # x = -5 step
+    off = offset(bad)
+    half = np.arange(-n // 4 + 1, n // 4)
+    i = int(np.argmin(off[half % n]))
+    assert half[i] == -5
+    with pytest.raises(PositivityViolation, match=re.escape(
+            f"K_a at x = {half[i] * step:+.6f}: value {off[half[i] % n]:.6e}")):
+        positivity_report(bad)
+
+
+def test_decrease_certificate_names_the_first_minimum():
+    ka = kernel_ka(1.5, T, 0.5, 256)
+    n, step = ka.n, 2 * T / ka.n
+    j = 3 * n // 8                                   # in (T/2, T): no interior point
+    bad = doctored(ka, j, offset(ka)[j - 1])         # a flat step on the ramp
+    drops = -np.diff(offset(bad)[: n // 2 + 1])
+    i = int(np.argmin(drops))
+    assert i + 1 == j
+    with pytest.raises(PositivityViolation, match=re.escape(
+            f"monotone decrease of K_a at x = {(i + 1) * step:+.6f}: "
+            f"value {drops[i]:.6e}")):
+        positivity_report(bad)
+
+
+@pytest.mark.parametrize("parity, index, factor", [
+    # x = -T + 10 step: only the pair tensors see it, the even one first;
+    # the even minimum sits off the diagonal, tied with its transpose
+    ("even", 138, -10.0),
+    # x = -T + step: only the odd pair tensor sees it (as x + y)
+    ("odd", 129, 10.0),
+])
+def test_pair_certificates_name_the_first_oracle_minimum(parity, index, factor):
+    ka = kernel_ka(1.5, T, 0.5, 256)
+    step = 2 * T / ka.n
+    bad = doctored(ka, index, factor * np.max(np.abs(ka.grid)))
+    if parity == "odd":
+        assert np.min(pair_tensor_dense(offset(bad), "even")[0]) > 0
+    tensor, idx = pair_tensor_dense(offset(bad), parity)
+    xi, yi = np.unravel_index(int(np.argmin(tensor)), tensor.shape)
+    with pytest.raises(PositivityViolation, match=re.escape(
+            f"{parity} pair kernel at x = {idx[xi] * step:+.6f}, "
+            f"y = {idx[yi] * step:+.6f}: value {tensor[xi, yi]:.6e}")):
+        positivity_report(bad)
+
+
+@settings(max_examples=100)
+@given(quarter=st.integers(2, 550), seed=st.integers(0, 2**32 - 1),
+       zeros=st.integers(0, 8))
+@example(quarter=2, seed=1, zeros=2)                 # the smallest grid, N = 8
+def test_pair_tensors_match_dense_oracle(quarter, seed, zeros):
+    # A random offset line that passes the interior and decrease checks:
+    # positive decreasing on [0, T/2), decreasing on to T, positive on
+    # (-T/2, 0), free with planted +0.0 and -0.0 entries on (-T, -T/2].
+    rng = np.random.default_rng(seed)
+    n = 4 * quarter
+    drops = rng.uniform(0.5, 1.5, n // 2)
+    off = np.empty(n)
+    off[: n // 2 + 1] = (np.sum(drops[: n // 4])
+                         - np.concatenate([[0.0], np.cumsum(drops)]))
+    off[n // 4] = np.copysign(0.0, rng.standard_normal())
+    free = rng.standard_normal(n // 4)
+    free[rng.integers(0, n // 4, zeros)] = np.copysign(
+        0.0, rng.standard_normal(zeros))
+    off[n // 2 + 1: 3 * n // 4 + 1] = free
+    off[3 * n // 4 + 1:] = rng.uniform(0.1, 1.0, n // 4 - 1)
+    ka = KernelSamples(alpha=1.5, half_period=T, t=0.5,
+                       grid=np.roll(off, n // 2), kind="Ka")
+
+    built, build = [], kernels.toeplitz_plus_hankel
+
+    def record(tline, hline, sign):
+        # keep each pair tensor as built; hand back a positive stand-in so
+        # the odd tensor is built even where the even one is not positive
+        built.append(build(tline, hline, sign))
+        return np.ones_like(built[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "toeplitz_plus_hankel", record)
+        positivity_report(ka)
+    assert len(built) == 2
+    for parity, pair in zip(("even", "odd"), built):
+        assert pair.tobytes() == pair_tensor_dense(off, parity)[0].tobytes()
+
+
+def test_positivity_report_holds_one_pair_tensor():
+    n = 4096
+    ka = kernel_ka(1.5, T, 1.0, n)
+    tracemalloc.start()
+    try:
+        positivity_report(ka)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (n // 2 - 1) ** 2
 
 
 def test_pair_minima_coincide_under_half_period_shift():

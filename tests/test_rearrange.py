@@ -104,7 +104,7 @@ def test_pair_preserves_lp_norms():
 _LP_TOL = 1e-14
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(half=st.integers(2, 256).flatmap(lambda m: st.lists(
     st.floats(-1e6, 1e6, allow_subnormal=False), min_size=2 * m,
     max_size=2 * m)))
