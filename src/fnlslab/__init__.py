@@ -10,31 +10,25 @@ inequalities, and split-step time evolution with orbital-distance tracking.
 
 from .params import ProblemParams, EPS_ANTI, EPS_FFT, EPS_REAL, MAX_ITER, TOL_PROFILE
 from .fields import (AntiperiodicField, GridSamples, Multiplier, apply_multiplier,
-                     conjugate, cosine_field, derivative, evaluate, even_mode_defect,
-                     fractional_laplacian, heat_semigroup, hilbert_transform,
+                     cosine_field, derivative, evaluate, fractional_laplacian,
                      imag_part, lift, odd_wavenumbers, random_field, real_part,
                      rotate_phase, to_grid, to_modes, translate, zero_field)
-from .functionals import (FunctionalValues, charge, functional_values, gradient,
-                          hamiltonian, inner, kinetic, l2_norm, lagrangian,
-                          momentum, moving_frame_energy, nonlinear_term, potential,
-                          quadratic_energy, x_norm)
-from .profiles import (StandingProfile, Sweep, continue_in, evenness_defect,
-                       gauge_fix, profile_residual, recovered_omega,
-                       solve_defocusing, solve_focusing)
+from .functionals import (charge, hamiltonian, inner, kinetic, momentum,
+                          moving_frame_energy, potential, quadratic_energy,
+                          x_norm)
+from .profiles import (StandingProfile, Sweep, continue_in, gauge_fix,
+                       profile_residual, recovered_omega, solve_defocusing,
+                       solve_focusing)
 from .spectrum import (NondegeneracyReport, SectorOperator, SectorSpectrum,
                        assemble, eigensolve, fredholm_range_checks,
                        jordan_structure, nondegeneracy_check, sector_spectra)
-from .kernels import (KernelSamples, kernel_ka, kernel_kp, kernel_sector,
-                      positivity_report, semigroup_positivity_probe)
-from .rearrange import (RearrangedPair, polya_szego_check,
-                        potential_ordering_check, rearrange_hash,
-                        rearrange_star, rearranged_pair)
-from .dynamics import (EvolutionState, StabilityReport, boost,
-                       coercivity_check, dndc_spectral, evolve,
-                       galilean_residual, initial_state,
-                       n_preserving_perturbation, orbital_distance,
-                       second_variation_form, stability_experiment,
-                       stability_indices, step)
+from .kernels import KernelSamples, kernel_ka, kernel_kp, positivity_report
+from .rearrange import (polya_szego_check, potential_ordering_check,
+                        rearrange_hash, rearrange_star)
+from .dynamics import (EvolutionState, StabilityReport, coercivity_check,
+                       evolve, initial_state, n_preserving_perturbation,
+                       orbital_distance, second_variation_form,
+                       stability_experiment, stability_indices)
 from .config import COMMANDS, RunConfig, parse_config
 from .reports import ResultBundle, emit, load_schema, render_report, report_dict
 from .cli import main, run

@@ -221,8 +221,8 @@ def parse_config(text: str) -> RunConfig:
             all(t > 0 for t in kernels["times"]),
             "kernels.times must all be positive")
     _window(col, kernels["n"] is None or
-            (8 <= kernels["n"] <= 65536 and kernels["n"] % 4 == 0),
-            "kernels.n must be a multiple of 4 in [8, 65536]")
+            (8 <= kernels["n"] <= 16384 and kernels["n"] % 4 == 0),
+            "kernels.n must be a multiple of 4 in [8, 16384]")
 
     evolve = {
         "dt": col.get("evolve", "dt", float, 1e-4),

@@ -42,7 +42,7 @@ from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
 from .fields import (AntiperiodicField, analyze, evaluate, lift, random_field,
                      synthesize, to_grid, translate)
-from .functionals import charge, gradient, inner, l2_norm, momentum, x_norm
+from .functionals import charge, inner, momentum, x_norm
 from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
 from .profiles import StandingProfile, _refine_peak, family_pair
 from .spectrum import assemble, deflated_solve, eigensolve, sector_coords
@@ -255,26 +255,6 @@ def evolve(state: EvolutionState, params: ProblemParams, omega: float,
     return out
 
 
-def step(state: EvolutionState, params: ProblemParams, omega: float,
-         guard: float = math.inf) -> EvolutionState:
-    """A single Strang step; convenience wrapper over evolve."""
-    return evolve(state, params, omega, steps=1, log_interval=1, guard=guard)
-
-
-def boost(f: AntiperiodicField, m: int) -> AntiperiodicField:
-    """Multiply by exp(i 2 pi m x / T): the antiperiodic lattice of
-    Galilean phases, shifting every wavenumber by 2m."""
-    if m == 0:
-        return f
-    g = lift(f, f.n_modes + abs(m))
-    coeff = np.roll(g.coeff, m)
-    if m > 0:
-        coeff[:m] = 0.0
-    else:
-        coeff[m:] = 0.0
-    return g.with_coeff(coeff)
-
-
 def orbital_distance(u: AntiperiodicField, phi: StandingProfile) -> float:
     """Energy-norm distance from u to the group orbit of the profile.
 
@@ -437,44 +417,6 @@ def stability_indices(profile: StandingProfile) -> dict:
                 f"(relative mismatch {agree:.2e})")
         out["lplus_inverse_pairing"] = pairing
     return out
-
-
-def dndc_spectral(profile: StandingProfile, size: int = 128) -> float:
-    """dN/dc of the fixed-charge family from first-order perturbation.
-
-    Differentiating the profile equation in c at the resting point gives
-    an imaginary correction i b with L_minus b = -phi' in the odd
-    sector, so dN/dc = -<phi', L_minus^(-1) phi'>.  The sector
-    coordinate dot runs over [0, 2T); halve for the [0, T] functional.
-    """
-    spec = eigensolve(assemble(profile, "L_minus", "odd", size))
-    d = sector_coords(_derivative_field(profile.field), "odd", size)
-    y, deflated, _ = deflated_solve(profile, spec, d)
-    if deflated:
-        raise InconsistentRange(
-            "L_minus has a near-kernel odd direction; dN/dc is singular")
-    return -0.5 * float(y @ d)
-
-
-def galilean_residual(profile: StandingProfile) -> dict:
-    """Profile-equation residual of the first lattice boost of phi.
-
-    For alpha = 2 the boosted field exp(i 2 pi x / T) phi solves the
-    moving-frame equation at speed 4 pi / T and frequency
-    omega + (2 pi / T)^2 exactly; away from alpha = 2 the residual is
-    order one.  Returns both the residual norm and the shifted momentum
-    defect N(boosted) - N(phi) + 2 pi mu / T, which is arithmetic and
-    vanishes for every alpha.
-    """
-    T = profile.params.half_period
-    lattice_speed = 4.0 * np.pi / T
-    b = boost(profile.field, 1)
-    omega_b = profile.omega + (lattice_speed / 2.0) ** 2
-    grad = gradient(b, lattice_speed, omega_b, profile.params)
-    shift = momentum(b) - momentum(profile.field) \
-        + 2.0 * np.pi * charge(profile.field) / T
-    return {"residual": l2_norm(grad), "speed": lattice_speed,
-            "omega": omega_b, "momentum_shift_defect": abs(shift)}
 
 
 def coercivity_check(profile: StandingProfile, size: int = 128) -> dict:

@@ -89,9 +89,6 @@ class AntiperiodicField:
             return 0.0
         return float(np.linalg.norm(self.coeff - mirror) / scale)
 
-    def is_real(self) -> bool:
-        return self.realness_defect() <= EPS_REAL
-
 
 @dataclass(frozen=True)
 class GridSamples:
@@ -206,18 +203,6 @@ def to_grid(f: AntiperiodicField, n: int) -> GridSamples:
     return GridSamples(f.half_period, synthesize(f.coeff, f.wavenumbers % n, n))
 
 
-def _even_bin_fraction(spec: np.ndarray) -> float:
-    total = np.linalg.norm(spec)
-    if total == 0.0:
-        return 0.0
-    return float(np.linalg.norm(spec[0::2]) / total)
-
-
-def even_mode_defect(g: GridSamples) -> float:
-    """Relative l2 energy in even Fourier bins; zero for antiperiodic data."""
-    return _even_bin_fraction(analyze(g.values, slice(None), g.n))
-
-
 def to_modes(g: GridSamples, n_modes: int | None = None,
              tol: float = EPS_ANTI) -> AntiperiodicField:
     """Extract odd-lattice coefficients from grid samples.
@@ -239,7 +224,8 @@ def to_modes(g: GridSamples, n_modes: int | None = None,
             f"requested modes up to |k| = {k[-1]} but grid resolves |k| <= {n // 2 - 1}"
         )
     spec = analyze(g.values, slice(None), n)
-    defect = _even_bin_fraction(spec)
+    total = np.linalg.norm(spec)
+    defect = 0.0 if total == 0.0 else float(np.linalg.norm(spec[0::2]) / total)
     if defect > tol:
         raise AntiperiodicityViolation(
             f"even-mode energy fraction {defect:.3e} exceeds tolerance {tol:.3e}"
@@ -271,27 +257,6 @@ def derivative(half_period: float) -> Multiplier:
     return Multiplier("d/dx", symbol)
 
 
-def hilbert_transform() -> Multiplier:
-    """Symbol i sign(k), fixed by requiring d/dx = H Lambda."""
-
-    def symbol(k):
-        return 1j * np.sign(k)
-
-    return Multiplier("hilbert", symbol)
-
-
-def heat_semigroup(half_period: float, alpha: float, t: float) -> Multiplier:
-    """Symbol exp(-|pi k / T|^alpha t) for t >= 0."""
-    if t < 0:
-        raise ValidationError(f"semigroup time must be nonnegative, got {t}")
-    w = np.pi / half_period
-
-    def symbol(k):
-        return np.exp(-np.abs(w * k) ** alpha * t)
-
-    return Multiplier(f"heat({t})", symbol)
-
-
 def evaluate(f: AntiperiodicField, x: np.ndarray) -> np.ndarray:
     """Direct mode-sum evaluation at arbitrary points (O(NM); small inputs)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -306,11 +271,6 @@ def translate(f: AntiperiodicField, x0: float) -> AntiperiodicField:
 
 def rotate_phase(f: AntiperiodicField, beta: float) -> AntiperiodicField:
     return f.with_coeff(f.coeff * np.exp(1j * beta))
-
-
-def conjugate(f: AntiperiodicField) -> AntiperiodicField:
-    """Pointwise complex conjugate; coefficients conjugate and flip k."""
-    return f.with_coeff(np.conj(f.coeff[::-1]))
 
 
 def real_part(f: AntiperiodicField) -> AntiperiodicField:

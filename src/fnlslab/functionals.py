@@ -1,4 +1,4 @@
-"""Conserved functionals and the variational gradient.
+"""Conserved functionals and inner products.
 
 All integrals run over one antiperiod [0, T]; for an antiperiodic field
 |u| is T-periodic, so Parseval gives int_0^T |u|^2 = T sum |c_k|^2.
@@ -12,14 +12,10 @@ so the defocusing sign gamma = -1 gives H = K + P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import AntiperiodicityViolation
-from .fields import (AntiperiodicField, GridSamples, _aligned, apply_multiplier,
-                     derivative, fractional_laplacian, to_grid, to_modes)
-from .params import EPS_ANTI, ProblemParams
+from .fields import AntiperiodicField, _aligned, to_grid
+from .params import ProblemParams
 
 
 def inner(u: AntiperiodicField, v: AntiperiodicField) -> float:
@@ -27,10 +23,6 @@ def inner(u: AntiperiodicField, v: AntiperiodicField) -> float:
     if not np.array_equal(u.wavenumbers, v.wavenumbers):
         u, v = _aligned(u, v)
     return float(np.real(u.half_period * np.sum(u.coeff * np.conj(v.coeff))))
-
-
-def l2_norm(u: AntiperiodicField) -> float:
-    return float(np.sqrt(u.half_period) * np.linalg.norm(u.coeff))
 
 
 def x_norm(u: AntiperiodicField, alpha: float) -> float:
@@ -68,32 +60,15 @@ def _default_grid(u: AntiperiodicField, sigma: float) -> int:
     return n + (n % 2)
 
 
-def _nonlinear_samples(u: AntiperiodicField, sigma: float):
-    g = to_grid(u, _default_grid(u, sigma))
-    return g, np.abs(g.values) ** (2.0 * sigma)
-
-
 def potential(u: AntiperiodicField, sigma: float) -> float:
     """P(u) by trapezoid quadrature on the oversampled grid (spectrally exact
     for resolved data; |u|^(2 sigma + 2) is T-periodic so one period is half
     the 2T grid sum)."""
-    g, mod = _nonlinear_samples(u, sigma)
+    g = to_grid(u, _default_grid(u, sigma))
+    mod = np.abs(g.values) ** (2.0 * sigma)
     dx = 2.0 * u.half_period / g.n
     integral = 0.5 * float(np.sum(mod * np.abs(g.values) ** 2)) * dx
     return integral / (2.0 * sigma + 2.0)
-
-
-def nonlinear_term(u: AntiperiodicField, sigma: float) -> AntiperiodicField:
-    """|u|^(2 sigma) u projected back to the odd band of u.
-
-    Computed pointwise on a grid with N >= 4M.  The even-mode (aliasing)
-    defect of the product is monitored against EPS_ANTI.
-    """
-    g, mod = _nonlinear_samples(u, sigma)
-    prod = GridSamples(u.half_period, mod * g.values)
-    if prod.antiperiodic_defect() > EPS_ANTI:
-        raise AntiperiodicityViolation("nonlinear product lost antiperiodicity")
-    return to_modes(prod, u.n_modes)
 
 
 def hamiltonian(u: AntiperiodicField, params: ProblemParams) -> float:
@@ -109,42 +84,3 @@ def moving_frame_energy(u: AntiperiodicField, c: float,
 def quadratic_energy(u: AntiperiodicField, omega: float, alpha: float) -> float:
     """K + omega Q, the objective minimized at fixed potential."""
     return kinetic(u, alpha) + omega * charge(u)
-
-
-def lagrangian(u: AntiperiodicField, c: float, omega: float,
-               params: ProblemParams) -> float:
-    return (hamiltonian(u, params) + omega * charge(u)
-            + c * momentum(u))
-
-
-def gradient(u: AntiperiodicField, c: float, omega: float,
-             params: ProblemParams) -> AntiperiodicField:
-    """First variation of the Lagrangian with respect to <.,.>:
-
-        Lambda^alpha u + omega u + i c u' - gamma |u|^(2 sigma) u.
-    """
-    lam = apply_multiplier(u, fractional_laplacian(u.half_period, params.alpha))
-    dx = apply_multiplier(u, derivative(u.half_period))
-    nl = nonlinear_term(u, params.sigma)
-    return lam + omega * u + (1j * c) * dx + (-params.gamma) * nl
-
-
-@dataclass(frozen=True)
-class FunctionalValues:
-    charge: float
-    momentum: float
-    kinetic: float
-    potential: float
-    hamiltonian: float
-    moving_frame_energy: float
-    lagrangian: float
-
-
-def functional_values(u: AntiperiodicField, params: ProblemParams,
-                      c: float = 0.0, omega: float = 0.0) -> FunctionalValues:
-    q = charge(u)
-    n = momentum(u)
-    k = kinetic(u, params.alpha)
-    p = potential(u, params.sigma)
-    h = k - params.gamma * p
-    return FunctionalValues(q, n, k, p, h, h + c * n, h + omega * q + c * n)

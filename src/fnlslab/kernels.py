@@ -25,18 +25,13 @@ import numpy as np
 
 from .errors import (AntiperiodicityViolation, PositivityViolation,
                      SamplingError, UnderResolved, ValidationError)
-from .fields import (GridSamples, apply_multiplier, heat_semigroup, to_grid,
-                     to_modes, toeplitz_plus_hankel)
+from .fields import toeplitz_plus_hankel
 
 # Fourier terms below this size are dropped from the kernel synthesis.
 _TERM_FLOOR = 1e-16
 # Truncation-tail budget in kernel units; worse means the grid is too
 # coarse for the requested diffusion time.
 _TAIL_BUDGET = 1e-12
-# Grid of the semigroup positivity probe, and the odd powers of cos and sin
-# it mixes (cos^11 and sin^11 still lie inside the 6-mode band).
-_PROBE_N = 2048
-_PROBE_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,13 @@ class KernelSamples:
         return -self.half_period + 2.0 * self.half_period * np.arange(n) / n
 
 
-def _validate_kernel_args(alpha: float, half_period: float, t: float, n: int):
+def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSamples:
+    """Periodized kernel by direct Fourier synthesis on the centered grid.
+
+    Terms below 1e-16 are dropped; if the symbol has not decayed below
+    the tail budget at the grid's band edge the evaluation refuses with
+    UnderResolved instead of silently aliasing.
+    """
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
     if half_period <= 0.0:
@@ -73,16 +74,6 @@ def _validate_kernel_args(alpha: float, half_period: float, t: float, n: int):
         raise ValidationError(f"diffusion time must be positive, got {t}")
     if n < 8 or n % 4 != 0:
         raise SamplingError(f"kernel grid must be a multiple of 4, >= 8, got {n}")
-
-
-def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSamples:
-    """Periodized kernel by direct Fourier synthesis on the centered grid.
-
-    Terms below 1e-16 are dropped; if the symbol has not decayed below
-    the tail budget at the grid's band edge the evaluation refuses with
-    UnderResolved instead of silently aliasing.
-    """
-    _validate_kernel_args(alpha, half_period, t, n)
     T = half_period
     m = np.arange(1, n // 2)
     sym = np.exp(-(np.pi * m / T) ** alpha * t)
@@ -126,32 +117,6 @@ def kernel_ka(alpha: float, half_period: float, t: float, n: int) -> KernelSampl
 def _offset_view(ka: KernelSamples) -> np.ndarray:
     """off[m] = K_a(2T m / N) with modular index m (grid is centered)."""
     return np.roll(ka.grid, -(ka.n // 2))
-
-
-def kernel_sector(alpha: float, half_period: float, t: float, n: int,
-                  y: float, parity: str) -> KernelSamples:
-    """Sector kernel slice G(x, y) = K_a(x-y) +/- K_a(x+y) at fixed y.
-
-    y must sit on the evaluation grid so both arguments stay exact grid
-    points.
-    """
-    if parity not in ("even", "odd"):
-        raise ValidationError(f"parity must be even or odd, got {parity!r}")
-    ka = kernel_ka(alpha, half_period, t, n)
-    step = 2.0 * half_period / n
-    my = y / step
-    if abs(my - round(my)) > 1e-9:
-        raise SamplingError(
-            f"y = {y} is off-grid (spacing {step:.3e}); sector slices need "
-            f"grid-aligned evaluation points")
-    my = int(round(my))
-    off = _offset_view(ka)
-    a = np.arange(n) - n // 2
-    sign = 1.0 if parity == "even" else -1.0
-    grid = off[(a - my) % n] + sign * off[(a + my) % n]
-    kind = "SectorEven" if parity == "even" else "SectorOdd"
-    return KernelSamples(alpha=alpha, half_period=half_period, t=t,
-                         grid=grid, kind=kind)
 
 
 def _violation(tag: str, x: float, value: float, extra: str = "") -> PositivityViolation:
@@ -213,57 +178,3 @@ def positivity_report(ka: KernelSamples) -> dict:
         "even_pair_min": pair_min["even"],
         "odd_pair_min": pair_min["odd"],
     }
-
-
-def semigroup_positivity_probe(alpha: float, half_period: float, t: float,
-                               trials: int, seed: int = 0) -> dict:
-    """Positivity improvement of e^(-Lambda^alpha t) on sector cones.
-
-    Random nonnegative mixtures sum_j a_j cos(pi x/T)^(2j+1) (even sector,
-    positive on (-T/2, T/2)) and sum_j b_j sin(pi x/T)^(2j+1) (odd sector,
-    positive on (0, T)) are pushed through the semigroup spectrally; the
-    output must stay strictly positive on the interior of the reference
-    interval.  Minima over all trials are reported.
-    """
-    n, terms = _PROBE_N, _PROBE_TERMS
-    _validate_kernel_args(alpha, half_period, t, n)
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
-    rng = np.random.default_rng(seed)
-    T = half_period
-    x = 2.0 * T * np.arange(n) / n
-    theta = np.pi * x / T
-    step = 2.0 * T / n
-    xc = np.mod(x + T, 2.0 * T) - T
-    mask_even = np.abs(xc) < 0.5 * T - 0.5 * step
-    mask_odd = (x > 0.5 * step) & (x < T - 0.5 * step)
-    powers = 2 * np.arange(terms) + 1
-
-    def push(samples):
-        f = to_modes(GridSamples(T, samples), n_modes=terms)
-        out = apply_multiplier(f, heat_semigroup(T, alpha, t))
-        return to_grid(out, n).values.real
-
-    even_min = np.inf
-    odd_min = np.inf
-    for trial in range(trials):
-        a = rng.uniform(0.1, 1.0, terms)
-        out = push(np.cos(theta)[:, None] ** powers @ a)
-        worst = float(np.min(out[mask_even]))
-        if worst <= 0.0:
-            raise _violation(f"even-sector semigroup output (trial {trial})",
-                             float(xc[mask_even][np.argmin(out[mask_even])]),
-                             worst)
-        even_min = min(even_min, worst)
-
-        b = rng.uniform(0.1, 1.0, terms)
-        out = push(np.sin(theta)[:, None] ** powers @ b)
-        worst = float(np.min(out[mask_odd]))
-        if worst <= 0.0:
-            raise _violation(f"odd-sector semigroup output (trial {trial})",
-                             float(x[mask_odd][np.argmin(out[mask_odd])]),
-                             worst)
-        odd_min = min(odd_min, worst)
-
-    return {"alpha": alpha, "t": t, "trials": trials,
-            "even_min": even_min, "odd_min": odd_min}

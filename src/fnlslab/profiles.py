@@ -467,14 +467,6 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
                            quadratic_energy(field, omega, params.alpha))
 
 
-def evenness_defect(f: AntiperiodicField) -> float:
-    """sup |f(x) - f(-x)| / sup |f|."""
-    g = to_grid(f, max(64, 8 * f.n_modes))
-    flip = np.roll(g.values[::-1], 1)  # values at -x_j on the same grid
-    scale = np.max(np.abs(g.values))
-    return float(np.max(np.abs(g.values - flip)) / max(scale, 1e-300))
-
-
 def _gauged(f: AntiperiodicField) -> AntiperiodicField:
     """Translate the modulus maximum to x = 0, rotate the global phase to
     maximize the real part, and fix the sign so the field is positive at

@@ -25,7 +25,6 @@ O(1/N) aliasing budget from the band projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +37,6 @@ from .params import EPS_REAL
 
 # multiplies norm/N in the grid-defect budget for rearrangement checks
 _DEFECT_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class RearrangedPair:
-    """A field together with its star and hash rearrangements."""
-
-    original: GridSamples
-    star: GridSamples
-    hash: GridSamples
-    norms_match: dict
 
 
 def _real_samples(g: GridSamples) -> np.ndarray:
@@ -80,28 +69,6 @@ def rearrange_hash(g: GridSamples) -> GridSamples:
     """Star rearrangement shifted by T/2; odd when the input is antiperiodic."""
     star = rearrange_star(g)
     return GridSamples(g.half_period, np.roll(star.values, star.n // 4))
-
-
-def _lp_sums(vals: np.ndarray, h: float) -> dict:
-    return {
-        "L1": h * float(np.sum(np.abs(vals))),
-        "L2": math.sqrt(h * float(np.sum(vals**2))),
-        "Linf": float(np.max(np.abs(vals))),
-    }
-
-
-def rearranged_pair(g: GridSamples) -> RearrangedPair:
-    star = rearrange_star(g)
-    hsh = rearrange_hash(g)
-    h = 2.0 * g.half_period / g.n
-    base = _lp_sums(_real_samples(g), h)
-    match = {}
-    for other in (star, hsh):
-        vals = other.values.real
-        for p, ref in base.items():
-            ok = abs(_lp_sums(vals, h)[p] - ref) <= 1e-12 * max(1.0, abs(ref))
-            match[p] = bool(match.get(p, True) and ok)
-    return RearrangedPair(original=g, star=star, hash=hsh, norms_match=match)
 
 
 def cell_asymmetry(g: GridSamples) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from fnlslab.fields import AntiperiodicField, GridSamples, odd_wavenumbers, to_modes
+from fnlslab.fields import GridSamples, lift, to_modes
 
 
 def direct_synthesis(k, coeff, half_period, n):
@@ -29,6 +29,25 @@ def sector_sum(sector, vec, half_period, xs):
     phase = np.outer(xs, (2 * j + 1) * np.pi / half_period)
     basis = np.cos(phase) if sector == "even" else np.sin(phase)
     return basis @ vec
+
+
+def conjugate_field(f):
+    """Pointwise complex conjugate: coefficients conjugate and k flips."""
+    return f.with_coeff(np.conj(f.coeff[::-1]))
+
+
+def boost(f, m):
+    """f times exp(i 2 pi m x / T): the antiperiodic lattice of Galilean
+    phases, shifting every wavenumber by 2m."""
+    if m == 0:
+        return f
+    g = lift(f, f.n_modes + abs(m))
+    coeff = np.roll(g.coeff, m)
+    if m > 0:
+        coeff[:m] = 0.0
+    else:
+        coeff[m:] = 0.0
+    return g.with_coeff(coeff)
 
 
 def direct_analysis(values, k):
@@ -213,11 +232,6 @@ def brute_charge(field, n=16384):
     vals = direct_synthesis(field.wavenumbers, field.coeff, field.half_period, n)
     dx = 2.0 * field.half_period / n
     return 0.25 * float(np.sum(np.abs(vals) ** 2)) * dx  # half of the 2T integral, halved again
-
-
-def finite_difference_directional(func, u, v, h):
-    """Central difference (func(u + h v) - func(u - h v)) / 2h on fields."""
-    return (func(u + h * v) - func(u + (-h) * v)) / (2.0 * h)
 
 
 def strang_reference(coeff, k, half_period, params, omega, dt, steps,

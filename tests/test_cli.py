@@ -179,6 +179,47 @@ def test_import_loads_no_scipy():
     assert pools == "False"
 
 
+def test_every_export_has_a_caller():
+    # every name fnlslab exports is read by the package or the benchmark
+    # outside its own definition; reads from inside an export that has no
+    # such reader do not count, so a dead chain is flagged whole
+    import ast
+
+    import fnlslab
+
+    pkg = Path(fnlslab.__file__).resolve().parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    exports = {alias.asname or alias.name
+               for node in ast.parse((pkg / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(bench.glob("*.py"))
+    # name -> top-level definitions that read it (None: module-level code)
+    readers = {}
+    for path in sources:
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            nodes = list(ast.walk(top))
+            # names a definition binds itself shadow the module's
+            local = set() if owner is None else (
+                {n.id for n in nodes if isinstance(n, ast.Name)
+                 and not isinstance(n.ctx, ast.Load)}
+                | {n.arg for n in nodes if isinstance(n, ast.arg)})
+            for n in nodes:
+                if isinstance(n, ast.Name) and n.id not in local:
+                    readers.setdefault(n.id, set()).add(owner)
+                elif isinstance(n, ast.Attribute):
+                    readers.setdefault(n.attr, set()).add(owner)
+    dead = set()
+    while True:
+        found = {name for name in exports
+                 if not readers.get(name, set()) - {name} - dead}
+        if found == dead:
+            break
+        dead = found
+    assert sorted(dead) == []
+
+
 def test_spectrum_eigenvalue_table_is_sorted_per_sector():
     bundle = cli.run(config_for("spectrum"))
     _, rows = bundle.tables["eigenvalues"]

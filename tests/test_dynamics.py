@@ -5,20 +5,19 @@ import pytest
 
 import oracles
 from fnlslab import dynamics
-from fnlslab.dynamics import (EvolutionState, boost, coercivity_check,
-                              dndc_spectral, evolve, galilean_residual,
+from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
                               initial_state, n_preserving_perturbation,
                               orbital_distance, second_variation_form,
-                              stability_experiment, stability_indices, step)
+                              stability_experiment, stability_indices)
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
-                            InconsistentRange, NonConvergence, StepTooLarge,
-                            ValidationError)
-from fnlslab.fields import (cosine_field, random_field, rotate_phase,
-                            translate)
-from fnlslab.functionals import charge, inner, l2_norm, momentum, x_norm
+                            NonConvergence, StepTooLarge, ValidationError)
+from fnlslab.fields import (apply_multiplier, cosine_field, derivative,
+                            random_field, rotate_phase, translate)
+from fnlslab.functionals import charge, inner, momentum, x_norm
 from fnlslab.params import FD_STEP, ProblemParams
 from fnlslab.profiles import solve_defocusing, solve_focusing
-from fnlslab.spectrum import assemble, sector_coords
+from fnlslab.spectrum import (assemble, deflated_solve, eigensolve,
+                              sector_coords)
 
 T = np.pi
 
@@ -94,7 +93,7 @@ def test_step_chain_matches_unfused_evolve(def15):
     st = initial_state(w0, 1e-3)
     chain = st
     for _ in range(5):
-        chain = step(chain, pars, prof.omega)
+        chain = evolve(chain, pars, prof.omega, steps=1, log_interval=1)
     bulk = evolve(st, pars, prof.omega, steps=5, log_interval=1)
     assert np.array_equal(chain.field.coeff, bulk.field.coeff)
     # fused blocks project the band between kicks at different phases,
@@ -296,76 +295,59 @@ def test_stability_indices_solve_each_neighbour_once(def15, monkeypatch):
 
 
 def test_dndc_dual_route(def15, def20):
+    # differentiating the profile equation in c at rest gives an imaginary
+    # correction i b with L_minus b = -phi' in the odd sector, so
+    # dN/dc = -<phi', L_minus^(-1) phi'>; sector coordinates run over
+    # [0, 2T), so the dot is halved for the [0, T] functional
+    def spectral(prof, size):
+        spec = eigensolve(assemble(prof, "L_minus", "odd", size))
+        d = sector_coords(apply_multiplier(prof.field, derivative(T)), "odd",
+                          size)
+        y, deflated, _ = deflated_solve(prof, spec, d)
+        assert not deflated
+        return -0.5 * float(y @ d)
+
     for _, prof in (def15, def20):
         fd = stability_indices(prof)["dNdc"]["value"]
-        spectral = dndc_spectral(prof, 128)
-        assert spectral == pytest.approx(fd, rel=1e-6)
+        at_128 = spectral(prof, 128)
+        assert at_128 == pytest.approx(fd, rel=1e-6)
         # restriction converged: growing the sector does not move it
-        assert dndc_spectral(prof, 192) == pytest.approx(spectral, rel=1e-10)
+        assert spectral(prof, 192) == pytest.approx(at_128, rel=1e-10)
 
 
 def test_failed_sector_eigensolve_is_nonconvergence(def15, monkeypatch):
-    # dN/dc goes through spectrum.eigensolve, which maps LinAlgError
+    # spectrum.eigensolve maps LinAlgError to NonConvergence
+    op = assemble(def15[1], "L_minus", "odd", 128)
+
     def broken(matrix):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(NonConvergence, match="eigensolve"):
-        dndc_spectral(def15[1])
-
-
-@pytest.mark.parametrize("index, message", [(-1, "singular"),
-                                            (0, "deflated directions")])
-def test_dndc_spectral_rejects_near_kernel_odd_direction(def15, monkeypatch,
-                                                         index, message):
-    # Plant a zero odd L_minus eigenvalue.  phi' has no share along the top
-    # eigenvector, so that plant is the bare singular case; it leans on the
-    # ground direction, so that plant also puts it outside the range.
-    solve = dynamics.eigensolve
-
-    def planted(matrix):
-        spec = solve(matrix)
-        spec.eigenvalues[index] = 0.0
-        return spec
-
-    monkeypatch.setattr(dynamics, "eigensolve", planted)
-    with pytest.raises(InconsistentRange, match=message):
-        dndc_spectral(def15[1])
-
-
-def test_galilean_lattice_residual(def15, def20):
-    _, prof2 = def20
-    rep = galilean_residual(prof2)
-    assert rep["residual"] < 1e-10
-    assert rep["momentum_shift_defect"] == 0.0
-    assert rep["speed"] == pytest.approx(4.0 * np.pi / T)
-    # away from alpha = 2 the boosted field does not solve the equation
-    _, prof = def15
-    neg = galilean_residual(prof)
-    assert neg["residual"] > 0.1
-    assert neg["momentum_shift_defect"] == 0.0
+        eigensolve(op)
 
 
 def test_boost_arithmetic(def15):
     _, prof = def15
     f = prof.field
-    b = boost(f, 1)
+    b = oracles.boost(f, 1)
     assert charge(b) == pytest.approx(charge(f), rel=1e-14)
     shift = momentum(b) - momentum(f)
     assert shift == pytest.approx(-2.0 * np.pi * charge(f) / T, rel=1e-13)
-    back = boost(b, -1)
+    back = oracles.boost(b, -1)
     assert x_norm(back - f, 1.5) < 1e-14
-    assert boost(f, 0) is f
+    assert oracles.boost(f, 0) is f
 
 
 def test_boosted_profile_evolves_by_galilean_flow(def20):
     pars, prof = def20
     c = 4.0 * np.pi / T
-    w0 = boost(prof.field, 1)
+    w0 = oracles.boost(prof.field, 1)
     out = evolve(initial_state(w0, 1e-4), pars, prof.omega, steps=2000,
                  log_interval=2000)
     t = out.time
-    exact = boost(translate(prof.field, c * t), 1) * np.exp(-1j * c * c * t / 4.0)
+    exact = (oracles.boost(translate(prof.field, c * t), 1)
+             * np.exp(-1j * c * c * t / 4.0))
     assert x_norm(out.field - exact, 2.0) < 1e-7
     assert not out.flagged
 
@@ -417,7 +399,7 @@ def test_second_variation_matches_sector_route(def15):
     direct = second_variation_form(prof, v)
     assert direct == pytest.approx(sector_route, rel=1e-10)
     # constrained perturbations live above the projected minimum
-    quotient = direct / l2_norm(v) ** 2
+    quotient = direct / inner(v, v)
     assert quotient > 3.5
 
 

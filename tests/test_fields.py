@@ -9,17 +9,16 @@ from fnlslab.errors import (AntiperiodicityViolation, SamplingError,
                             ValidationError)
 import fnlslab.fields as fields
 from fnlslab.fields import (AntiperiodicField, GridSamples, analyze,
-                            apply_multiplier, conjugate, cosine_block,
-                            cosine_field, derivative, evaluate,
-                            even_mode_defect, fractional_laplacian,
-                            heat_semigroup, hilbert_transform, imag_part,
-                            lift, odd_wavenumbers, random_field, real_part,
-                            rotate_phase, synthesize, to_grid, to_modes,
-                            translate)
-from fnlslab.functionals import inner, l2_norm
+                            apply_multiplier, cosine_block, cosine_field,
+                            derivative, evaluate, fractional_laplacian,
+                            imag_part, lift, odd_wavenumbers, random_field,
+                            real_part, rotate_phase, synthesize, to_grid,
+                            to_modes, translate)
+from fnlslab.functionals import inner
+from fnlslab.params import EPS_REAL
 
-from oracles import (cosine_block_dense, direct_analysis, direct_synthesis,
-                     elliptic_field)
+from oracles import (conjugate_field, cosine_block_dense, direct_analysis,
+                     direct_synthesis, elliptic_field)
 
 T = np.pi
 RNG = np.random.default_rng(7)
@@ -83,9 +82,8 @@ def test_to_modes_flags_even_content():
     f = random_field(T, 8, RNG)
     g = to_grid(f, 64)
     polluted = GridSamples(T, g.values + 0.01 * np.cos(2 * np.pi * g.x / (2 * T) * 2))
-    assert even_mode_defect(polluted) > 1e-3
     with pytest.raises(AntiperiodicityViolation):
-        to_modes(polluted, 8)
+        to_modes(polluted, 8, tol=1e-3)
     # the defect is tolerated when asked to
     to_modes(polluted, 8, tol=0.5)
 
@@ -108,10 +106,9 @@ def test_odd_band_transforms_round_trip(n_modes, pad, decay, exponent, real,
                      real=real, scale=10.0 ** exponent)
     n = 2 * (f.max_wavenumber + 1) + 2 * pad
     g = to_grid(f, n)
-    back = to_modes(g, f.n_modes)
+    back = to_modes(g, f.n_modes, tol=_EVEN_DEFECT_TOL)
     assert np.array_equal(back.wavenumbers, f.wavenumbers)
     assert rel(back.coeff, f.coeff) < _ROUND_TRIP_TOL
-    assert even_mode_defect(g) < _EVEN_DEFECT_TOL
     # one even bin at 10^planted of the odd-bin l2 norm: the defect is at
     # least 10^-9 / sqrt(2), seven times EPS_ANTI = 1e-10
     j = 2 * (even_bin % (n // 2))
@@ -145,15 +142,15 @@ def test_cosine_field_values():
     f = cosine_field(T, a, n_modes=8)
     g = to_grid(f, 64)
     assert rel(g.values, a * np.cos(np.pi * g.x / T)) < 1e-13
-    assert f.is_real()
+    assert f.realness_defect() <= EPS_REAL
 
 
 def test_derivative_equals_hilbert_of_calderon():
-    # d/dx = H Lambda forces the Hilbert symbol i sign(k)
+    # d/dx = H Lambda with the Hilbert symbol i sign(k)
     f = random_field(T, 20, RNG)
     left = apply_multiplier(f, derivative(T))
     lam1 = apply_multiplier(f, fractional_laplacian(T, 1.0))
-    right = apply_multiplier(lam1, hilbert_transform())
+    right = lam1.with_coeff(1j * np.sign(lam1.wavenumbers) * lam1.coeff)
     assert rel(right.coeff, left.coeff) < 1e-13
 
 
@@ -172,18 +169,9 @@ def test_multiplier_symmetries():
 
 def test_real_fields_stay_real_under_real_symbol_operators():
     u = random_field(T, 12, RNG, real=True)
-    assert u.is_real()
-    for m in (fractional_laplacian(T, 1.3), heat_semigroup(T, 1.5, 0.4),
-              hilbert_transform()):
-        assert apply_multiplier(u, m).is_real()
-
-
-def test_heat_semigroup_composition():
-    u = random_field(T, 10, RNG)
-    one = apply_multiplier(apply_multiplier(u, heat_semigroup(T, 1.4, 0.3)),
-                           heat_semigroup(T, 1.4, 0.9))
-    two = apply_multiplier(u, heat_semigroup(T, 1.4, 1.2))
-    assert rel(one.coeff, two.coeff) < 1e-14
+    assert u.realness_defect() <= EPS_REAL
+    lam = apply_multiplier(u, fractional_laplacian(T, 1.3))
+    assert lam.realness_defect() <= EPS_REAL
 
 
 def test_translate_rotate_conjugate():
@@ -195,11 +183,12 @@ def test_translate_rotate_conjugate():
     r = rotate_phase(u, 1.1)
     assert rel(r.coeff, u.coeff * np.exp(1.1j)) == 0.0
 
-    cu = conjugate(u)
+    cu = conjugate_field(u)
     assert rel(to_grid(cu, 64).values, np.conj(to_grid(u, 64).values)) < 1e-13
 
     re, im = real_part(u), imag_part(u)
-    assert re.is_real() and im.is_real()
+    assert max(re.realness_defect(), im.realness_defect()) <= EPS_REAL
+    assert rel((re - 1j * im).coeff, cu.coeff) < 1e-13
     assert rel((re + 1j * im).coeff, u.coeff) < 1e-13
 
 
@@ -213,7 +202,7 @@ def test_lift_and_algebra():
     u = random_field(T, 4, RNG)
     v = random_field(T, 6, RNG)
     v16 = lift(v, 16)
-    assert l2_norm(v16 - v) == 0.0
+    assert not np.any((v16 - v).coeff)
     w = u + v
     assert w.n_modes == 6
     assert rel(to_grid(w, 64).values,

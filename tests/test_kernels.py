@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 import fnlslab.kernels as kernels
 from fnlslab.errors import (PositivityViolation, SamplingError, UnderResolved,
                             ValidationError)
-from fnlslab.fields import (apply_multiplier, heat_semigroup, random_field,
-                            real_part, to_grid)
+from fnlslab.fields import random_field, real_part, to_grid
 from fnlslab.kernels import (KernelSamples, kernel_ka, kernel_kp,
-                             kernel_sector, positivity_report,
-                             semigroup_positivity_probe)
+                             positivity_report)
 from oracles import (gaussian_lattice_kernel, pair_tensor_dense,
                      poisson_closed_form, poisson_lattice_kernel)
 
@@ -86,7 +84,8 @@ def test_semigroup_matches_kernel_quadrature():
     alpha, t = 1.5, 0.4
     f = real_part(random_field(T, 24, np.random.default_rng(7)))
     fvals = to_grid(f, n).values.real
-    out = to_grid(apply_multiplier(f, heat_semigroup(T, alpha, t)), n).values.real
+    heat = np.exp(-np.abs(np.pi * f.wavenumbers / T) ** alpha * t)
+    out = to_grid(f.with_coeff(f.coeff * heat), n).values.real
     off = offset(kernel_ka(alpha, T, t, n))
     h = 2 * T / n
     j = np.arange(n // 2)
@@ -123,10 +122,6 @@ def test_argument_validation():
         kernel_kp(1.5, -T, 0.5, 256)
     with pytest.raises(SamplingError):
         kernel_kp(1.5, T, 0.5, 250)
-    with pytest.raises(ValidationError):
-        kernel_sector(1.5, T, 0.5, 256, 0.0, "mixed")
-    with pytest.raises(ValidationError):
-        semigroup_positivity_probe(1.5, T, 0.5, trials=0)
 
 
 def test_positivity_report_margins_are_positive():
@@ -263,47 +258,6 @@ def test_pair_minima_coincide_under_half_period_shift():
     # a T shift; the two tensor minima are the same number
     rep = positivity_report(kernel_ka(1.3, T, 0.7, 512))
     assert rep["even_pair_min"] == pytest.approx(rep["odd_pair_min"], rel=1e-12)
-
-
-def test_sector_slice_matches_pair_combination():
-    n = 256
-    off = offset(kernel_ka(2.0, T, 0.5, n))
-    a = np.arange(n) - n // 2
-    for m, parity, sign in [(13, "even", 1.0), (13, "odd", -1.0), (0, "even", 1.0)]:
-        sec = kernel_sector(2.0, T, 0.5, n, 2 * T * m / n, parity)
-        manual = off[(a - m) % n] + sign * off[(a + m) % n]
-        assert np.array_equal(sec.grid, manual)
-        assert sec.kind == ("SectorEven" if parity == "even" else "SectorOdd")
-
-
-def test_sector_slice_requires_grid_aligned_y():
-    with pytest.raises(SamplingError, match="off-grid"):
-        kernel_sector(2.0, T, 0.5, 256, 0.1234, "even")
-
-
-def test_sector_slices_are_positive_where_certified():
-    n = 512
-    ka = kernel_ka(1.5, T, 0.5, n)
-    off = offset(ka)
-    step = 2 * T / n
-    for m in (4, 40, 120):
-        even = kernel_sector(1.5, T, 0.5, n, m * step, "even")
-        inside = np.abs(even.x) < 0.5 * T - step
-        assert np.min(even.grid[inside]) > 0
-        odd = kernel_sector(1.5, T, 0.5, n, m * step, "odd")
-        xc = np.mod(even.x, 2 * T)
-        inside = (xc > step) & (xc < T - step)
-        assert np.min(odd.grid[inside]) > 0
-
-
-def test_semigroup_probe_reports_positive_minima():
-    rep = semigroup_positivity_probe(1.5, T, 0.5, trials=25, seed=3)
-    assert rep["trials"] == 25
-    assert rep["even_min"] > 0
-    assert rep["odd_min"] > 0
-    # deterministic under the seed
-    again = semigroup_positivity_probe(1.5, T, 0.5, trials=25, seed=3)
-    assert again == rep
 
 
 def test_kernel_samples_are_read_only():

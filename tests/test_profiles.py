@@ -9,14 +9,14 @@ import pytest
 
 from fnlslab.errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                             SpeedOutOfRange, ValidationError)
-from fnlslab.fields import (conjugate, random_field, rotate_phase, to_grid,
-                            translate, zero_field)
+from fnlslab.fields import (GridSamples, random_field, rotate_phase, to_grid,
+                            to_modes, translate, zero_field)
 from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
 from fnlslab.params import ProblemParams
-from fnlslab.profiles import (StandingProfile, continue_in, evenness_defect,
-                              family_pair, gauge_fix, profile_residual,
-                              recovered_omega, solve_defocusing, solve_focusing)
+from fnlslab.profiles import (StandingProfile, continue_in, family_pair,
+                              gauge_fix, profile_residual, recovered_omega,
+                              solve_defocusing, solve_focusing)
 import oracles
 
 T = np.pi
@@ -28,6 +28,14 @@ def defoc(alpha=1.5, sigma=1.0):
 
 def foc(alpha=1.5, sigma=1.0):
     return ProblemParams(alpha=alpha, sigma=sigma, gamma=1, half_period=T)
+
+
+def evenness_defect(f):
+    """sup |f(x) - f(-x)| / sup |f| on a grid."""
+    g = to_grid(f, max(64, 8 * f.n_modes))
+    flip = np.roll(g.values[::-1], 1)  # values at -x_j on the same grid
+    scale = np.max(np.abs(g.values))
+    return float(np.max(np.abs(g.values - flip)) / max(scale, 1e-300))
 
 
 # --- closed-form elliptic oracles (alpha = 2, sigma = 1) --------------------
@@ -143,10 +151,11 @@ def test_minimizer_optimality_constrained_perturbations_focusing():
     prof = solve_focusing(p, omega=0.4, p0=1.0, n_modes=32)
     u = prof.field
     sig = p.sigma
-    # perturb orthogonally to the potential-constraint gradient, then
-    # rescale back onto the P level set
-    from fnlslab.functionals import nonlinear_term
-    g_p = nonlinear_term(u, sig).coeff
+    # perturb orthogonally to the potential-constraint gradient
+    # |u|^(2 sigma) u, then rescale back onto the P level set
+    vals = to_grid(u, 256).values
+    g_p = to_modes(GridSamples(T, np.abs(vals) ** (2.0 * sig) * vals),
+                   u.n_modes).coeff
     base = quadratic_energy(u, prof.omega, p.alpha)
     p_level = prof.p0
     rng = np.random.default_rng(20240818)
@@ -211,7 +220,8 @@ def test_conjugation_symmetry_across_speed_sign():
     p = defoc()
     gp = gauge_fix(solve_defocusing(p, c=+0.05, mu=1.0, n_modes=48))
     gm = gauge_fix(solve_defocusing(p, c=-0.05, mu=1.0, n_modes=48))
-    assert np.max(np.abs(gm.field.coeff - conjugate(gp.field).coeff)) < 1e-10
+    mirror = oracles.conjugate_field(gp.field)
+    assert np.max(np.abs(gm.field.coeff - mirror.coeff)) < 1e-10
 
 
 def test_momentum_odd_in_speed_and_nonzero():
