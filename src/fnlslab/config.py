@@ -1,16 +1,12 @@
 """Run configuration: INI grammar, window validation, defaults.
 
-Grammar: standard INI sections. `[problem]` is required and carries
-alpha, sigma, gamma, half_period.  Everything else is optional:
-
-    [run]        command, seed, out
-    [solver]     c, mu, omega, p0, n_modes, tol
-    [grid]       n_grid, sector_size
-    [kernels]    alpha, times, n          (times: comma list, units of (T/pi)^alpha)
-    [evolve]     dt, steps, log_interval
-    [sweep]      parameter, target, steps
-    [stability]  horizon_periods, dt, epsilons, log_interval
-    [rearrange]  trials, n_modes, n_grid
+Grammar: standard INI sections.  `[problem]` is required and carries
+alpha, sigma, gamma, half_period; every other section and key is
+optional.  Each key's kind, default and window is declared once, in
+`_KEYS`.  A window is a (condition, rule) pair reported as
+"<section>.<key> must <rule>"; `parse_config` writes out only the checks
+that involve another value or quote the bad one.  kernels.times is a
+comma list in units of (T/pi)^alpha.
 
 Validation collects every violation before raising, so a config with
 three bad windows reports all three at once.  Malformed INI text raises
@@ -21,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from copy import copy
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
@@ -29,17 +26,61 @@ from .params import TOL_PROFILE, ProblemParams
 COMMANDS = ("solve", "spectrum", "kernels", "rearrange", "evolve",
             "sweep", "report")
 
-_SECTIONS = {
-    "problem": ("alpha", "sigma", "gamma", "half_period"),
-    "run": ("command", "seed", "out"),
-    "solver": ("c", "mu", "omega", "p0", "n_modes", "tol"),
-    "grid": ("n_grid", "sector_size"),
-    "kernels": ("alpha", "times", "n"),
-    "evolve": ("dt", "steps", "log_interval"),
-    "sweep": ("parameter", "target", "steps"),
-    "stability": ("horizon_periods", "dt", "epsilons", "log_interval"),
-    "rearrange": ("trials", "n_modes", "n_grid"),
+
+def _range(lo, hi, step=1):
+    """Window of the integers in [lo, hi] that are multiples of step."""
+    rule = f"lie in [{lo}, {hi}]" if step == 1 else \
+        f"be a multiple of {step} in [{lo}, {hi}]"
+    return (lambda v: lo <= v <= hi and v % step == 0, rule)
+
+
+_POSITIVE = (lambda v: v > 0, "be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
+
+# section -> key -> (kind, default, window or None); [problem] windows
+# also quote the value, and a [problem] key without a value is required
+_KEYS = {
+    "problem": {"alpha": (float, None, (lambda v: 1.0 < v <= 2.0, "lie in (1, 2]")),
+                "sigma": (float, None, (lambda v: v > 0.0, "lie in (0, inf)")),
+                "gamma": (int, None, (lambda v: v in (-1, 1), "lie in {-1, +1}")),
+                "half_period": (float, None, (lambda v: v > 0.0, "lie in (0, inf)"))},
+    "run": {"command": (str, None, None),
+            "seed": (int, 0, (lambda v: v >= 0, "be nonnegative")),
+            "out": (str, None, None)},
+    "solver": {"c": (float, 0.0, None), "mu": (float, 1.0, _POSITIVE),
+               "omega": (float, None, None), "p0": (float, 1.0, _POSITIVE),
+               "n_modes": (int, 48, _range(4, 1024)),
+               "tol": (float, TOL_PROFILE, (lambda v: 0 < v <= 1e-3, "lie in (0, 1e-3]"))},
+    "grid": {"n_grid": (int, 1024, _range(8, 65536, 4)),
+             "sector_size": (int, 128, _range(8, 4096))},
+    # kernels.alpha falls back to problem.alpha at dispatch time
+    "kernels": {"alpha": (float, None, (lambda v: 0.0 < v <= 2.0, "lie in (0, 2]")),
+                "times": (list, [0.1, 1.0, 10.0],
+                          (lambda ts: all(t > 0 for t in ts), "all be positive")),
+                "n": (int, 1024, _range(8, 16384, 4))},
+    "evolve": {"dt": (float, 1e-4, _POSITIVE), "steps": (int, 10000, _AT_LEAST_1),
+               "log_interval": (int, 1000, _AT_LEAST_1)},
+    "sweep": {"parameter": (str, None, None), "target": (float, None, None),
+              "steps": (int, 8, _range(1, 10000))},
+    "stability": {"horizon_periods": (float, 100.0, _POSITIVE),
+                  "dt": (float, 1e-3, _POSITIVE),
+                  "epsilons": (list, [1e-4, 1e-3],
+                               (lambda es: all(0 < e <= 1e-2 for e in es), "lie in (0, 1e-2]")),
+                  "log_interval": (int, 2000, _AT_LEAST_1)},
+    "rearrange": {"trials": (int, 100, _range(1, 100000)),
+                  "n_modes": (int, 16, _range(1, 1024)),
+                  "n_grid": (int, 1024, _range(8, 65536, 4))},
 }
+
+_SECTIONS = {section: tuple(keys) for section, keys in _KEYS.items()}
+
+
+def _violation(section, key, val):
+    """The message if val lies outside section.key's window, else None."""
+    window = _KEYS[section][key][2]
+    if val is not None and window is not None and not window[0](val):
+        return f"{section}.{key} must {window[1]}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -68,6 +109,8 @@ class RunConfig:
             kw["command"] = command
         if seed is not None:
             kw["seed"] = int(seed)
+            if msg := _violation("run", "seed", kw["seed"]):
+                raise ValidationError(msg)
         if out is not None:
             kw["out"] = out
         return replace(self, **kw) if kw else self
@@ -83,7 +126,7 @@ class _Collector:
     def note(self, msg):
         self.problems.append(msg)
 
-    def get(self, section, key, kind, default=None):
+    def get(self, section, key, kind, default):
         if not self.parser.has_option(section, key):
             return default
         raw = self.parser.get(section, key).strip()
@@ -96,7 +139,10 @@ class _Collector:
                     raise ValueError
                 return int(val)
             if kind is list:
-                return [_finite(tok) for tok in raw.split(",") if tok.strip()]
+                vals = [_finite(tok) for tok in raw.split(",") if tok.strip()]
+                if not vals:
+                    raise ValueError
+                return vals
             return raw
         except ValueError:
             noun = {float: "a finite number", int: "an integer",
@@ -111,11 +157,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(val):
         raise ValueError(text)
     return val
-
-
-def _window(col, cond, msg):
-    if not cond:
-        col.note(msg)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -150,147 +191,46 @@ def parse_config(text: str) -> RunConfig:
         col.note("missing required section [problem]")
         raise ValidationError(_summary(col.problems))
 
-    alpha = col.get("problem", "alpha", float)
-    sigma = col.get("problem", "sigma", float)
-    gamma = col.get("problem", "gamma", int)
-    half_period = col.get("problem", "half_period", float)
-    fine = True
-    for name, val, good, window in (
-            ("alpha", alpha, lambda v: 1.0 < v <= 2.0, "(1, 2]"),
-            ("sigma", sigma, lambda v: v > 0.0, "(0, inf)"),
-            ("gamma", gamma, lambda v: v in (-1, 1), "{-1, +1}"),
-            ("half_period", half_period, lambda v: v > 0.0, "(0, inf)")):
-        if val is None:
-            if not parser.has_option("problem", name):
-                col.note(f"problem.{name} is required")
-            fine = False
-        elif not good(val):
-            col.note(f"problem.{name} must lie in {window}, got {val}")
-            fine = False
-    problem = ProblemParams(alpha=alpha, sigma=sigma, gamma=gamma,
-                            half_period=half_period) if fine else None
-
-    command = col.get("run", "command", str)
-    if command is not None and command not in COMMANDS:
-        col.note(f"run.command must be one of {', '.join(COMMANDS)}, "
-                 f"got {command!r}")
-    seed = col.get("run", "seed", int, 0)
-    out = col.get("run", "out", str)
-    _window(col, seed is None or seed >= 0, "run.seed must be nonnegative")
-
-    solver = {
-        "c": col.get("solver", "c", float, 0.0),
-        "mu": col.get("solver", "mu", float, 1.0),
-        "omega": col.get("solver", "omega", float),
-        "p0": col.get("solver", "p0", float, 1.0),
-        "n_modes": col.get("solver", "n_modes", int, 48),
-        "tol": col.get("solver", "tol", float, TOL_PROFILE),
-    }
-    if problem is not None and solver["c"] is not None:
-        _window(col, abs(solver["c"]) < problem.speed_limit,
-                f"solver.c must satisfy |c| < (pi/T)^(alpha-1) = "
-                f"{problem.speed_limit:.9g}, got {solver['c']}")
-    _window(col, solver["mu"] is None or solver["mu"] > 0,
-            "solver.mu must be positive")
-    _window(col, solver["p0"] is None or solver["p0"] > 0,
-            "solver.p0 must be positive")
-    _window(col, solver["n_modes"] is None or 4 <= solver["n_modes"] <= 1024,
-            "solver.n_modes must lie in [4, 1024]")
-    _window(col, solver["tol"] is None or 0 < solver["tol"] <= 1e-3,
-            "solver.tol must lie in (0, 1e-3]")
-
-    grid = {
-        "n_grid": col.get("grid", "n_grid", int, 1024),
-        "sector_size": col.get("grid", "sector_size", int, 128),
-    }
-    _window(col, grid["n_grid"] is None or
-            (8 <= grid["n_grid"] <= 65536 and grid["n_grid"] % 4 == 0),
-            "grid.n_grid must be a multiple of 4 in [8, 65536]")
-    _window(col, grid["sector_size"] is None or 8 <= grid["sector_size"] <= 4096,
-            "grid.sector_size must lie in [8, 4096]")
-
-    # kernels.alpha falls back to problem.alpha at dispatch time
-    kernels = {
-        "alpha": col.get("kernels", "alpha", float),
-        "times": col.get("kernels", "times", list, [0.1, 1.0, 10.0]),
-        "n": col.get("kernels", "n", int, 1024),
-    }
-    _window(col, kernels["alpha"] is None or 0.0 < kernels["alpha"] <= 2.0,
-            "kernels.alpha must lie in (0, 2]")
-    _window(col, kernels["times"] is None or
-            all(t > 0 for t in kernels["times"]),
-            "kernels.times must all be positive")
-    _window(col, kernels["n"] is None or
-            (8 <= kernels["n"] <= 16384 and kernels["n"] % 4 == 0),
-            "kernels.n must be a multiple of 4 in [8, 16384]")
-
-    evolve = {
-        "dt": col.get("evolve", "dt", float, 1e-4),
-        "steps": col.get("evolve", "steps", int, 10000),
-        "log_interval": col.get("evolve", "log_interval", int, 1000),
-    }
-    _window(col, evolve["dt"] is None or evolve["dt"] > 0,
-            "evolve.dt must be positive")
-    _window(col, evolve["steps"] is None or evolve["steps"] >= 1,
-            "evolve.steps must be at least 1")
-    _window(col, evolve["log_interval"] is None or evolve["log_interval"] >= 1,
-            "evolve.log_interval must be at least 1")
-
-    sweep = {
-        "parameter": col.get("sweep", "parameter", str),
-        "target": col.get("sweep", "target", float),
-        "steps": col.get("sweep", "steps", int, 8),
-    }
-    if sweep["parameter"] is None and problem is not None:
-        sweep["parameter"] = "c" if problem.gamma == -1 else "omega"
-    _window(col, sweep["parameter"] in (None, "c", "mu", "omega"),
-            f"sweep.parameter must be c, mu, or omega, got {sweep['parameter']!r}")
-    if problem is not None and sweep["parameter"] == "c" and \
-            sweep["target"] is not None:
-        _window(col, abs(sweep["target"]) < problem.speed_limit,
-                f"sweep.target must satisfy |c| < {problem.speed_limit:.9g}, "
-                f"got {sweep['target']}")
-    _window(col, sweep["steps"] is None or sweep["steps"] >= 1,
-            "sweep.steps must be at least 1")
-
-    stability = {
-        "horizon_periods": col.get("stability", "horizon_periods", float, 100.0),
-        "dt": col.get("stability", "dt", float, 1e-3),
-        "epsilons": col.get("stability", "epsilons", list, [1e-4, 1e-3]),
-        "log_interval": col.get("stability", "log_interval", int, 2000),
-    }
-    _window(col, stability["horizon_periods"] is None or
-            stability["horizon_periods"] > 0,
-            "stability.horizon_periods must be positive")
-    _window(col, stability["dt"] is None or stability["dt"] > 0,
-            "stability.dt must be positive")
-    _window(col, stability["epsilons"] is None or
-            all(0 < e <= 1e-2 for e in stability["epsilons"]),
-            "stability.epsilons must lie in (0, 1e-2]")
-    _window(col, stability["log_interval"] is None or
-            stability["log_interval"] >= 1,
-            "stability.log_interval must be at least 1")
-
-    rearrange = {
-        "trials": col.get("rearrange", "trials", int, 100),
-        "n_modes": col.get("rearrange", "n_modes", int, 16),
-        "n_grid": col.get("rearrange", "n_grid", int, 1024),
-    }
-    _window(col, rearrange["trials"] is None or 1 <= rearrange["trials"] <= 100000,
-            "rearrange.trials must lie in [1, 100000]")
-    _window(col, rearrange["n_modes"] is None or 1 <= rearrange["n_modes"] <= 1024,
-            "rearrange.n_modes must lie in [1, 1024]")
-    _window(col, rearrange["n_grid"] is None or
-            (8 <= rearrange["n_grid"] <= 65536 and rearrange["n_grid"] % 4 == 0),
-            "rearrange.n_grid must be a multiple of 4 in [8, 65536]")
+    # each section is read whole and then checked, except that run.command
+    # is checked as soon as it is read, before run.seed
+    values, problem = {}, None
+    for section, keys in _KEYS.items():
+        before = len(col.problems)
+        got = values[section] = {}
+        for key, (kind, default, _) in keys.items():
+            got[key] = col.get(section, key, kind, copy(default))
+            if key == "command" and got[key] not in (None, *COMMANDS):
+                col.note(f"run.command must be one of {', '.join(COMMANDS)}, "
+                         f"got {got[key]!r}")
+        if section == "solver" and problem is not None and \
+                not abs(got["c"]) < problem.speed_limit:
+            col.note(f"solver.c must satisfy |c| < (pi/T)^(alpha-1) = "
+                     f"{problem.speed_limit:.9g}, got {got['c']}")
+        if section == "sweep":
+            if got["parameter"] is None and problem is not None:
+                got["parameter"] = "c" if problem.gamma == -1 else "omega"
+            if got["parameter"] not in (None, "c", "mu", "omega"):
+                col.note(f"sweep.parameter must be c, mu, or omega, "
+                         f"got {got['parameter']!r}")
+            if problem is not None and got["parameter"] == "c" and \
+                    got["target"] is not None and \
+                    not abs(got["target"]) < problem.speed_limit:
+                col.note(f"sweep.target must satisfy |c| < "
+                         f"{problem.speed_limit:.9g}, got {got['target']}")
+        for key, val in got.items():
+            if section == "problem" and val is None and \
+                    not parser.has_option(section, key):
+                col.note(f"problem.{key} is required")
+            elif msg := _violation(section, key, val):
+                col.note(msg + (f", got {val}" if section == "problem" else ""))
+        if section == "problem" and len(col.problems) == before:
+            problem = ProblemParams(**got)
 
     if col.problems:
         raise ValidationError(_summary(col.problems))
 
-    return RunConfig(problem=problem, command=command, seed=seed, out=out,
-                     solver=solver, grid=grid, kernels=kernels, evolve=evolve,
-                     sweep=sweep, stability=stability, rearrange=rearrange,
-                     echo=text)
+    del values["problem"]
+    return RunConfig(problem=problem, **values.pop("run"), **values, echo=text)
 
 
 def _summary(problems) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import _SECTIONS, RunConfig
 from .errors import ValidationError
 from .params import EPS_ANTI, EPS_FFT, EPS_REAL
 
@@ -66,7 +66,6 @@ def load_schema() -> dict:
 def report_dict(bundle: ResultBundle) -> dict:
     """Schema-shaped report; raises ValidationError if it does not fit."""
     cfg = bundle.config
-    prob = cfg.problem
     obj = {
         "schema": SCHEMA_NAME,
         "command": bundle.command,
@@ -80,21 +79,9 @@ def report_dict(bundle: ResultBundle) -> dict:
                 "profile_tol": float(cfg.solver["tol"]),
             },
         },
-        "config": {
-            "problem": {
-                "alpha": prob.alpha,
-                "sigma": prob.sigma,
-                "gamma": prob.gamma,
-                "half_period": prob.half_period,
-            },
-            "solver": _pyify(cfg.solver),
-            "grid": _pyify(cfg.grid),
-            "kernels": _pyify(cfg.kernels),
-            "evolve": _pyify(cfg.evolve),
-            "sweep": _pyify(cfg.sweep),
-            "stability": _pyify(cfg.stability),
-            "rearrange": _pyify(cfg.rearrange),
-        },
+        "config": {name: _pyify(vars(cfg.problem) if name == "problem" else
+                                getattr(cfg, name))
+                   for name in _SECTIONS if name != "run"},
         "results": _pyify(bundle.results),
     }
     # imported on first use: it is a large share of `import fnlslab`

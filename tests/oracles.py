@@ -116,13 +116,6 @@ def snoidal_charge(m, half_period):
     return 0.5 * val
 
 
-def cnoidal_potential(m, half_period, sigma=1.0):
-    val, err = quad(lambda x: np.abs(cnoidal_values(x, m, half_period)) ** (2 * sigma + 2),
-                    0.0, half_period, limit=400, epsabs=1e-13, epsrel=1e-13)
-    assert err < 1e-10
-    return val / (2.0 * sigma + 2.0)
-
-
 # --- finite-difference discretization of -d^2/dx^2 + V with antiperiodic
 # boundary conditions on [0, T): the wrap-around entries flip sign.
 
@@ -222,16 +215,6 @@ def pair_tensor_dense(off, parity):
     if parity == "even":
         return off[diff] + off[summ], idx
     return off[diff] - off[summ], idx
-
-
-# --- brute-force functional evaluations on fine grids.
-
-
-def brute_charge(field, n=16384):
-    """Q by trapezoid on a fine grid using direct synthesis."""
-    vals = direct_synthesis(field.wavenumbers, field.coeff, field.half_period, n)
-    dx = 2.0 * field.half_period / n
-    return 0.25 * float(np.sum(np.abs(vals) ** 2)) * dx  # half of the 2T integral, halved again
 
 
 def strang_reference(coeff, k, half_period, params, omega, dt, steps,

@@ -356,6 +356,21 @@ def test_main_huge_sector_size_exits_2(tmp_path, capsys):
     assert "grid.sector_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rearrange", "solve"])
+def test_main_negative_seed_flag_exits_2_before_any_work(tmp_path, capsys,
+                                                         command):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE)
+    out = tmp_path / "o"
+    rc = cli.main(["--config", str(cfg), "--command", command,
+                   "--seed", "-3", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: run.seed must be nonnegative\n"
+    assert captured.out == ""
+    assert not (out / "report.json").exists()
+
+
 def test_main_rejects_run_workers_key(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(BASE + "\n[run]\nworkers = 2\n")

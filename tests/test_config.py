@@ -1,6 +1,9 @@
 """INI config parsing: defaults, parameter windows, violation collection,
 and line-numbered parse errors."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,11 +201,21 @@ def test_non_finite_values_rejected_by_key(extra, key):
         parse_config(MINIMAL + extra)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("kernels", "times"), ("stability", "epsilons"),
+])
+def test_empty_lists_rejected_by_key(section, key):
+    # a list with no numbers would certify nothing, so it is a failed read
+    with pytest.raises(ValidationError, match=f"{section}.{key} must be a "
+                       "comma-separated list of finite numbers, got ','"):
+        parse_config(MINIMAL + f"\n[{section}]\n{key} = ,\n")
+
+
 @pytest.mark.parametrize("section, key, cap", [
     ("solver", "n_modes", 1024), ("grid", "n_grid", 65536),
     ("grid", "sector_size", 4096), ("kernels", "n", 16384),
     ("rearrange", "n_modes", 1024), ("rearrange", "n_grid", 65536),
-    ("rearrange", "trials", 100000),
+    ("rearrange", "trials", 100000), ("sweep", "steps", 10000),
 ])
 def test_integer_sizes_have_upper_windows(section, key, cap):
     # every size key accepts its cap and names itself above it, so a huge
@@ -221,6 +234,20 @@ def test_non_finite_half_period_listed_with_other_problems():
     message = str(exc.value)
     assert "2 problem(s)" in message
     assert "problem.half_period" in message and "solver.mu" in message
+
+
+def test_readme_config_table_matches_keys():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `\[(\w+)\]` *\| (.*) \|$",
+                      text.split("| section", 1)[1].split("\n\n", 1)[0], re.M)
+    keys = {}
+    for section, cell in rows:
+        # drop bracketed defaults, innermost first, so only key names remain
+        while (bare := re.sub(r"[(\[][^()\[\]]*[)\]]", "", cell)) != cell:
+            cell = bare
+        keys[section] = tuple(re.findall(r"`(\w+)`", cell))
+    assert keys == {name: names for name, names in _SECTIONS.items()
+                    if name != "problem"}
 
 
 _KEYS = {**{name: keys + ("bogus",) for name, keys in _SECTIONS.items()},
