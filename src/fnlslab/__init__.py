@@ -9,10 +9,10 @@ inequalities, and split-step time evolution with orbital-distance tracking.
 """
 
 from .params import ProblemParams, EPS_ANTI, EPS_FFT, EPS_REAL, MAX_ITER, TOL_PROFILE
-from .fields import (AntiperiodicField, GridSamples, Multiplier, apply_multiplier,
-                     cosine_field, derivative, evaluate, fractional_laplacian,
-                     imag_part, lift, odd_wavenumbers, random_field, real_part,
-                     rotate_phase, to_grid, to_modes, translate, zero_field)
+from .fields import (AntiperiodicField, GridSamples, cosine_field, derivative,
+                     evaluate, fractional_laplacian, imag_part, lift,
+                     odd_wavenumbers, random_field, real_part, rotate_phase,
+                     to_grid, to_modes, translate, zero_field)
 from .functionals import (charge, hamiltonian, inner, kinetic, momentum,
                           moving_frame_energy, potential, quadratic_energy,
                           x_norm)
@@ -30,7 +30,7 @@ from .dynamics import (EvolutionState, StabilityReport, coercivity_check,
                        orbital_distance, second_variation_form,
                        stability_experiment, stability_indices)
 from .config import COMMANDS, RunConfig, parse_config
-from .reports import ResultBundle, emit, load_schema, render_report, report_dict
+from .reports import ResultBundle, emit, render_report, report_dict
 from .cli import main, run
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .kernels import kernel_ka, kernel_kp, positivity_report
 from .profiles import continue_in, gauge_fix, solve_defocusing, solve_focusing
 from .rearrange import polya_szego_check, potential_ordering_check
 from .reports import ResultBundle, emit
-from .spectrum import _nondegeneracy_report, sector_spectra
+from .spectrum import _nondegeneracy_report, jordan_structure, sector_spectra
 
 
 def _solve_profile(config: RunConfig):
@@ -87,8 +88,7 @@ def _cmd_spectrum(config: RunConfig) -> ResultBundle:
     prof = _solve_profile(config)
     size = config.grid["sector_size"]
     spectra = sector_spectra(prof, size)
-    rep = _nondegeneracy_report(prof, spectra,
-                                include_jordan=config.problem.gamma == -1)
+    rep = _nondegeneracy_report(prof, spectra)
     eig_rows, fun_rows = [], []
     grounds = {}
     for (which, sector), spec in sorted(spectra.items()):
@@ -110,8 +110,8 @@ def _cmd_spectrum(config: RunConfig) -> ResultBundle:
         "gs_ordering": rep.gs_ordering,
         "sector_grounds": grounds,
     }
-    if rep.jordan is not None:
-        results["jordan"] = rep.jordan
+    if config.problem.gamma == -1:
+        results["jordan"] = jordan_structure(prof)
     results["profile"] = _profile_scalars(prof, config)
     return ResultBundle(
         config=config, command="spectrum", results=results,
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
 
     try:
         try:
-            text = open(args.config, encoding="utf-8").read()
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ValidationError(f"cannot read config: {exc}") from exc
         config = parse_config(text).with_overrides(

@@ -40,8 +40,8 @@ from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
-from .fields import (AntiperiodicField, analyze, evaluate, lift, random_field,
-                     synthesize, to_grid, translate)
+from .fields import (AntiperiodicField, analyze, derivative, evaluate, lift,
+                     random_field, synthesize, to_grid, translate)
 from .functionals import charge, inner, momentum, x_norm
 from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
 from .profiles import StandingProfile, _refine_peak, family_pair
@@ -303,10 +303,6 @@ def _project_off(v: AntiperiodicField, directions) -> AntiperiodicField:
     return v
 
 
-def _derivative_field(f: AntiperiodicField) -> AntiperiodicField:
-    return f.with_coeff(f.coeff * (1j * np.pi * f.wavenumbers / f.half_period))
-
-
 def n_preserving_perturbation(profile: StandingProfile, epsilon: float,
                               rng: np.random.Generator) -> AntiperiodicField:
     """Random perturbation v with N(phi + v) = 0 exactly and ||v||_X ~ epsilon.
@@ -320,7 +316,7 @@ def n_preserving_perturbation(profile: StandingProfile, epsilon: float,
         raise ValidationError(
             f"perturbation size must lie in (0, 1e-2], got {epsilon}")
     phi = profile.field
-    dphi = _derivative_field(phi)
+    dphi = derivative(phi)
     tangents = (phi, phi * 1j, dphi, dphi * 1j)
     v = _project_off(random_field(phi.half_period, phi.n_modes, rng), tangents)
     v = v * (epsilon / x_norm(v, profile.params.alpha))
@@ -430,7 +426,7 @@ def coercivity_check(profile: StandingProfile, size: int = 128) -> dict:
     empirical stability runs (the L2-quotient version of the lemma).
     """
     p_even = sector_coords(profile.field, "even", size)
-    d_odd = sector_coords(_derivative_field(profile.field), "odd", size)
+    d_odd = sector_coords(derivative(profile.field), "odd", size)
     out = {}
     for which in ("L_plus", "L_minus"):
         for sector, q in (("even", p_even), ("odd", d_odd)):

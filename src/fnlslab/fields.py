@@ -15,7 +15,6 @@ conj(c_k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -130,22 +129,6 @@ class GridSamples:
         return self.values.real.copy()
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Fourier multiplier: field coefficients are scaled by symbol(k).
-
-    The symbol is a vectorized map from odd integer wavenumbers to
-    complex factors.  Self-adjointness on the 2T torus is equivalent to
-    the symbol being real; skew terms come from odd imaginary symbols.
-    """
-
-    name: str
-    symbol: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, k: np.ndarray) -> np.ndarray:
-        return np.asarray(self.symbol(np.asarray(k)), dtype=np.complex128)
-
-
 def synthesize(coeff: np.ndarray, bins, n: int) -> np.ndarray:
     """Samples on the n-point grid of coefficients placed at FFT `bins`.
 
@@ -233,28 +216,15 @@ def to_modes(g: GridSamples, n_modes: int | None = None,
     return AntiperiodicField(g.half_period, k, spec[k % n])
 
 
-def apply_multiplier(f: AntiperiodicField, m: Multiplier) -> AntiperiodicField:
-    return f.with_coeff(f.coeff * m(f.wavenumbers))
+def derivative(f: AntiperiodicField) -> AntiperiodicField:
+    """f', the Fourier multiplier i pi k / T."""
+    return f.with_coeff(f.coeff * (1j * (np.pi / f.half_period) * f.wavenumbers))
 
 
-def fractional_laplacian(half_period: float, alpha: float) -> Multiplier:
-    """Symbol |pi k / T|^alpha (the Calderon operator to the power alpha)."""
-    w = np.pi / half_period
-
-    def symbol(k):
-        return np.abs(w * k) ** alpha
-
-    return Multiplier(f"lambda^{alpha}", symbol)
-
-
-def derivative(half_period: float) -> Multiplier:
-    """Symbol i pi k / T."""
-    w = np.pi / half_period
-
-    def symbol(k):
-        return 1j * w * k
-
-    return Multiplier("d/dx", symbol)
+def fractional_laplacian(f: AntiperiodicField, alpha: float) -> AntiperiodicField:
+    """Lambda^alpha f, the Fourier multiplier |pi k / T|^alpha."""
+    w = np.pi / f.half_period
+    return f.with_coeff(f.coeff * np.abs(w * f.wavenumbers) ** alpha)
 
 
 def evaluate(f: AntiperiodicField, x: np.ndarray) -> np.ndarray:

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import (ChainDoesNotTerminate, InconsistentRange, NonConvergence,
                      ProfileNotReal, SpectralGapTooSmall, ValidationError)
-from .fields import (AntiperiodicField, apply_multiplier, cosine_block,
-                     derivative, fractional_laplacian, imag_part, synthesize,
-                     to_grid)
+from .fields import (AntiperiodicField, cosine_block, derivative,
+                     fractional_laplacian, imag_part, synthesize, to_grid)
 from .functionals import _default_grid, charge, momentum
 from .params import EPS_REAL, FD_STEP, TOL_DEFLATE
 from .profiles import family_pair
@@ -84,7 +83,6 @@ class NondegeneracyReport:
     ker_alignments: dict
     second_eigenfunction_sign_changes: dict
     gs_ordering: dict
-    jordan: dict | None
 
 
 def _require_real_resting(profile) -> None:
@@ -258,8 +256,7 @@ def _potential_premise(v: np.ndarray) -> str:
     return "none"
 
 
-def nondegeneracy_check(profile, size: int,
-                        include_jordan: bool = False) -> NondegeneracyReport:
+def nondegeneracy_check(profile, size: int) -> NondegeneracyReport:
     """Kernel, Morse-index, and sign-structure certification.
 
     Checks, per operator over the sector union: exactly one near-zero
@@ -269,12 +266,10 @@ def nondegeneracy_check(profile, size: int,
     of the second sector eigenfunctions; ground-state ordering consistent
     with the monotonicity of the potential on (0, T/2).
     """
-    return _nondegeneracy_report(
-        profile, sector_spectra(profile, size), include_jordan)
+    return _nondegeneracy_report(profile, sector_spectra(profile, size))
 
 
-def _nondegeneracy_report(profile, spectra: dict,
-                          include_jordan: bool) -> NondegeneracyReport:
+def _nondegeneracy_report(profile, spectra: dict) -> NondegeneracyReport:
     """The checks of nondegeneracy_check on spectra already computed."""
     _require_real_resting(profile)
     size = spectra[("L_plus", "even")].size
@@ -283,7 +278,7 @@ def _nondegeneracy_report(profile, spectra: dict,
             f"sector size {size} below the profile band {profile.field.n_modes}")
     pars = profile.params
     phi_cos = sector_coords(profile.field, "even", size)
-    dphi = apply_multiplier(profile.field, derivative(pars.half_period))
+    dphi = derivative(profile.field)
     dphi_sin = sector_coords(dphi, "odd", size)
     generator = {"L_plus": ("odd", dphi_sin), "L_minus": ("even", phi_cos)}
 
@@ -348,13 +343,12 @@ def _nondegeneracy_report(profile, spectra: dict,
     ker_minus = float(np.linalg.norm(a_minus_even @ phi_cos)
                       / np.linalg.norm(phi_cos))
 
-    jordan = jordan_structure(profile) if include_jordan else None
     return NondegeneracyReport(
         morse_plus=morse["L_plus"], morse_minus=morse["L_minus"],
         ker_plus_residual=ker_plus, ker_minus_residual=ker_minus,
         ker_alignments=alignments,
         second_eigenfunction_sign_changes=sign_counts,
-        gs_ordering=ordering, jordan=jordan)
+        gs_ordering=ordering)
 
 
 def _apply_on_grid(profile, which: str, w: AntiperiodicField,
@@ -369,7 +363,7 @@ def _apply_on_grid(profile, which: str, w: AntiperiodicField,
     pars = profile.params
     n = max(n, 2 * (w.max_wavenumber + 1), 2 * (profile.field.max_wavenumber + 1))
     n += n % 2
-    lam_w = apply_multiplier(w, fractional_laplacian(pars.half_period, pars.alpha))
+    lam_w = fractional_laplacian(w, pars.alpha)
     wg = to_grid(w, n).values
     v = _potential_samples(profile, which, n)
     return to_grid(lam_w, n).values + profile.omega * wg + v * wg
@@ -406,7 +400,7 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
             "defocusing branch")
 
     f = profile.field
-    dphi = apply_multiplier(f, derivative(pars.half_period))
+    dphi = derivative(f)
     n = 2 * _default_grid(f, pars.sigma)
     fg = to_grid(f, n).values.real
     dg = to_grid(dphi, n).values
@@ -461,7 +455,7 @@ def jordan_structure(profile) -> dict:
             "the two-parameter chain structure lives on the defocusing branch")
 
     f = profile.field
-    dphi = apply_multiplier(f, derivative(pars.half_period))
+    dphi = derivative(f)
     n = 2 * _default_grid(f, pars.sigma)
 
     h = FD_STEP

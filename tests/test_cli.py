@@ -5,11 +5,18 @@ separate validation, convergence, and property failures."""
 
 import contextlib
 import csv
+import functools
+import gc
 import io
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +24,7 @@ from hypothesis import strategies as st
 
 import fnlslab.cli as cli
 import fnlslab.errors as errors
-from fnlslab.config import parse_config
+from fnlslab.config import COMMANDS, parse_config
 from fnlslab.errors import (ConservationDriftExceeded, ConvergenceError,
                             NonConvergence, PropertyViolation,
                             ValidationError)
@@ -72,6 +79,25 @@ def config_for(command, extra="", base=BASE, seed=3):
         command=command, seed=seed, out=None)
 
 
+@functools.cache
+def run_base(command):
+    """The bundle of `command` at the base config, run once and shared by
+    the tests that only read it."""
+    return cli.run(config_for(command))
+
+
+def run_python(code):
+    """Stdout of `code` in a fresh interpreter that imports this fnlslab."""
+    import fnlslab
+
+    src = str(Path(fnlslab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_run_requires_a_command():
     with pytest.raises(ValidationError, match="command"):
         cli.run(parse_config(BASE))
@@ -110,7 +136,7 @@ n_grid = 1024
 
 
 def test_solve_mode_table_is_lossless(tmp_path):
-    bundle = cli.run(config_for("solve"))
+    bundle = run_base("solve")
     header, rows = bundle.tables["profile_modes"]
     assert header == ("k", "re", "im")
     cli.emit(bundle, tmp_path)
@@ -121,7 +147,7 @@ def test_solve_mode_table_is_lossless(tmp_path):
 
 
 def test_spectrum_reports_morse_counts():
-    res = cli.run(config_for("spectrum")).results
+    res = run_base("spectrum").results
     assert res["morse_plus"] == 0
     assert res["morse_minus"] == 1
     assert res["ker_plus_residual"] < 1e-6
@@ -152,27 +178,13 @@ def test_spectrum_runs_one_sector_pass(monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency and jsonschema is loaded only to
-    # validate a report; importing either would add a large share of the
-    # start-up time of every CLI call
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import fnlslab
-
-    src = str(Path(fnlslab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    # scipy and jsonschema are test-only dependencies; importing either
+    # would add a large share of the start-up time of every CLI call
     code = ("import sys, fnlslab; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print('concurrent.futures' in sys.modules); "
             "print('jsonschema' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    scipy_modules, pools, schema = out.split()
+    scipy_modules, pools, schema = run_python(code).split()
     assert scipy_modules == "[]"
     assert schema == "False"
     # the package runs everything serially and loads no pool machinery
@@ -221,7 +233,7 @@ def test_every_export_has_a_caller():
 
 
 def test_spectrum_eigenvalue_table_is_sorted_per_sector():
-    bundle = cli.run(config_for("spectrum"))
+    bundle = run_base("spectrum")
     _, rows = bundle.tables["eigenvalues"]
     by_block = {}
     for op, sector, idx, lam in rows:
@@ -234,7 +246,7 @@ def test_spectrum_eigenvalue_table_is_sorted_per_sector():
 
 
 def test_kernels_reports_positive_margins():
-    res = cli.run(config_for("kernels")).results
+    res = run_base("kernels").results
     assert res["time_unit"] == pytest.approx((T / np.pi) ** 1.5)
     assert len(res["positivity"]) == 3
     for margins in res["positivity"]:
@@ -244,14 +256,14 @@ def test_kernels_reports_positive_margins():
 
 
 def test_rearrange_randomized_checks_pass():
-    res = cli.run(config_for("rearrange")).results
+    res = run_base("rearrange").results
     assert res["polya_szego"]["violations"] == 0
     assert res["potential_ordering"]["satisfied"]
     assert res["potential_ordering"]["direction"] == "nonincreasing"
 
 
 def test_evolve_stays_on_orbit():
-    res = cli.run(config_for("evolve")).results
+    res = run_base("evolve").results
     assert res["rho_final"] < 1e-5
     assert not res["flagged"]
     assert max(res["drift"].values()) < 1e-9
@@ -259,7 +271,7 @@ def test_evolve_stays_on_orbit():
 
 
 def test_sweep_walks_to_target():
-    bundle = cli.run(config_for("sweep"))
+    bundle = run_base("sweep")
     assert bundle.results["failed_at"] is None
     # anchor profile plus one per step
     assert bundle.results["points"] == 5
@@ -278,7 +290,7 @@ def test_sweep_requires_target():
 
 
 def test_report_command_summarizes_stability():
-    res = cli.run(config_for("report")).results
+    res = run_base("report").results
     assert res["c_emp"] < 50.0
     assert res["indices"]["dNdc"]["value"] == pytest.approx(3.61, rel=1e-2)
     assert res["coercivity"]["positive"]
@@ -286,10 +298,25 @@ def test_report_command_summarizes_stability():
     assert res["runs"][0]["epsilon"] == 1e-4
 
 
-def test_every_command_is_schema_valid():
-    for command in ("solve", "kernels", "rearrange", "evolve", "sweep"):
-        d = report_dict(cli.run(config_for(command)))
+def test_every_command_is_schema_valid(report_schema):
+    for command in COMMANDS:
+        d = report_dict(run_base(command))
+        jsonschema.validate(d, report_schema)
         assert d["command"] == command
+
+
+def test_main_out_loads_no_jsonschema(tmp_path):
+    # reports check their own envelope; the schema is only for tests and
+    # the benchmark to check against
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE)
+    argv = ["--config", str(cfg), "--command", "solve",
+            "--out", str(tmp_path / "out")]
+    out = run_python("import sys; from fnlslab.cli import main; "
+                     f"rc = main({argv!r}); "
+                     "print(rc, 'jsonschema' in sys.modules)")
+    assert out.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def test_main_success_prints_flat_scalars(tmp_path, capsys):
@@ -391,6 +418,18 @@ def test_main_missing_config_exit_code(tmp_path, capsys):
     rc = cli.main(["--config", str(tmp_path / "nope.ini")])
     assert rc == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_main_closes_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["--config", str(cfg), "--command", "solve"])
+        gc.collect()
+    assert rc == 0
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_main_no_command_exit_code(tmp_path, capsys):

@@ -11,8 +11,8 @@ from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
                               stability_experiment, stability_indices)
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
                             NonConvergence, StepTooLarge, ValidationError)
-from fnlslab.fields import (apply_multiplier, cosine_field, derivative,
-                            random_field, rotate_phase, translate)
+from fnlslab.fields import (cosine_field, derivative, random_field,
+                            rotate_phase, translate)
 from fnlslab.functionals import charge, inner, momentum, x_norm
 from fnlslab.params import FD_STEP, ProblemParams
 from fnlslab.profiles import solve_defocusing, solve_focusing
@@ -301,8 +301,7 @@ def test_dndc_dual_route(def15, def20):
     # [0, 2T), so the dot is halved for the [0, T] functional
     def spectral(prof, size):
         spec = eigensolve(assemble(prof, "L_minus", "odd", size))
-        d = sector_coords(apply_multiplier(prof.field, derivative(T)), "odd",
-                          size)
+        d = sector_coords(derivative(prof.field), "odd", size)
         y, deflated, _ = deflated_solve(prof, spec, d)
         assert not deflated
         return -0.5 * float(y @ d)

@@ -2,6 +2,7 @@
 rendering, CSV round trips, and the config echo."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 
 from fnlslab.config import parse_config
 from fnlslab.errors import ValidationError
-from fnlslab.reports import (ResultBundle, emit, load_schema, render_report,
-                             report_dict)
+from fnlslab.reports import ResultBundle, emit, render_report, report_dict
 
 CONFIG = """
 [problem]
@@ -74,10 +74,21 @@ def test_schema_rejects_unknown_command():
                                  command="frobnicate", results={}))
 
 
-def test_load_schema_identifies_itself():
-    schema = load_schema()
-    assert schema["$id"].endswith("report-v1")
-    assert schema["properties"]["schema"]["const"] == "report-v1"
+def test_schema_rejects_negative_seed():
+    cfg = dataclasses.replace(parse_config(CONFIG), seed=-1)
+    with pytest.raises(ValidationError, match="report-v1: seed -1"):
+        report_dict(ResultBundle(config=cfg, command="solve", results={}))
+
+
+def test_schema_rejects_results_that_are_not_a_dict():
+    with pytest.raises(ValidationError, match="report-v1: results"):
+        report_dict(ResultBundle(config=parse_config(CONFIG), command="solve",
+                                 results=[1.5]))
+
+
+def test_load_schema_identifies_itself(report_schema):
+    assert report_schema["$id"].endswith("report-v1")
+    assert report_schema["properties"]["schema"]["const"] == "report-v1"
 
 
 def test_emit_writes_report_echo_and_tables(tmp_path):

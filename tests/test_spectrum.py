@@ -12,15 +12,14 @@ from fnlslab import spectrum
 from fnlslab.errors import (ChainDoesNotTerminate, InconsistentRange,
                             ProfileNotReal, SpectralGapTooSmall,
                             ValidationError)
-from fnlslab.fields import (apply_multiplier, derivative, evaluate,
-                            odd_wavenumbers, rotate_phase, to_grid, zero_field)
+from fnlslab.fields import (derivative, evaluate, odd_wavenumbers,
+                            rotate_phase, to_grid, zero_field)
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import StandingProfile, solve_defocusing, solve_focusing
-from fnlslab.spectrum import (NondegeneracyReport, SectorOperator,
-                              SectorSpectrum, assemble, deflated_solve,
-                              eigensolve, fredholm_range_checks,
-                              jordan_structure, nondegeneracy_check,
-                              sector_spectra)
+from fnlslab.spectrum import (SectorOperator, SectorSpectrum, assemble,
+                              deflated_solve, eigensolve,
+                              fredholm_range_checks, jordan_structure,
+                              nondegeneracy_check, sector_spectra)
 from fnlslab.spectrum import _REFERENCE_N, _sector_values, _sign_changes
 import oracles
 
@@ -327,7 +326,7 @@ def test_nondegeneracy_report_samples_each_potential_once(monkeypatch):
         return to_grid(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "to_grid", counted)
-    spectrum._nondegeneracy_report(prof, spectra, include_jordan=False)
+    spectrum._nondegeneracy_report(prof, spectra)
     # one potential per operator for the kernel scale and the premise,
     # one per re-assembled kernel-residual matrix
     assert len(calls) == 4
@@ -435,7 +434,7 @@ def test_speed_pairing_agrees_with_resolvent_route():
     prof = defoc_profile()
     rep = jordan_structure(prof)
     spec = sector_spectra(prof, 128)[("L_minus", "odd")]
-    dphi = apply_multiplier(prof.field, derivative(T))
+    dphi = derivative(prof.field)
     pos = dphi.coeff[dphi.n_modes:]
     d = np.zeros(spec.size)
     d[:len(pos)] = -2.0 * np.imag(pos) * np.sqrt(T)
@@ -444,10 +443,7 @@ def test_speed_pairing_agrees_with_resolvent_route():
     assert abs(dual - rep["dN_dc"]) / abs(dual) < 1e-5
 
 
-def test_nondegeneracy_report_can_embed_jordan():
-    rep = nondegeneracy_check(defoc_profile(2.0, 1.0, n_modes=32), 64,
-                              include_jordan=True)
-    assert isinstance(rep, NondegeneracyReport)
-    assert rep.jordan is not None
-    assert rep.jordan["chain_mu_inf"] < 1e-5
-    assert abs(rep.jordan["dQ_dmu"] - 1.0) < 1e-8
+def test_jordan_structure_at_alpha_2():
+    rep = jordan_structure(defoc_profile(2.0, 1.0, n_modes=32))
+    assert rep["chain_mu_inf"] < 1e-5
+    assert abs(rep["dQ_dmu"] - 1.0) < 1e-8
