@@ -12,7 +12,7 @@ from .params import ProblemParams, EPS_ANTI, EPS_FFT, EPS_REAL, MAX_ITER, TOL_PR
 from .fields import (AntiperiodicField, GridSamples, cosine_field, derivative,
                      evaluate, fractional_laplacian, imag_part, lift,
                      odd_wavenumbers, random_field, real_part, rotate_phase,
-                     to_grid, to_modes, translate, zero_field)
+                     to_grid, translate, zero_field)
 from .functionals import (charge, hamiltonian, inner, kinetic, momentum,
                           moving_frame_energy, potential, quadratic_energy,
                           x_norm)
@@ -23,8 +23,8 @@ from .spectrum import (NondegeneracyReport, SectorOperator, SectorSpectrum,
                        assemble, eigensolve, fredholm_range_checks,
                        jordan_structure, nondegeneracy_check, sector_spectra)
 from .kernels import KernelSamples, kernel_ka, kernel_kp, positivity_report
-from .rearrange import (polya_szego_check, potential_ordering_check,
-                        rearrange_hash, rearrange_star)
+from .rearrange import (potential_ordering_check, rearrange_hash,
+                        rearrange_star)
 from .dynamics import (EvolutionState, StabilityReport, coercivity_check,
                        evolve, initial_state, n_preserving_perturbation,
                        orbital_distance, second_variation_form,

@@ -27,11 +27,11 @@ from .dynamics import (evolve as evolve_state, initial_state,
                        n_preserving_perturbation, orbital_distance,
                        stability_experiment)
 from .errors import (ConvergenceError, PropertyViolation, ValidationError)
-from .fields import GridSamples, random_field, real_part, to_grid
+from .fields import GridSamples, to_grid
 from .functionals import charge, kinetic, momentum, potential, x_norm
 from .kernels import kernel_ka, kernel_kp, positivity_report
 from .profiles import continue_in, gauge_fix, solve_defocusing, solve_focusing
-from .rearrange import polya_szego_check, potential_ordering_check
+from .rearrange import polya_szego_trials, potential_ordering_check
 from .reports import ResultBundle, emit
 from .spectrum import _nondegeneracy_report, jordan_structure, sector_spectra
 
@@ -151,17 +151,14 @@ def _cmd_kernels(config: RunConfig) -> ResultBundle:
 def _cmd_rearrange(config: RunConfig) -> ResultBundle:
     prob = config.problem
     rc = config.rearrange
-    rng = np.random.default_rng(config.seed)
-    rows = []
-    violations = 0
-    worst = 0.0
-    for trial in range(rc["trials"]):
-        f = real_part(random_field(prob.half_period, rc["n_modes"], rng))
-        chk = polya_szego_check(f, prob.alpha, n=rc["n_grid"])
-        violations += 0 if chk["satisfied"] else 1
-        worst = max(worst, chk["violation"])
-        rows.append((trial, chk["kinetic_original"], chk["kinetic_star"],
-                     chk["violation"], chk["eps_rearr"]))
+    checks = polya_szego_trials(prob.half_period, prob.alpha, rc["n_modes"],
+                                rc["n_grid"], rc["trials"],
+                                np.random.default_rng(config.seed))
+    violations = sum(not chk["satisfied"] for chk in checks)
+    worst = max([0.0] + [chk["violation"] for chk in checks])
+    rows = [(trial, chk["kinetic_original"], chk["kinetic_star"],
+             chk["violation"], chk["eps_rearr"])
+            for trial, chk in enumerate(checks)]
     xs = 2.0 * prob.half_period * np.arange(rc["n_grid"]) / rc["n_grid"]
     vpot = GridSamples(prob.half_period,
                        np.cos(2.0 * np.pi * xs / prob.half_period))

@@ -37,6 +37,10 @@ def _range(lo, hi, step=1):
 _POSITIVE = (lambda v: v > 0, "be positive")
 _AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
 
+# steps of one trajectory: evolve.steps, and the stability horizon
+# round(horizon_periods * T / dt); a larger count is refused, not run
+MAX_STEPS = 10_000_000
+
 # section -> key -> (kind, default, window or None); [problem] windows
 # also quote the value, and a [problem] key without a value is required
 _KEYS = {
@@ -58,7 +62,8 @@ _KEYS = {
                 "times": (list, [0.1, 1.0, 10.0],
                           (lambda ts: all(t > 0 for t in ts), "all be positive")),
                 "n": (int, 1024, _range(8, 16384, 4))},
-    "evolve": {"dt": (float, 1e-4, _POSITIVE), "steps": (int, 10000, _AT_LEAST_1),
+    "evolve": {"dt": (float, 1e-4, _POSITIVE),
+               "steps": (int, 10000, _range(1, MAX_STEPS)),
                "log_interval": (int, 1000, _AT_LEAST_1)},
     "sweep": {"parameter": (str, None, None), "target": (float, None, None),
               "steps": (int, 8, _range(1, 10000))},
@@ -217,6 +222,12 @@ def parse_config(text: str) -> RunConfig:
                     not abs(got["target"]) < problem.speed_limit:
                 col.note(f"sweep.target must satisfy |c| < "
                          f"{problem.speed_limit:.9g}, got {got['target']}")
+        if section == "stability" and problem is not None and \
+                got["horizon_periods"] > 0 and got["dt"] > 0:
+            steps = got["horizon_periods"] * problem.half_period / got["dt"]
+            if not (math.isfinite(steps) and round(steps) <= MAX_STEPS):
+                col.note(f"stability.horizon_periods * T / stability.dt must "
+                         f"be at most {MAX_STEPS} steps, got {steps:.6g}")
         for key, val in got.items():
             if section == "problem" and val is None and \
                     not parser.has_option(section, key):

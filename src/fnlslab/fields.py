@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AntiperiodicityViolation, ComplexInput, SamplingError, ValidationError
-from .params import EPS_ANTI, EPS_REAL
+from .errors import AntiperiodicityViolation, SamplingError, ValidationError
+from .params import EPS_ANTI
 
 
 def odd_wavenumbers(n_modes: int) -> np.ndarray:
@@ -82,11 +82,7 @@ class AntiperiodicField:
 
     def realness_defect(self) -> float:
         """Relative size of c_k - conj(c_{-k}); zero for real fields."""
-        mirror = np.conj(self.coeff[::-1])
-        scale = np.linalg.norm(self.coeff)
-        if scale == 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.coeff - mirror) / scale)
+        return realness_defects(self.coeff[None])[0]
 
 
 @dataclass(frozen=True)
@@ -113,20 +109,35 @@ class GridSamples:
 
     def antiperiodic_defect(self) -> float:
         """Relative norm of f(x + T) + f(x) on the grid (N even required)."""
-        if self.n % 2 != 0:
-            raise SamplingError("antiperiodicity check needs an even grid")
-        half = self.n // 2
-        scale = np.linalg.norm(self.values)
-        if scale == 0.0:
-            return 0.0
-        mism = self.values[half:] + self.values[:half]
-        return float(np.linalg.norm(mism) / scale)
+        return antiperiodic_defects(self.values[None])[0]
 
-    def real_values(self) -> np.ndarray:
-        scale = np.max(np.abs(self.values)) or 1.0
-        if np.max(np.abs(self.values.imag)) > EPS_REAL * scale:
-            raise ComplexInput("samples have nonnegligible imaginary part")
-        return self.values.real.copy()
+
+# Row forms.  A (rows, ...) block holds one field or sample vector per
+# row.  Every sum and norm is a 1-D call on one row: a reduction along
+# axis 1 sums in another order, so only this way is row i bit for bit
+# what the one-field form gives.
+
+def _row_ratios(numerators, denominators) -> list:
+    """float(norm(a) / norm(b)) of row pairs, 0.0 where norm(b) is 0."""
+    out = []
+    for a, b in zip(numerators, denominators):
+        scale = np.linalg.norm(b)
+        out.append(0.0 if scale == 0.0 else float(np.linalg.norm(a) / scale))
+    return out
+
+
+def realness_defects(coeff: np.ndarray) -> list:
+    """realness_defect of each coefficient row."""
+    return _row_ratios(coeff - np.conj(coeff[:, ::-1]), coeff)
+
+
+def antiperiodic_defects(values: np.ndarray) -> list:
+    """antiperiodic_defect of each complex sample row."""
+    n = values.shape[1]
+    if n % 2 != 0:
+        raise SamplingError("antiperiodicity check needs an even grid")
+    half = n // 2
+    return _row_ratios(values[:, half:] + values[:, :half], values)
 
 
 def synthesize(coeff: np.ndarray, bins, n: int) -> np.ndarray:
@@ -177,13 +188,17 @@ def to_grid(f: AntiperiodicField, n: int) -> GridSamples:
     inside the grid band (N >= 2 (max|k| + 1)); otherwise bins would
     collide and sampling would alias.
     """
+    return GridSamples(f.half_period, grid_rows(f.wavenumbers, f.coeff[None], n)[0])
+
+
+def grid_rows(wavenumbers: np.ndarray, coeff: np.ndarray, n: int) -> np.ndarray:
+    """to_grid of each coefficient row on one band: (rows, n) samples."""
+    k_max = int(np.max(np.abs(wavenumbers)))
     if n % 2 != 0:
         raise SamplingError(f"grid size must be even, got {n}")
-    if n < 2 * (f.max_wavenumber + 1):
-        raise SamplingError(
-            f"grid size {n} too small for modes up to |k| = {f.max_wavenumber}"
-        )
-    return GridSamples(f.half_period, synthesize(f.coeff, f.wavenumbers % n, n))
+    if n < 2 * (k_max + 1):
+        raise SamplingError(f"grid size {n} too small for modes up to |k| = {k_max}")
+    return np.ascontiguousarray(synthesize(coeff.T, wavenumbers % n, n).T)
 
 
 def to_modes(g: GridSamples, n_modes: int | None = None,
@@ -194,7 +209,15 @@ def to_modes(g: GridSamples, n_modes: int | None = None,
     against `tol` (relative) and discarded.  `n_modes` defaults to the
     full resolved odd band, M = N // 4.
     """
-    n = g.n
+    k, coeff = modes_rows(g.values[None], n_modes, tol)
+    return AntiperiodicField(g.half_period, k, coeff[0])
+
+
+def modes_rows(values: np.ndarray, n_modes: int | None = None,
+               tol: float = EPS_ANTI) -> tuple[np.ndarray, np.ndarray]:
+    """to_modes of each complex sample row: the odd band and its
+    (rows, 2 n_modes) coefficients; the first row past `tol` raises."""
+    n = values.shape[1]
     if n % 2 != 0 or n < 4:
         raise SamplingError(f"grid size must be even and >= 4, got {n}")
     if n_modes is None:
@@ -206,14 +229,13 @@ def to_modes(g: GridSamples, n_modes: int | None = None,
         raise SamplingError(
             f"requested modes up to |k| = {k[-1]} but grid resolves |k| <= {n // 2 - 1}"
         )
-    spec = analyze(g.values, slice(None), n)
-    total = np.linalg.norm(spec)
-    defect = 0.0 if total == 0.0 else float(np.linalg.norm(spec[0::2]) / total)
-    if defect > tol:
-        raise AntiperiodicityViolation(
-            f"even-mode energy fraction {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return AntiperiodicField(g.half_period, k, spec[k % n])
+    spec = np.ascontiguousarray(analyze(values.T, slice(None), n).T)
+    for defect in _row_ratios(spec[:, 0::2], spec):
+        if defect > tol:
+            raise AntiperiodicityViolation(
+                f"even-mode energy fraction {defect:.3e} exceeds tolerance {tol:.3e}"
+            )
+    return k, spec[:, k % n]
 
 
 def derivative(f: AntiperiodicField) -> AntiperiodicField:
@@ -244,7 +266,13 @@ def rotate_phase(f: AntiperiodicField, beta: float) -> AntiperiodicField:
 
 
 def real_part(f: AntiperiodicField) -> AntiperiodicField:
-    return f.with_coeff(0.5 * (f.coeff + np.conj(f.coeff[::-1])))
+    return f.with_coeff(real_projection(f.coeff))
+
+
+def real_projection(coeff: np.ndarray) -> np.ndarray:
+    """Nearest coefficients of a real field (c_{-k} = conj c_k), along
+    the last axis, so a (rows, 2M) block projects row by row."""
+    return 0.5 * (coeff + np.conj(coeff[..., ::-1]))
 
 
 def imag_part(f: AntiperiodicField) -> AntiperiodicField:
@@ -273,12 +301,22 @@ def random_field(half_period: float, n_modes: int, rng: np.random.Generator,
                  decay: float = 2.0, real: bool = False,
                  scale: float = 1.0) -> AntiperiodicField:
     """Random smooth field with |c_k| ~ (1 + |k|)^(-decay)."""
+    return AntiperiodicField(half_period, odd_wavenumbers(n_modes),
+                             random_rows(n_modes, rng, 1, decay, real, scale)[0])
+
+
+def random_rows(n_modes: int, rng: np.random.Generator, rows: int,
+                decay: float = 2.0, real: bool = False,
+                scale: float = 1.0) -> np.ndarray:
+    """Coefficients of `rows` successive random_field draws, one per row:
+    the generator is read in the same order, so row i is the i-th call."""
     k = odd_wavenumbers(n_modes)
     sig = (1.0 + np.abs(k)) ** (-decay)
-    c = sig * (rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k)))
+    draws = rng.standard_normal((rows, 2, len(k)))
+    c = sig * (draws[:, 0] + 1j * draws[:, 1])
     if real:
-        c = 0.5 * (c + np.conj(c[::-1]))
-    return AntiperiodicField(half_period, k, scale * c)
+        c = real_projection(c)
+    return scale * c
 
 
 def lift(f: AntiperiodicField, n_modes: int) -> AntiperiodicField:

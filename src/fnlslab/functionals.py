@@ -27,8 +27,15 @@ def inner(u: AntiperiodicField, v: AntiperiodicField) -> float:
 
 def x_norm(u: AntiperiodicField, alpha: float) -> float:
     """Energy-space norm: (int_0^T |u|^2 + |Lambda^(alpha/2) u|^2)^(1/2)."""
-    w = np.abs(np.pi * u.wavenumbers / u.half_period) ** alpha
-    return float(np.sqrt(u.half_period * np.sum((1.0 + w) * np.abs(u.coeff) ** 2)))
+    return x_norm_rows(u.half_period, u.wavenumbers, u.coeff[None], alpha)[0]
+
+
+def x_norm_rows(half_period: float, wavenumbers: np.ndarray,
+                coeff: np.ndarray, alpha: float) -> list:
+    """x_norm of each coefficient row on one band, one 1-D sum per row."""
+    w = np.abs(np.pi * wavenumbers / half_period) ** alpha
+    return [float(np.sqrt(half_period * np.sum(row)))
+            for row in (1.0 + w) * np.abs(coeff) ** 2]
 
 
 def charge(u: AntiperiodicField) -> float:
@@ -41,8 +48,15 @@ def momentum(u: AntiperiodicField) -> float:
 
 
 def kinetic(u: AntiperiodicField, alpha: float) -> float:
-    w = np.abs(np.pi * u.wavenumbers / u.half_period) ** alpha
-    return 0.5 * u.half_period * float(np.sum(w * np.abs(u.coeff) ** 2))
+    return kinetic_rows(u.half_period, u.wavenumbers, u.coeff[None], alpha)[0]
+
+
+def kinetic_rows(half_period: float, wavenumbers: np.ndarray,
+                 coeff: np.ndarray, alpha: float) -> list:
+    """kinetic of each coefficient row on one band, one 1-D sum per row."""
+    w = np.abs(np.pi * wavenumbers / half_period) ** alpha
+    return [0.5 * half_period * float(np.sum(row))
+            for row in w * np.abs(coeff) ** 2]
 
 
 def _default_grid(u: AntiperiodicField, sigma: float) -> int:

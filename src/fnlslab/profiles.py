@@ -27,7 +27,8 @@ import numpy as np
 from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                      SpeedOutOfRange, ValidationError)
 from .fields import (AntiperiodicField, analyze, cosine_block, cosine_field,
-                     lift, odd_wavenumbers, synthesize, to_grid)
+                     lift, odd_wavenumbers, real_projection, synthesize,
+                     to_grid)
 from .functionals import (_default_grid, charge, kinetic, momentum,
                           moving_frame_energy, potential, quadratic_energy)
 from .params import MAX_ITER, TOL_PROFILE, ProblemParams
@@ -98,7 +99,8 @@ def profile_residual(field: AntiperiodicField, omega: float, c: float,
 
 class _Workspace:
     """Precomputed lattice data for one (params, M, N) combination; the
-    complex Newton unit columns are built on first use, shared by all steps."""
+    complex Newton unit columns are built on first use, shared by all steps.
+    A continuation builds one and solves every step in it."""
 
     def __init__(self, params: ProblemParams, n_modes: int):
         self.params = params
@@ -134,11 +136,6 @@ class _Workspace:
         return float(np.real(self.T * np.sum(a * np.conj(b))))
 
 
-def _real_projection(coeff: np.ndarray) -> np.ndarray:
-    """Nearest coefficient vector of a real field (c_{-k} = conj c_k)."""
-    return 0.5 * (coeff + np.conj(coeff[::-1]))
-
-
 def _bb_descent(ws: _Workspace, u: np.ndarray, grad_fn, project_fn, renorm_fn):
     """Projected, preconditioned Barzilai-Borwein descent to the Newton gate.
 
@@ -153,7 +150,7 @@ def _bb_descent(ws: _Workspace, u: np.ndarray, grad_fn, project_fn, renorm_fn):
     Returns (u, iterations); iterations == MAX_ITER means the gate was
     not reached."""
     pre = 1.0 / (1.0 + ws.lam)
-    u = renorm_fn(_real_projection(u))
+    u = renorm_fn(real_projection(u))
     step = 0.2
     u_prev = None
     d_prev = None
@@ -172,7 +169,7 @@ def _bb_descent(ws: _Workspace, u: np.ndarray, grad_fn, project_fn, renorm_fn):
                 step = abs(ws.inner(du, du) / denom)
             step = min(max(step, 1e-4), 1e3)
         u_prev, d_prev = u, d
-        u = renorm_fn(_real_projection(u - step * d))
+        u = renorm_fn(real_projection(u - step * d))
     return u, MAX_ITER
 
 
@@ -349,6 +346,11 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
     continued out of c = 0 by Newton iteration (no descent phase, which
     would slide off the branch); intended for small |c|.
     """
+    _check_defocusing(params, c, mu)
+    return _solve_defocusing(_Workspace(params, n_modes), c, mu, tol, init)
+
+
+def _check_defocusing(params: ProblemParams, c: float, mu: float) -> None:
     if params.gamma != -1:
         raise ValidationError("defocusing branch requires gamma = -1")
     if mu <= 0:
@@ -356,7 +358,13 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
     if abs(c) >= params.speed_limit:
         raise SpeedOutOfRange(
             f"|c| = {abs(c)} outside the admissible window (0, {params.speed_limit})")
-    ws = _Workspace(params, n_modes)
+
+
+def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
+                      init: AntiperiodicField | None) -> StandingProfile:
+    """solve_defocusing in the workspace ws, its arguments checked."""
+    params = ws.params
+    n_modes = ws.M
 
     def renorm(u):
         q = ws.charge(u)
@@ -387,7 +395,7 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
         if init is not None:
             u = renorm(lift(init, n_modes).coeff.copy())
         else:
-            base = solve_defocusing(params, 0.0, mu, n_modes, tol)
+            base = _solve_defocusing(ws, 0.0, mu, tol, None)
             it_bb = base.iterations
             u = base.field.coeff.copy()
         omega = recovered_omega(ws.field(u), c, params)
@@ -410,6 +418,11 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
                    init: AntiperiodicField | None = None) -> StandingProfile:
     """Minimizer of K + omega Q on {P = p0}, rescaled onto the profile
     equation with unit nonlinearity coefficient."""
+    _check_focusing(params, omega, p0)
+    return _solve_focusing(_Workspace(params, n_modes), omega, p0, tol, init)
+
+
+def _check_focusing(params: ProblemParams, omega: float, p0: float) -> None:
     if params.gamma != 1:
         raise ValidationError("focusing branch requires gamma = +1")
     if p0 <= 0:
@@ -417,7 +430,13 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
     if abs(omega) >= params.frequency_limit:
         raise OmegaOutOfRange(
             f"|omega| = {abs(omega)} outside (0, {params.frequency_limit})")
-    ws = _Workspace(params, n_modes)
+
+
+def _solve_focusing(ws: _Workspace, omega: float, p0: float, tol: float,
+                    init: AntiperiodicField | None) -> StandingProfile:
+    """solve_focusing in the workspace ws, its arguments checked."""
+    params = ws.params
+    n_modes = ws.M
     sig = params.sigma
 
     if init is not None:
@@ -485,7 +504,7 @@ def _gauged(f: AntiperiodicField) -> AntiperiodicField:
 
 def _gauged_cos_coeffs(ws: _Workspace, coeff: np.ndarray) -> np.ndarray:
     """Even-cos coefficients of the real part of the gauged field."""
-    return _even_cos_coeffs(ws, _real_projection(_gauged(ws.field(coeff)).coeff))
+    return _even_cos_coeffs(ws, real_projection(_gauged(ws.field(coeff)).coeff))
 
 
 def gauge_fix(p: StandingProfile) -> StandingProfile:
@@ -498,8 +517,16 @@ def continue_in(start: StandingProfile, parameter: str, target: float,
     """Warm-started parameter sweep from `start` to `target`.
 
     On NonConvergence the sweep stops and returns the partial result with
-    `failed_at` set; already-converged profiles are kept.
+    `failed_at` set; already-converged profiles are kept.  Every step is
+    solved in one workspace.
     """
+    return _continue(_Workspace(start.params, start.field.n_modes), start,
+                     parameter, target, steps, tol)
+
+
+def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
+              target: float, steps: int, tol: float) -> Sweep:
+    """continue_in with its steps solved in ws (the band of `start`)."""
     params = start.params
     allowed = {"c", "mu"} if params.gamma == -1 else {"omega"}
     if parameter not in allowed:
@@ -516,13 +543,11 @@ def continue_in(start: StandingProfile, parameter: str, target: float,
             if params.gamma == -1:
                 c = v if parameter == "c" else prev.c
                 mu = v if parameter == "mu" else prev.mu
-                prof = solve_defocusing(params, c=c, mu=mu,
-                                        n_modes=prev.field.n_modes, tol=tol,
-                                        init=prev.field)
+                _check_defocusing(params, c, mu)
+                prof = _solve_defocusing(ws, c, mu, tol, prev.field)
             else:
-                prof = solve_focusing(params, omega=v, p0=prev.p0,
-                                      n_modes=prev.field.n_modes, tol=tol,
-                                      init=prev.field)
+                _check_focusing(params, v, prev.p0)
+                prof = _solve_focusing(ws, v, prev.p0, tol, prev.field)
         except NonConvergence:
             return Sweep(parameter, [start_value] + values, profiles, float(v))
         profiles.append(prof)
@@ -534,13 +559,14 @@ def family_pair(profile: StandingProfile, parameter: str, h: float):
     """Neighbours of `profile` at parameter -/+ h along its family.
 
     Each is one warm-started continuation step at the default profile
-    tolerance; central differences of the pair give the family
-    derivatives.  Returns (lower, upper).
+    tolerance, both solved in one workspace; central differences of the
+    pair give the family derivatives.  Returns (lower, upper).
     """
     base = {"c": profile.c, "mu": profile.mu, "omega": profile.omega}[parameter]
+    ws = _Workspace(profile.params, profile.field.n_modes)
     pair = []
     for target in (base - h, base + h):
-        sweep = continue_in(profile, parameter, target, steps=1)
+        sweep = _continue(ws, profile, parameter, target, 1, TOL_PROFILE)
         if sweep.failed_at is not None:
             raise NonConvergence(
                 f"neighbour solve at {parameter} = {target!r} did not converge")

@@ -30,19 +30,40 @@ import numpy as np
 
 from .errors import (ComplexInput, MonotonicityUnverified, SamplingError,
                      ValidationError)
-from .fields import (AntiperiodicField, GridSamples, random_field, real_part,
-                     to_grid, to_modes)
-from .functionals import kinetic, x_norm
+from .fields import (AntiperiodicField, GridSamples, antiperiodic_defects,
+                     grid_rows, modes_rows, odd_wavenumbers, random_rows,
+                     real_projection, realness_defects)
+from .functionals import kinetic_rows, x_norm, x_norm_rows
 from .params import EPS_REAL
 
 # multiplies norm/N in the grid-defect budget for rearrangement checks
 _DEFECT_FACTOR = 10.0
 
+# the trial drivers hold at most this many samples per block of trials:
+# 64 trials at n = 1024, one trial at n = 65536
+_BLOCK_SAMPLES = 2 ** 16
+
+
+def _blocks(trials: int, n: int) -> list:
+    """Row counts of the successive blocks that cover `trials` trials."""
+    rows = max(1, _BLOCK_SAMPLES // n)
+    return [min(rows, trials - start) for start in range(0, trials, rows)]
+
+
+def _real_rows(values: np.ndarray) -> np.ndarray:
+    """Real parts of complex sample rows, refused if any row carries a
+    nonnegligible imaginary part."""
+    scale = np.max(np.abs(values), axis=1)
+    scale[scale == 0.0] = 1.0
+    if np.any(np.max(np.abs(values.imag), axis=1) > EPS_REAL * scale):
+        raise ComplexInput("samples have nonnegligible imaginary part")
+    return values.real.copy()
+
 
 def _real_samples(g: GridSamples) -> np.ndarray:
     if not isinstance(g, GridSamples):
         raise ValidationError("rearrangement acts on GridSamples")
-    return g.real_values()
+    return _real_rows(g.values[None])
 
 
 def _star_ranks(n: int) -> np.ndarray:
@@ -55,20 +76,31 @@ def _star_ranks(n: int) -> np.ndarray:
     return ranks
 
 
-def rearrange_star(g: GridSamples) -> GridSamples:
-    """Even symmetric decreasing rearrangement of the sample multiset."""
-    vals = _real_samples(g)
-    n = len(vals)
+def _star_rows(vals: np.ndarray) -> np.ndarray:
+    """Star rearrangement of each row of real (rows, n) samples: a stable
+    sort along the rows, then one gather of the sorted values by rank."""
+    n = vals.shape[1]
     if n % 4 != 0 or n < 8:
         raise SamplingError(f"rearrangement grid must be a multiple of 4, got {n}")
-    order = np.argsort(-vals, kind="stable")
-    return GridSamples(g.half_period, vals[order][_star_ranks(n)])
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return np.take_along_axis(vals, order[:, _star_ranks(n)], axis=1)
+
+
+def _hash_rows(vals: np.ndarray) -> np.ndarray:
+    """Hash rearrangement of each row: the star rows shifted by T/2."""
+    return np.roll(_star_rows(vals), vals.shape[1] // 4, axis=1)
+
+
+def rearrange_star(g: GridSamples) -> GridSamples:
+    """Even symmetric decreasing rearrangement of the sample multiset."""
+    star = _star_rows(_real_samples(g))[0]
+    return GridSamples(g.half_period, star)
 
 
 def rearrange_hash(g: GridSamples) -> GridSamples:
     """Star rearrangement shifted by T/2; odd when the input is antiperiodic."""
-    star = rearrange_star(g)
-    return GridSamples(g.half_period, np.roll(star.values, star.n // 4))
+    hsh = _hash_rows(_real_samples(g))[0]
+    return GridSamples(g.half_period, hsh)
 
 
 def cell_asymmetry(g: GridSamples) -> float:
@@ -77,11 +109,14 @@ def cell_asymmetry(g: GridSamples) -> float:
     For star output this is the one-cell placement asymmetry (ranks
     2m-1 and 2m land on +-m dx) and decays like 1/N.
     """
-    vals = g.values.real
-    n = g.n
-    scale = float(np.linalg.norm(vals)) or 1.0
-    j = np.arange(n)
-    return float(np.linalg.norm(vals[(n - j) % n] - vals[j])) / scale
+    return _cell_asymmetry_rows(g.values.real[None])[0]
+
+
+def _cell_asymmetry_rows(vals: np.ndarray) -> list:
+    n = vals.shape[1]
+    mirrored = vals[:, (n - np.arange(n)) % n] - vals
+    return [float(np.linalg.norm(d)) / (float(np.linalg.norm(v)) or 1.0)
+            for d, v in zip(mirrored, vals)]
 
 
 def rearrangement_budget(f: AntiperiodicField, alpha: float, n: int) -> float:
@@ -97,29 +132,62 @@ def polya_szego_check(f: AntiperiodicField, alpha: float, n: int = 1024) -> dict
     covers the projection of the merely continuous rearranged function.
     Star and hash energies agree to roundoff (the shift is a phase).
     """
-    if f.realness_defect() > EPS_REAL:
+    return _polya_szego_rows(f.half_period, f.wavenumbers, f.coeff[None],
+                             alpha, n)[0]
+
+
+def polya_szego_trials(half_period: float, alpha: float, n_modes: int,
+                       n: int, trials: int,
+                       rng: np.random.Generator) -> list:
+    """polya_szego_check of `trials` fields
+    real_part(random_field(half_period, n_modes, rng)), drawn in order.
+
+    The trials run in blocks of at most _BLOCK_SAMPLES grid samples;
+    each check is bit for bit the one of its field alone.
+    """
+    k = odd_wavenumbers(n_modes)
+    checks = []
+    for rows in _blocks(trials, n):
+        coeff = real_projection(random_rows(n_modes, rng, rows))
+        checks += _polya_szego_rows(half_period, k, coeff, alpha, n)
+    return checks
+
+
+def _polya_szego_rows(half_period, k, coeff, alpha, n) -> list:
+    """polya_szego_check of each row of a (rows, len(k)) coefficient block.
+
+    Synthesis, sorting, the rank gathers and the analysis of the star and
+    hash rows act on the whole block; the sums and norms are per row.
+    """
+    if any(d > EPS_REAL for d in realness_defects(coeff)):
         raise ComplexInput("kinetic comparison needs a real-valued field")
-    kin = kinetic(f, alpha)
-    g = to_grid(f, n)
-    star = rearrange_star(g)
-    hsh = rearrange_hash(g)
-    kin_star = kinetic(to_modes(star), alpha)
-    kin_hash = kinetic(to_modes(hsh), alpha)
-    eps = rearrangement_budget(f, alpha, n)
-    violation = max(0.0, kin_star - kin)
-    return {
-        "alpha": float(alpha),
-        "n": int(n),
-        "kinetic_original": kin,
-        "kinetic_star": kin_star,
-        "kinetic_hash": kin_hash,
-        "star_hash_gap": abs(kin_star - kin_hash),
-        "violation": violation,
-        "eps_rearr": eps,
-        "satisfied": bool(violation <= eps),
-        "evenness_defect": cell_asymmetry(star),
-        "antiperiodic_defect": star.antiperiodic_defect(),
-    }
+    kin = kinetic_rows(half_period, k, coeff, alpha)
+    star = _star_rows(_real_rows(grid_rows(k, coeff, n)))
+    star_samples = star.astype(np.complex128)
+    kin_star = kinetic_rows(half_period, *modes_rows(star_samples), alpha)
+    kin_hash = kinetic_rows(half_period, *modes_rows(
+        np.roll(star_samples, n // 4, axis=1)), alpha)
+    norms = x_norm_rows(half_period, k, coeff, alpha)
+    checks = []
+    for kin_f, kin_s, kin_h, norm, evenness, anti in zip(
+            kin, kin_star, kin_hash, norms, _cell_asymmetry_rows(star),
+            antiperiodic_defects(star_samples)):
+        eps = _DEFECT_FACTOR * norm / n
+        violation = max(0.0, kin_s - kin_f)
+        checks.append({
+            "alpha": float(alpha),
+            "n": int(n),
+            "kinetic_original": kin_f,
+            "kinetic_star": kin_s,
+            "kinetic_hash": kin_h,
+            "star_hash_gap": abs(kin_s - kin_h),
+            "violation": violation,
+            "eps_rearr": eps,
+            "satisfied": bool(violation <= eps),
+            "evenness_defect": evenness,
+            "antiperiodic_defect": anti,
+        })
+    return checks
 
 
 def _monotone_direction(v: np.ndarray, slack: float) -> str:
@@ -144,9 +212,10 @@ def potential_ordering_check(V: GridSamples, trials: int, n_modes: int = 16,
     (largest |f| pushed to T/2 where V is smallest); nondecreasing V
     pairs with star.  On the grid both are exact finite rearrangement
     inequalities, so the expected margin is roundoff, far inside the
-    reported O(1/N) budget.
+    reported O(1/N) budget.  The trials real_part(random_field(T,
+    n_modes, rng)) run in blocks, like polya_szego_trials.
     """
-    vals = _real_samples(V)
+    vals = _real_samples(V)[0]
     n = V.n
     if n % 4 != 0 or n < 8:
         raise SamplingError(f"potential grid must be a multiple of 4, got {n}")
@@ -162,23 +231,24 @@ def potential_ordering_check(V: GridSamples, trials: int, n_modes: int = 16,
         raise ValidationError("potential must be even about x = 0")
     direction = _monotone_direction(vals[: n // 4 + 1], tol)
 
-    T = V.half_period
-    h = 2.0 * T / n
+    h = 2.0 * V.half_period / n
     rng = np.random.default_rng(seed)
-    rearranger = rearrange_star if direction == "nondecreasing" else rearrange_hash
+    k = odd_wavenumbers(n_modes)
+    rearranger = _star_rows if direction == "nondecreasing" else _hash_rows
     min_gap = math.inf
     budget = 0.0
     violations = 0
-    for _ in range(trials):
-        f = real_part(random_field(T, n_modes, rng))
-        fg = to_grid(f, n).values.real
-        fr = rearranger(GridSamples(T, fg)).values.real
-        gap = h * float(vals @ (fg**2 - fr**2))
-        eps = _DEFECT_FACTOR * vmax * h * float(np.sum(fg**2)) / n
-        budget = max(budget, eps)
-        min_gap = min(min_gap, gap)
-        if gap < -eps:
-            violations += 1
+    for rows in _blocks(trials, n):
+        coeff = real_projection(random_rows(n_modes, rng, rows))
+        fg = grid_rows(k, coeff, n).real
+        sq = fg**2
+        for sq_row, gap_row in zip(sq, sq - rearranger(fg)**2):
+            gap = h * float(vals @ gap_row)
+            eps = _DEFECT_FACTOR * vmax * h * float(np.sum(sq_row)) / n
+            budget = max(budget, eps)
+            min_gap = min(min_gap, gap)
+            if gap < -eps:
+                violations += 1
     return {
         "direction": direction,
         "trials": int(trials),

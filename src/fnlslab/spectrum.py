@@ -140,7 +140,8 @@ def assemble(profile, which: str, sector: str, size: int) -> SectorOperator:
     v = _potential_samples(profile, which, n)
     lam = (np.pi * (2 * np.arange(size) + 1) / pars.half_period) ** pars.alpha
     sign = 1.0 if sector == "even" else -1.0
-    mat = np.diag(lam + profile.omega) + cosine_block(v, size, sign)
+    mat = cosine_block(v, size, sign)
+    mat.ravel()[:: size + 1] += lam + profile.omega  # the diagonal, in place
     return SectorOperator(sector=sector, size=size, matrix=mat, which=which)
 
 

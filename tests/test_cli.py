@@ -28,7 +28,7 @@ from fnlslab.config import COMMANDS, parse_config
 from fnlslab.errors import (ConservationDriftExceeded, ConvergenceError,
                             NonConvergence, PropertyViolation,
                             ValidationError)
-from fnlslab.reports import report_dict
+from fnlslab.reports import emit, report_dict
 import oracles
 
 T = np.pi
@@ -262,6 +262,23 @@ def test_rearrange_randomized_checks_pass():
     assert res["potential_ordering"]["direction"] == "nonincreasing"
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rearrange_files_match_one_field_at_a_time_reference(tmp_path, seed):
+    # 130 trials at n_grid = 1024: two full blocks of 64 and a partial one
+    old = "trials = 20\nn_modes = 8\nn_grid = 256"
+    assert old in BASE
+    text = BASE.replace(old, "trials = 130\nn_modes = 16\nn_grid = 1024")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg), "--command", "rearrange",
+                     "--seed", str(seed), "--out", str(tmp_path / "block")]) == 0
+    config = parse_config(text).with_overrides(command="rearrange", seed=seed)
+    emit(oracles.rearrange_reference(config), tmp_path / "reference")
+    for name in ("polya_trials.csv", "report.json"):
+        assert (tmp_path / "block" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes()
+
+
 def test_evolve_stays_on_orbit():
     res = run_base("evolve").results
     assert res["rho_final"] < 1e-5
@@ -381,6 +398,30 @@ def test_main_huge_sector_size_exits_2(tmp_path, capsys):
     rc = cli.main(["--config", str(cfg), "--command", "spectrum"])
     assert rc == 2
     assert "grid.sector_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("evolve", "steps = 200", "steps = 1e12",
+     "evolve.steps must lie in [1, 10000000]"),
+    ("report", "horizon_periods = 2", "horizon_periods = 1e9",
+     "stability.horizon_periods * T / stability.dt must be at most "
+     "10000000 steps, got 3.14159e+11"),
+], ids=["evolve", "report"])
+def test_main_huge_step_count_exits_2_before_any_work(tmp_path, capsys,
+                                                      command, old, new,
+                                                      message):
+    cfg = tmp_path / "run.ini"
+    assert old in BASE
+    cfg.write_text(BASE.replace(old, new))
+    out = tmp_path / "o"
+    with mock.patch.dict(cli._DISPATCH, {command: None}):
+        rc = cli.main(["--config", str(cfg), "--command", command,
+                       "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: configuration has 1 problem(s):\n  - {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["rearrange", "solve"])

@@ -216,6 +216,7 @@ def test_empty_lists_rejected_by_key(section, key):
     ("grid", "sector_size", 4096), ("kernels", "n", 16384),
     ("rearrange", "n_modes", 1024), ("rearrange", "n_grid", 65536),
     ("rearrange", "trials", 100000), ("sweep", "steps", 10000),
+    ("evolve", "steps", 10_000_000),
 ])
 def test_integer_sizes_have_upper_windows(section, key, cap):
     # every size key accepts its cap and names itself above it, so a huge
@@ -225,6 +226,24 @@ def test_integer_sizes_have_upper_windows(section, key, cap):
     for value in (cap + 4, 4 * cap, "1e15"):
         with pytest.raises(ValidationError, match=f"{section}.{key}"):
             parse_config(head + f"{key} = {value}\n")
+
+
+def test_stability_horizon_has_an_upper_window_in_steps():
+    # round(horizon_periods * T / dt) is the step count of the run; the
+    # window is checked on the product, so each key alone may be large
+    head = MINIMAL + "\n[stability]\n"
+    T = 3.14159
+    cap = parse_config(head + f"horizon_periods = {1e7 * 1e-3 / T!r}\n")
+    assert round(cap.stability["horizon_periods"] * T / 1e-3) == 10_000_000
+    big = parse_config(head + "horizon_periods = 1e6\ndt = 1\n")
+    assert big.stability["horizon_periods"] == 1e6
+    for keys in ("horizon_periods = 1e9", "dt = 1e-300",
+                 "horizon_periods = 1e300\ndt = 1e-300",
+                 f"horizon_periods = {1.0001e7 * 1e-3 / T!r}"):
+        with pytest.raises(ValidationError, match=(
+                r"stability\.horizon_periods \* T / stability\.dt must be "
+                r"at most 10000000 steps, got ")):
+            parse_config(head + keys + "\n")
 
 
 def test_non_finite_half_period_listed_with_other_problems():

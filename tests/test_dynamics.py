@@ -280,14 +280,14 @@ def test_stability_indices_defocusing(def15):
 def test_stability_indices_solve_each_neighbour_once(def15, monkeypatch):
     import fnlslab.profiles as profiles
 
-    solve = profiles.solve_defocusing
+    solve = profiles._solve_defocusing
     targets = []
 
-    def counted(*args, **kwargs):
-        targets.append((kwargs["c"], kwargs["mu"]))
-        return solve(*args, **kwargs)
+    def counted(ws, c, mu, tol, init):
+        targets.append((c, mu))
+        return solve(ws, c, mu, tol, init)
 
-    monkeypatch.setattr(profiles, "solve_defocusing", counted)
+    monkeypatch.setattr(profiles, "_solve_defocusing", counted)
     stability_indices(def15[1])
     # (c, mu) -/+ h and -/+ h/2; the mu pairs serve dQ/dmu and domega/dmu
     assert len(targets) == 8

@@ -277,9 +277,74 @@ def test_family_pair_names_the_failed_neighbour(monkeypatch):
     def fail(*args, **kwargs):
         raise NonConvergence("stalled")
 
-    monkeypatch.setattr(profiles, "solve_defocusing", fail)
+    monkeypatch.setattr(profiles, "_solve_defocusing", fail)
     with pytest.raises(NonConvergence, match=r"neighbour solve at c = -0\.001"):
         family_pair(start, "c", 1e-3)
+
+
+def _same_profile(a, b):
+    """Every field of two profiles equal, coefficients bit for bit."""
+    return all(
+        np.array_equal(getattr(a, f.name).coeff, getattr(b, f.name).coeff)
+        if f.name == "field" else getattr(a, f.name) == getattr(b, f.name)
+        for f in dataclasses.fields(a))
+
+
+def _fresh_step(prev, parameter, value):
+    """One continuation step as a public solve, in a workspace of its own."""
+    p = prev.params
+    if p.gamma == 1:
+        return solve_focusing(p, omega=value, p0=prev.p0,
+                              n_modes=prev.field.n_modes, init=prev.field)
+    c = value if parameter == "c" else prev.c
+    mu = value if parameter == "mu" else prev.mu
+    return solve_defocusing(p, c=c, mu=mu, n_modes=prev.field.n_modes,
+                            init=prev.field)
+
+
+@pytest.mark.parametrize("branch, parameter, target", [
+    ("defocusing", "c", 0.2), ("defocusing", "mu", 2.0),
+    ("focusing", "omega", 0.8)])
+def test_sweep_in_one_workspace_matches_fresh_solves(branch, parameter, target):
+    if branch == "defocusing":
+        start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
+    else:
+        # 16 modes do not resolve this branch past omega = 0.65
+        start = solve_focusing(foc(), omega=0.5, p0=1.0, n_modes=32)
+    sweep = continue_in(start, parameter, target, 4)
+    assert sweep.failed_at is None
+    prev = start
+    for prof, value in zip(sweep.profiles[1:], sweep.values[1:]):
+        fresh = _fresh_step(prev, parameter, value)
+        assert _same_profile(prof, fresh)
+        prev = fresh
+
+
+@pytest.mark.parametrize("parameter", ["c", "mu"])
+def test_family_pair_in_one_workspace_matches_fresh_solves(parameter):
+    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
+    base = getattr(start, parameter)
+    pair = family_pair(start, parameter, 1e-3)
+    for prof, value in zip(pair, (base - 1e-3, base + 1e-3)):
+        assert _same_profile(prof, _fresh_step(start, parameter, value))
+
+
+def test_continuation_builds_one_workspace(monkeypatch):
+    import fnlslab.profiles as profiles
+
+    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
+    built = []
+
+    class Counted(profiles._Workspace):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(profiles, "_Workspace", Counted)
+    continue_in(start, "c", 0.1, 4)
+    assert len(built) == 1
+    family_pair(start, "mu", 1e-3)
+    assert len(built) == 2
 
 
 def test_continue_in_rejects_foreign_parameter():

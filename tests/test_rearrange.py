@@ -4,12 +4,15 @@ ordering chain through a computed profile."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fnlslab.cli as cli
+from fnlslab.config import parse_config
 from fnlslab.errors import (ComplexInput, MonotonicityUnverified,
                             SamplingError, ValidationError)
 from fnlslab.fields import (AntiperiodicField, GridSamples, cosine_field,
@@ -18,10 +21,12 @@ from fnlslab.fields import (AntiperiodicField, GridSamples, cosine_field,
 from fnlslab.functionals import kinetic
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import solve_defocusing
-from fnlslab.rearrange import (cell_asymmetry, polya_szego_check,
+from fnlslab.rearrange import (_hash_rows, _star_rows, cell_asymmetry,
+                               polya_szego_check, polya_szego_trials,
                                potential_ordering_check, rearrange_hash,
                                rearrange_star, rearrangement_budget)
 from fnlslab.spectrum import sector_spectra
+import oracles
 
 T = np.pi
 
@@ -281,3 +286,84 @@ def test_ground_state_ordering_chain_through_rearrangement():
     # and the quotient bound is consistent with the sector ordering
     odd = spectra[("L_minus", "odd")]
     assert odd.eigenvalues[0] <= ev.eigenvalues[0] + 1e-12
+
+
+def _same_bits(a, b):
+    """== and the same sign bit for floats, == for everything else."""
+    if isinstance(a, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("n", [8, 1024, 4096])
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+def test_polya_szego_trials_match_one_field_at_a_time(trials, n):
+    n_modes = min(16, n // 4)
+    block = polya_szego_trials(T, 1.5, n_modes, n, trials,
+                               np.random.default_rng(trials))
+    rng = np.random.default_rng(trials)
+    fields = [real_part(random_field(T, n_modes, rng)) for _ in range(trials)]
+    assert len(block) == trials
+    for chk, f in zip(block, fields):
+        for ref in (polya_szego_check(f, 1.5, n),
+                    oracles.polya_szego_reference(f, 1.5, n)):
+            assert chk.keys() == ref.keys()
+            assert all(_same_bits(chk[key], ref[key]) for key in chk), f
+
+
+@pytest.mark.parametrize("n", [8, 1024, 4096])
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_potential_ordering_matches_one_field_at_a_time(trials, n, sign):
+    x = 2 * T * np.arange(n) / n
+    vals = sign * np.cos(2 * np.pi * x / T)
+    n_modes = min(16, n // 4)
+    rep = potential_ordering_check(grid_of(vals), trials, n_modes, seed=trials)
+    ref = oracles.potential_ordering_reference(vals, T, trials, n_modes, trials)
+    assert rep.keys() == ref.keys()
+    assert all(_same_bits(rep[key], ref[key]) for key in rep)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_star_and_hash_rows_match_one_vector_at_a_time(n):
+    rng = np.random.default_rng(n)
+    # quantized samples: many ties, which the stable sort must break the
+    # same way in every row as for one vector alone
+    quantized = np.round(4.0 * rng.standard_normal((9, n))) / 4.0
+    quantized[0] = 0.0
+    smooth = rng.standard_normal((9, n))
+    for vals in (quantized, smooth):
+        star, hsh = _star_rows(vals), _hash_rows(vals)
+        for row, s, h in zip(vals, star, hsh):
+            assert np.array_equal(s, oracles.star_reference(row))
+            assert np.array_equal(h, oracles.hash_reference(row))
+            assert np.array_equal(rearrange_star(grid_of(row)).values.real, s)
+            assert np.array_equal(rearrange_hash(grid_of(row)).values.real, h)
+
+
+def test_rearrange_command_peak_memory_is_bounded():
+    # the block is bounded by _BLOCK_SAMPLES; one unchunked 500 x 1024
+    # block peaks near 43 MB under tracemalloc
+    cfg = parse_config(f"""
+[problem]
+alpha = 1.5
+sigma = 1
+gamma = -1
+half_period = {T!r}
+
+[run]
+command = rearrange
+seed = 1
+
+[rearrange]
+trials = 500
+n_modes = 16
+n_grid = 1024
+""")
+    tracemalloc.start()
+    try:
+        cli._cmd_rearrange(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
