@@ -3,10 +3,11 @@
 Grammar: standard INI sections.  `[problem]` is required and carries
 alpha, sigma, gamma, half_period; every other section and key is
 optional.  Each key's kind, default and window is declared once, in
-`_KEYS`.  A window is a (condition, rule) pair reported as
-"<section>.<key> must <rule>"; `parse_config` writes out only the checks
-that involve another value or quote the bad one.  kernels.times is a
-comma list in units of (T/pi)^alpha.
+`_KEYS`; the `[problem]` windows are `params.WINDOWS`, which
+`ProblemParams` enforces too.  A window is a (condition, rule) pair
+reported as "<section>.<key> must <rule>"; `parse_config` writes out
+only the checks that involve another value or quote the bad one.
+kernels.times is a comma list in units of (T/pi)^alpha.
 
 Validation collects every violation before raising, so a config with
 three bad windows reports all three at once.  Malformed INI text raises
@@ -21,7 +22,7 @@ from copy import copy
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
-from .params import TOL_PROFILE, ProblemParams
+from .params import TOL_PROFILE, WINDOWS, ProblemParams
 
 COMMANDS = ("solve", "spectrum", "kernels", "rearrange", "evolve",
             "sweep", "report")
@@ -44,10 +45,8 @@ MAX_STEPS = 10_000_000
 # section -> key -> (kind, default, window or None); [problem] windows
 # also quote the value, and a [problem] key without a value is required
 _KEYS = {
-    "problem": {"alpha": (float, None, (lambda v: 1.0 < v <= 2.0, "lie in (1, 2]")),
-                "sigma": (float, None, (lambda v: v > 0.0, "lie in (0, inf)")),
-                "gamma": (int, None, (lambda v: v in (-1, 1), "lie in {-1, +1}")),
-                "half_period": (float, None, (lambda v: v > 0.0, "lie in (0, inf)"))},
+    "problem": {key: (int if key == "gamma" else float, None, window)
+                for key, window in WINDOWS.items()},
     "run": {"command": (str, None, None),
             "seed": (int, 0, (lambda v: v >= 0, "be nonnegative")),
             "out": (str, None, None)},

@@ -33,7 +33,7 @@ the deflated solve of L_plus y = phi, whose pairing with phi equals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
@@ -42,7 +42,7 @@ from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
 from .fields import (AntiperiodicField, analyze, derivative, evaluate, lift,
                      random_field, synthesize, to_grid, translate)
-from .functionals import charge, inner, momentum, x_norm
+from .functionals import charge, inner, kinetic, momentum, x_norm
 from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
 from .profiles import StandingProfile, _refine_peak, family_pair
 from .spectrum import assemble, deflated_solve, eigensolve, sector_coords
@@ -105,7 +105,7 @@ def _relative_drift(first: np.ndarray, dev: np.ndarray) -> dict:
 
 
 def initial_state(field: AntiperiodicField, dt: float) -> EvolutionState:
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValidationError(f"time step must be positive, got {dt}")
     return EvolutionState(field=field, time=0.0, dt=dt,
                           conserved_log=np.zeros((0, 4)))
@@ -122,7 +122,7 @@ class _Stepper:
 
     def __init__(self, fields, params: ProblemParams, omega: float,
                  dt: float, guard: float = math.inf, nonlinear: bool = True):
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValidationError(f"time step must be positive, got {dt}")
         head = fields[0]
         T = head.half_period
@@ -135,8 +135,7 @@ class _Stepper:
         self.k = k
         self.n = n
         self.bins = k % n
-        self.sym = np.abs(np.pi * k / T) ** params.alpha
-        lin = np.exp(-1j * (self.sym + omega) * dt)
+        lin = np.exp(-1j * (np.abs(np.pi * k / T) ** params.alpha + omega) * dt)
         # lin on all n bins (zero off the band), one row per trajectory, so
         # each row's multiply is the same contiguous loop as a lone run's
         self.full = np.zeros((len(fields), n), dtype=complex)
@@ -197,25 +196,20 @@ class _Stepper:
         self.coeff = analyze(vals.T, self.bins, n)
         self.steps_taken += m
 
-    def _conserved(self, c):
-        T = self.T
-        q = 0.5 * T * float(np.sum(np.abs(c) ** 2))
-        nmom = -0.5 * np.pi * float(np.sum(self.k * np.abs(c) ** 2))
-        kin = 0.5 * T * float(np.sum(self.sym * np.abs(c) ** 2))
-        vals = synthesize(c, self.bins, self.n)
-        p = (T / self.n) * float(np.sum(np.abs(vals) ** (self.two_sigma + 2.0)))
-        p /= self.two_sigma + 2.0
-        return q, nmom, kin - self.params.gamma * p
-
     def field(self, j: int = 0) -> AntiperiodicField:
         return AntiperiodicField(self.T, self.k, self.coeff[:, j].copy())
 
     def log_rows(self) -> list:
-        """(t, H, Q, N) of every column at the current state."""
+        """(t, H, Q, N) of every column at the current state: Q, N and K
+        from the functionals, P by quadrature on the stepper grid."""
         rows = []
-        for c in self.coeff.T:
-            q, nmom, ham = self._conserved(np.ascontiguousarray(c))
-            rows.append((self.time, ham, q, nmom))
+        for j in range(self.coeff.shape[1]):
+            f = self.field(j)
+            vals = np.abs(synthesize(f.coeff, self.bins, self.n))
+            p = (self.T / self.n) * float(np.sum(vals ** (self.two_sigma + 2.0)))
+            p /= self.two_sigma + 2.0
+            ham = kinetic(f, self.params.alpha) - self.params.gamma * p
+            rows.append((self.time, ham, charge(f), momentum(f)))
         return rows
 
     def logged_blocks(self, steps: int, log_interval: int):
@@ -248,11 +242,7 @@ def evolve(state: EvolutionState, params: ProblemParams, omega: float,
     rows.extend(block[0] for block in eng.logged_blocks(steps, log_interval))
     out = EvolutionState(field=eng.field(), time=eng.time, dt=state.dt,
                          conserved_log=np.array(rows))
-    drift = max(out.drift().values())
-    if drift > tol_cons:
-        out = EvolutionState(field=out.field, time=out.time, dt=out.dt,
-                             conserved_log=out.conserved_log, flagged=True)
-    return out
+    return replace(out, flagged=bool(max(out.drift().values()) > tol_cons))
 
 
 def orbital_distance(u: AntiperiodicField, phi: StandingProfile) -> float:
@@ -312,7 +302,7 @@ def n_preserving_perturbation(profile: StandingProfile, epsilon: float,
     corrected along i phi' by the exact root of the quadratic
     s -> N(phi + v + s i phi').
     """
-    if epsilon <= 0.0 or epsilon > 1e-2:
+    if not 0.0 < epsilon <= 1e-2:
         raise ValidationError(
             f"perturbation size must lie in (0, 1e-2], got {epsilon}")
     phi = profile.field
@@ -505,8 +495,13 @@ def stability_experiment(profile: StandingProfile, perturbations,
     perturbations = list(perturbations)
     if not perturbations:
         raise ValidationError("need at least one perturbation")
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValidationError(f"horizon must be positive, got {horizon}")
+    if not dt > 0.0:
+        raise ValidationError(f"time step must be positive, got {dt}")
+    if not (math.isfinite(dt) and math.isfinite(horizon / dt)):
+        raise ValidationError(
+            f"horizon / dt must be a finite step count, got {horizon} / {dt}")
     indices = stability_indices(profile)
     peak = float(np.max(np.abs(to_grid(profile.field, 512).values)))
     guard = GUARD_FACTOR * peak

@@ -45,7 +45,7 @@ class AntiperiodicField:
             raise ValidationError("wavenumbers must all be odd")
         if np.any(np.diff(k) <= 0):
             raise ValidationError("wavenumbers must be strictly increasing")
-        if self.half_period <= 0:
+        if not self.half_period > 0:
             raise ValidationError(f"half_period must be positive, got {self.half_period}")
         k.setflags(write=False)
         c.setflags(write=False)
@@ -138,6 +138,17 @@ def antiperiodic_defects(values: np.ndarray) -> list:
         raise SamplingError("antiperiodicity check needs an even grid")
     half = n // 2
     return _row_ratios(values[:, half:] + values[:, :half], values)
+
+
+def _monotonicity(v: np.ndarray, slack: float) -> str:
+    """Monotonicity on (0, T/2) of samples v on the 2T grid, up to slack
+    per grid step: constant, nonincreasing, nondecreasing or none."""
+    d = np.diff(v[:len(v) // 4 + 1])
+    down = bool(np.all(d <= slack))
+    up = bool(np.all(d >= -slack))
+    if down and up:
+        return "constant"
+    return "nonincreasing" if down else "nondecreasing" if up else "none"
 
 
 def synthesize(coeff: np.ndarray, bins, n: int) -> np.ndarray:

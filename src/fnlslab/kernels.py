@@ -68,9 +68,9 @@ def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSampl
     """
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
-    if half_period <= 0.0:
+    if not half_period > 0.0:
         raise ValidationError(f"half_period must be positive, got {half_period}")
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValidationError(f"diffusion time must be positive, got {t}")
     if n < 8 or n % 4 != 0:
         raise SamplingError(f"kernel grid must be a multiple of 4, >= 8, got {n}")
@@ -144,13 +144,13 @@ def positivity_report(ka: KernelSamples) -> dict:
     half = np.arange(-n // 4 + 1, n // 4)        # (-T/2, T/2) interior
     vals = off[half % n]
     i_min = int(np.argmin(vals))
-    if vals[i_min] <= 0.0:
+    if not vals[i_min] > 0.0:
         raise _violation("K_a", half[i_min] * step, float(vals[i_min]))
 
     ramp = off[np.arange(0, n // 2 + 1) % n]     # x from 0 to T inclusive
     drops = -np.diff(ramp)
     j_min = int(np.argmin(drops))
-    if drops[j_min] <= 0.0:
+    if not drops[j_min] > 0.0:
         raise _violation("monotone decrease of K_a", (j_min + 1) * step,
                          float(drops[j_min]))
 
@@ -164,7 +164,7 @@ def positivity_report(ka: KernelSamples) -> dict:
         k = int(np.argmin(pair))
         pair_min[tag] = float(pair.flat[k])
         del pair                                 # one tensor at a time
-        if pair_min[tag] <= 0.0:
+        if not pair_min[tag] > 0.0:
             xi, yi = np.unravel_index(k, (m, m))
             raise _violation(f"{tag} pair kernel", (lo + xi) * step,
                              pair_min[tag], extra=f", y = {(lo + yi) * step:+.6f}")

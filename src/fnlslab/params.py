@@ -17,6 +17,13 @@ TOL_DEFLATE = 1e-8   # right-hand-side share allowed in deflated directions
 TOL_RICHARDSON = 1e-4  # agreement of the central differences at h and h/2
 MAX_ITER = 20000     # cap on descent iterations in the profile solvers
 
+# The window of each ProblemParams field as a (condition, rule) pair, in
+# field order; a value outside it is reported as "<field> must <rule>".
+WINDOWS = {"alpha": (lambda v: 1.0 < v <= 2.0, "lie in (1, 2]"),
+           "sigma": (lambda v: 0.0 < v < math.inf, "lie in (0, inf)"),
+           "gamma": (lambda v: v in (-1, 1), "lie in {-1, +1}"),
+           "half_period": (lambda v: 0.0 < v < math.inf, "lie in (0, inf)")}
+
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -35,16 +42,10 @@ class ProblemParams:
     half_period: float
 
     def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValidationError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if self.gamma not in (-1, 1):
-            raise ValidationError(f"gamma must be +1 or -1, got {self.gamma}")
-        if not (self.half_period > 0.0 and math.isfinite(self.half_period)):
-            raise ValidationError(
-                f"half_period must be positive and finite, got {self.half_period}"
-            )
+        for key, (inside, rule) in WINDOWS.items():
+            val = getattr(self, key)
+            if not inside(val):
+                raise ValidationError(f"{key} must {rule}, got {val}")
 
     @property
     def fundamental_wavenumber(self) -> float:

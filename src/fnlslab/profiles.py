@@ -184,9 +184,39 @@ def _coeff_from_even_cos(ws: _Workspace, a: np.ndarray) -> np.ndarray:
     return c.astype(np.complex128)
 
 
+def _damped_newton(x, omega, residual, step):
+    """Damped Newton iteration on the unknowns (x, omega).
+
+    `residual(x, omega)` is the residual vector and `step(x, omega, r)`
+    the full Newton update (dx, domega) at residual r.  Stops once
+    ||r|| < 1e-13 max(1, ||x||); each step is halved up to 12 times
+    until ||r|| drops, and if no halving helps the current iterate is
+    returned (the caller verifies the residual).  Returns
+    (x, omega, n_steps).
+    """
+    r = residual(x, omega)
+    for it in range(_NEWTON_STEPS):
+        norm_r = np.linalg.norm(r)
+        if norm_r < 1e-13 * max(1.0, np.linalg.norm(x)):
+            return x, omega, it
+        dx, domega = step(x, omega, r)
+        scale = 1.0
+        for _ in range(12):
+            x_new = x + scale * dx
+            om_new = omega + scale * domega
+            r_new = residual(x_new, om_new)
+            if np.linalg.norm(r_new) < norm_r:
+                x, omega, r = x_new, om_new, r_new
+                break
+            scale *= 0.5
+        else:
+            return x, omega, it
+    return x, omega, _NEWTON_STEPS
+
+
 def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
                       mu: float | None):
-    """Newton polish on the real even branch.
+    """Newton polish on the real even branch: a solve of the cosine system.
 
     With `mu` given (defocusing) omega is an unknown and the charge
     constraint closes the system; otherwise omega is held fixed
@@ -196,7 +226,7 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
     sig = ws.params.sigma
     lam_e = (np.pi * (2 * np.arange(ws.M) + 1) / ws.T) ** ws.params.alpha
 
-    def residual_vec(a, omega):
+    def residual(a, omega):
         coeff = _coeff_from_even_cos(ws, a)
         nl = ws.nonlinear(coeff)
         r = lam_e * a + omega * a - gamma * _even_cos_coeffs(ws, nl)
@@ -204,11 +234,7 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
             r = np.append(r, 0.25 * ws.T * np.sum(a * a) - mu)
         return r
 
-    r = residual_vec(a, omega)
-    for it in range(_NEWTON_STEPS):
-        norm_r = np.linalg.norm(r)
-        if norm_r < 1e-13 * max(1.0, np.linalg.norm(a)):
-            return a, omega, it
+    def step(a, omega, r):
         coeff = _coeff_from_even_cos(ws, a)
         vals = synthesize(coeff, ws.bins, ws.N)
         wmat = cosine_block((2.0 * sig + 1.0) * np.abs(vals) ** (2.0 * sig),
@@ -221,18 +247,9 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"singular Newton system: {exc}") from exc
-        scale = 1.0
-        for _ in range(12):
-            a_new = a + scale * delta[: ws.M]
-            om_new = omega + scale * (delta[ws.M] if mu is not None else 0.0)
-            r_new = residual_vec(a_new, om_new)
-            if np.linalg.norm(r_new) < norm_r:
-                a, omega, r = a_new, om_new, r_new
-                break
-            scale *= 0.5
-        else:
-            return a, omega, it  # stalled; caller verifies the residual
-    return a, omega, _NEWTON_STEPS
+        return delta[: ws.M], (delta[ws.M] if mu is not None else 0.0)
+
+    return _damped_newton(a, omega, residual, step)
 
 
 def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
@@ -247,16 +264,12 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
     nm = 2 * ws.M
     lin = ws.lam + 1j * c * 1j * ws.w  # diagonal of Lambda^alpha + i c d/dx
 
-    def residual_vec(coeff, omega):
+    def residual(coeff, omega):
         r = (lin + omega) * coeff - gamma * ws.nonlinear(coeff)
         return np.concatenate([np.real(r), np.imag(r),
                                [ws.charge(coeff) - mu]])
 
-    r = residual_vec(coeff, omega)
-    for it in range(_NEWTON_STEPS):
-        norm_r = np.linalg.norm(r)
-        if norm_r < 1e-13 * max(1.0, np.linalg.norm(coeff)):
-            return coeff, omega, it
+    def step(coeff, omega, r):
         vals = synthesize(coeff, ws.bins, ws.N)
         w1 = (sig + 1.0) * np.abs(vals) ** (2.0 * sig)
         mod2 = np.abs(vals) ** 2
@@ -275,18 +288,9 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
         jac[2 * nm, :nm] = ws.T * np.real(coeff)
         jac[2 * nm, nm: 2 * nm] = ws.T * np.imag(coeff)
         delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        scale = 1.0
-        for _ in range(12):
-            co_new = coeff + scale * (delta[:nm] + 1j * delta[nm: 2 * nm])
-            om_new = omega + scale * delta[2 * nm]
-            r_new = residual_vec(co_new, om_new)
-            if np.linalg.norm(r_new) < norm_r:
-                coeff, omega, r = co_new, om_new, r_new
-                break
-            scale *= 0.5
-        else:
-            return coeff, omega, it  # stalled; caller verifies the residual
-    return coeff, omega, _NEWTON_STEPS
+        return delta[:nm] + 1j * delta[nm: 2 * nm], delta[2 * nm]
+
+    return _damped_newton(coeff, omega, residual, step)
 
 
 def _refine_peak(f: AntiperiodicField, x: float, dx: float,
@@ -353,9 +357,9 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
 def _check_defocusing(params: ProblemParams, c: float, mu: float) -> None:
     if params.gamma != -1:
         raise ValidationError("defocusing branch requires gamma = -1")
-    if mu <= 0:
+    if not mu > 0:
         raise ValidationError(f"charge constraint must be positive, got {mu}")
-    if abs(c) >= params.speed_limit:
+    if not abs(c) < params.speed_limit:
         raise SpeedOutOfRange(
             f"|c| = {abs(c)} outside the admissible window (0, {params.speed_limit})")
 
@@ -401,16 +405,8 @@ def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
         omega = recovered_omega(ws.field(u), c, params)
         u, omega, it_newton = _newton_complex(ws, u, omega, c, mu)
 
-    field = ws.field(u)
-    res = profile_residual(field, omega, c, params)
-    iterations = it_bb + it_newton
-    if res > tol:
-        raise NonConvergence(
-            f"profile residual {res:.3e} above tolerance {tol:.3e} "
-            f"after {iterations} iterations (n_modes={n_modes})")
-    return StandingProfile(params, field, omega, c, charge(field),
-                           potential(field, params.sigma), res, iterations,
-                           moving_frame_energy(field, c, params))
+    return _profile(ws, u, omega, c, it_bb + it_newton, tol,
+                    lambda f: moving_frame_energy(f, c, params))
 
 
 def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
@@ -425,9 +421,9 @@ def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
 def _check_focusing(params: ProblemParams, omega: float, p0: float) -> None:
     if params.gamma != 1:
         raise ValidationError("focusing branch requires gamma = +1")
-    if p0 <= 0:
+    if not p0 > 0:
         raise ValidationError(f"potential constraint must be positive, got {p0}")
-    if abs(omega) >= params.frequency_limit:
+    if not abs(omega) < params.frequency_limit:
         raise OmegaOutOfRange(
             f"|omega| = {abs(omega)} outside (0, {params.frequency_limit})")
 
@@ -474,16 +470,23 @@ def _solve_focusing(ws: _Workspace, omega: float, p0: float, tol: float,
     a, omega, it_newton = _newton_real_even(ws, a, omega, None)
     u = _coeff_from_even_cos(ws, a)
 
+    return _profile(ws, u, omega, 0.0, it_bb + it_newton, tol,
+                    lambda f: quadratic_energy(f, omega, params.alpha))
+
+
+def _profile(ws: _Workspace, u: np.ndarray, omega: float, c: float,
+             iterations: int, tol: float, objective) -> StandingProfile:
+    """The StandingProfile of coefficients u, its residual sampled and
+    held to tol; `objective` maps the field to the branch's objective."""
     field = ws.field(u)
-    res = profile_residual(field, omega, 0.0, params)
-    iterations = it_bb + it_newton
+    res = profile_residual(field, omega, c, ws.params)
     if res > tol:
         raise NonConvergence(
             f"profile residual {res:.3e} above tolerance {tol:.3e} "
-            f"after {iterations} iterations (n_modes={n_modes})")
-    return StandingProfile(params, field, omega, 0.0, charge(field),
-                           potential(field, sig), res, iterations,
-                           quadratic_energy(field, omega, params.alpha))
+            f"after {iterations} iterations (n_modes={ws.M})")
+    return StandingProfile(ws.params, field, omega, c, charge(field),
+                           potential(field, ws.params.sigma), res, iterations,
+                           objective(field))
 
 
 def _gauged(f: AntiperiodicField) -> AntiperiodicField:

@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import (ComplexInput, MonotonicityUnverified, SamplingError,
                      ValidationError)
-from .fields import (AntiperiodicField, GridSamples, antiperiodic_defects,
-                     grid_rows, modes_rows, odd_wavenumbers, random_rows,
-                     real_projection, realness_defects)
-from .functionals import kinetic_rows, x_norm, x_norm_rows
+from .fields import (AntiperiodicField, GridSamples, _monotonicity,
+                     antiperiodic_defects, grid_rows, modes_rows,
+                     odd_wavenumbers, random_rows, real_projection,
+                     realness_defects)
+from .functionals import kinetic_rows, x_norm_rows
 from .params import EPS_REAL
 
 # multiplies norm/N in the grid-defect budget for rearrangement checks
@@ -103,25 +104,14 @@ def rearrange_hash(g: GridSamples) -> GridSamples:
     return GridSamples(g.half_period, hsh)
 
 
-def cell_asymmetry(g: GridSamples) -> float:
-    """Relative l2 size of g(-x) - g(x) on the grid.
-
-    For star output this is the one-cell placement asymmetry (ranks
-    2m-1 and 2m land on +-m dx) and decays like 1/N.
-    """
-    return _cell_asymmetry_rows(g.values.real[None])[0]
-
-
 def _cell_asymmetry_rows(vals: np.ndarray) -> list:
+    """Relative l2 size of g(-x) - g(x) of each real sample row: for star
+    output the one-cell placement asymmetry (ranks 2m-1 and 2m land on
+    +-m dx), which decays like 1/N."""
     n = vals.shape[1]
     mirrored = vals[:, (n - np.arange(n)) % n] - vals
     return [float(np.linalg.norm(d)) / (float(np.linalg.norm(v)) or 1.0)
             for d, v in zip(mirrored, vals)]
-
-
-def rearrangement_budget(f: AntiperiodicField, alpha: float, n: int) -> float:
-    """Grid-defect allowance for kinetic comparisons, O(norm / N)."""
-    return _DEFECT_FACTOR * x_norm(f, alpha) / n
 
 
 def polya_szego_check(f: AntiperiodicField, alpha: float, n: int = 1024) -> dict:
@@ -190,20 +180,6 @@ def _polya_szego_rows(half_period, k, coeff, alpha, n) -> list:
     return checks
 
 
-def _monotone_direction(v: np.ndarray, slack: float) -> str:
-    d = np.diff(v)
-    down = bool(np.all(d <= slack))
-    up = bool(np.all(d >= -slack))
-    if down and up:
-        return "constant"
-    if down:
-        return "nonincreasing"
-    if up:
-        return "nondecreasing"
-    raise MonotonicityUnverified(
-        "potential is not monotone on (0, T/2) at the grid resolution")
-
-
 def potential_ordering_check(V: GridSamples, trials: int, n_modes: int = 16,
                              seed: int = 0) -> dict:
     """int V f^2 against the rearrangement matched to V's monotonicity.
@@ -229,7 +205,10 @@ def potential_ordering_check(V: GridSamples, trials: int, n_modes: int = 16,
     j = np.arange(n)
     if float(np.max(np.abs(vals[(n - j) % n] - vals[j]))) > tol:
         raise ValidationError("potential must be even about x = 0")
-    direction = _monotone_direction(vals[: n // 4 + 1], tol)
+    direction = _monotonicity(vals, tol)
+    if direction == "none":
+        raise MonotonicityUnverified(
+            "potential is not monotone on (0, T/2) at the grid resolution")
 
     h = 2.0 * V.half_period / n
     rng = np.random.default_rng(seed)

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import (ChainDoesNotTerminate, InconsistentRange, NonConvergence,
                      ProfileNotReal, SpectralGapTooSmall, ValidationError)
-from .fields import (AntiperiodicField, cosine_block, derivative,
-                     fractional_laplacian, imag_part, synthesize, to_grid)
+from .fields import (AntiperiodicField, _monotonicity, cosine_block,
+                     derivative, fractional_laplacian, imag_part, synthesize,
+                     to_grid)
 from .functionals import _default_grid, charge, momentum
 from .params import EPS_REAL, FD_STEP, TOL_DEFLATE
 from .profiles import family_pair
@@ -194,7 +195,7 @@ def deflated_solve(profile, spec: SectorSpectrum, rhs: np.ndarray):
 
 def _scale_samples(profile, which: str) -> np.ndarray:
     """The potential of `which` on the smallest quadrature grid, as read
-    by _kernel_scale and _potential_premise."""
+    by _kernel_scale and the ground-state ordering premise."""
     n = _quadrature_size(profile.field, profile.params.sigma, 1)
     return _potential_samples(profile, which, n)
 
@@ -243,18 +244,6 @@ def _sign_changes(values: np.ndarray) -> int:
         return 0
     s = np.sign(live)
     return int(np.sum(s[1:] != s[:-1]))
-
-
-def _potential_premise(v: np.ndarray) -> str:
-    """Monotonicity of V on (0, T/2) from its samples v on the 2T grid."""
-    quarter = v[:len(v) // 4 + 1]
-    slack = 1e-10 * max(np.max(np.abs(v)), 1e-300)
-    d = np.diff(quarter)
-    if np.all(d <= slack):
-        return "nonincreasing"
-    if np.all(d >= -slack):
-        return "nondecreasing"
-    return "none"
 
 
 def nondegeneracy_check(profile, size: int) -> NondegeneracyReport:
@@ -324,7 +313,8 @@ def _nondegeneracy_report(profile, spectra: dict) -> NondegeneracyReport:
                          "second": _sign_changes(_sector_values(s, vecs[:, 1]))}
         sign_counts[which] = counts
 
-        premise = _potential_premise(v)
+        # V is never constant here: a real antiperiodic phi vanishes somewhere
+        premise = _monotonicity(v, 1e-10 * max(np.max(np.abs(v)), 1e-300))
         even_ground = float(spectra[(which, "even")].eigenvalues[0])
         odd_ground = float(spectra[(which, "odd")].eigenvalues[0])
         slack = 1e-12 * scale
@@ -370,6 +360,17 @@ def _apply_on_grid(profile, which: str, w: AntiperiodicField,
     return to_grid(lam_w, n).values + profile.omega * wg + v * wg
 
 
+def _chain_prologue(profile, message: str):
+    """Checks shared by the chain reports: a real resting profile on the
+    defocusing branch (else ValidationError(message)).  Returns phi' and
+    the fine grid size."""
+    _require_real_resting(profile)
+    if profile.params.gamma != -1:
+        raise ValidationError(message)
+    f = profile.field
+    return derivative(f), 2 * _default_grid(f, profile.params.sigma)
+
+
 def _mu_chain(profile, n: int):
     """Charge-family neighbours, domega/dmu, and the chain residual
     L_plus (dphi/dmu) + (domega/dmu) phi on the n-point grid, from
@@ -383,6 +384,15 @@ def _mu_chain(profile, n: int):
     return (lower, upper), domega_dmu, chain
 
 
+def _c_chain(profile):
+    """Speed-family neighbours and Im dphi/dc, the chain vector of
+    L_minus over phi', from central differences of step FD_STEP."""
+    h = FD_STEP
+    lower, upper = family_pair(profile, "c", h)
+    dc_field = (1.0 / (2.0 * h)) * (upper.field - lower.field)
+    return (lower, upper), imag_part(dc_field)
+
+
 def fredholm_range_checks(profile, spectra: dict) -> dict:
     """Range identities for the sector operators at a defocusing profile.
 
@@ -393,16 +403,11 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
     and that the deflated odd-sector solve L_minus y = -phi' reproduces
     Im dphi/dc.
     """
-    _require_real_resting(profile)
+    dphi, n = _chain_prologue(
+        profile, "range checks use the charge/speed parameterization of the "
+        "defocusing branch")
     pars = profile.params
-    if pars.gamma != -1:
-        raise ValidationError(
-            "range checks use the charge/speed parameterization of the "
-            "defocusing branch")
-
     f = profile.field
-    dphi = derivative(f)
-    n = 2 * _default_grid(f, pars.sigma)
     fg = to_grid(f, n).values.real
     dg = to_grid(dphi, n).values
     mod = np.abs(fg) ** (2.0 * pars.sigma)
@@ -431,9 +436,8 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
     report["deflated_components"] = deflated
     report["deflated_drop"] = dropped
 
-    c_dn, c_up = family_pair(profile, "c", FD_STEP)
-    dc_field = (1.0 / (2.0 * FD_STEP)) * (c_up.field - c_dn.field)
-    y_fd = sector_coords(imag_part(dc_field), "odd", size)
+    _, dc_imag = _c_chain(profile)
+    y_fd = sector_coords(dc_imag, "odd", size)
     denom = max(np.linalg.norm(y), 1e-300)
     report["c_consistency"] = float(np.linalg.norm(y - y_fd) / denom)
     report["dspeed_norm"] = float(np.linalg.norm(y_fd))
@@ -449,23 +453,14 @@ def jordan_structure(profile) -> dict:
     stay away from zero) and that the Jacobians d(N,Q)/d(c,mu) and
     d(c,omega)/d(c,mu) are nonsingular.
     """
-    _require_real_resting(profile)
-    pars = profile.params
-    if pars.gamma != -1:
-        raise ValidationError(
-            "the two-parameter chain structure lives on the defocusing branch")
-
-    f = profile.field
-    dphi = derivative(f)
-    n = 2 * _default_grid(f, pars.sigma)
-
+    dphi, n = _chain_prologue(
+        profile, "the two-parameter chain structure lives on the defocusing branch")
     h = FD_STEP
     (p_dn, p_up), domega_dmu, chain_mu = _mu_chain(profile, n)
     dq_dmu = (charge(p_up.field) - charge(p_dn.field)) / (2.0 * h)
     dn_dmu = (momentum(p_up.field) - momentum(p_dn.field)) / (2.0 * h)
 
-    c_dn, c_up = family_pair(profile, "c", h)
-    dc_imag = imag_part((1.0 / (2.0 * h)) * (c_up.field - c_dn.field))
+    (c_dn, c_up), dc_imag = _c_chain(profile)
     dn_dc = (momentum(c_up.field) - momentum(c_dn.field)) / (2.0 * h)
     dq_dc = (charge(c_up.field) - charge(c_dn.field)) / (2.0 * h)
     domega_dc = (c_up.omega - c_dn.omega) / (2.0 * h)

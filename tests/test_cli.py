@@ -192,8 +192,9 @@ def test_import_loads_no_scipy():
 
 
 def test_every_export_has_a_caller():
-    # every name fnlslab exports is read by the package or the benchmark
-    # outside its own definition; reads from inside an export that has no
+    # every name fnlslab exports, and every public module-level def and
+    # class of the package, is read by the package or the benchmark
+    # outside its own definition; reads from inside a name that has no
     # such reader do not count, so a dead chain is flagged whole
     import ast
 
@@ -201,10 +202,14 @@ def test_every_export_has_a_caller():
 
     pkg = Path(fnlslab.__file__).resolve().parent
     bench = Path(__file__).resolve().parents[1] / "bench"
-    exports = {alias.asname or alias.name
-               for node in ast.parse((pkg / "__init__.py").read_text()).body
-               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names = {alias.asname or alias.name
+             for node in ast.parse((pkg / "__init__.py").read_text()).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
     sources = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    for path in sources:
+        names |= {top.name for top in ast.parse(path.read_text()).body
+                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                  and not top.name.startswith("_")}
     sources += sorted(bench.glob("*.py"))
     # name -> top-level definitions that read it (None: module-level code)
     readers = {}
@@ -222,9 +227,16 @@ def test_every_export_has_a_caller():
                     readers.setdefault(n.id, set()).add(owner)
                 elif isinstance(n, ast.Attribute):
                     readers.setdefault(n.attr, set()).add(owner)
+    # the tracer patches its (module, attribute, metric) targets by name
+    tracer = ast.parse((bench / "tracer.py").read_text())
+    targets = next(node.value for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "_TARGETS")
+    for target in targets.elts:
+        readers.setdefault(target.elts[1].value, set()).add(None)
     dead = set()
     while True:
-        found = {name for name in exports
+        found = {name for name in names
                  if not readers.get(name, set()) - {name} - dead}
         if found == dead:
             break

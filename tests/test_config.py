@@ -1,17 +1,25 @@
 """INI config parsing: defaults, parameter windows, violation collection,
 and line-numbered parse errors."""
 
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fnlslab.config import _SECTIONS, COMMANDS, RunConfig, parse_config
-from fnlslab.errors import ParseError, ValidationError
+from fnlslab.dynamics import (initial_state, n_preserving_perturbation,
+                              stability_experiment)
+from fnlslab.errors import (OmegaOutOfRange, ParseError, PositivityViolation,
+                            SpeedOutOfRange, ValidationError)
+from fnlslab.fields import AntiperiodicField
+from fnlslab.kernels import (KernelSamples, kernel_ka, kernel_kp,
+                             positivity_report)
 from fnlslab.params import ProblemParams
+from fnlslab.profiles import solve_defocusing, solve_focusing
 
 MINIMAL = """
 [problem]
@@ -302,3 +310,77 @@ def test_any_ini_text_parses_or_raises_validation_error(problem, others):
     except ValidationError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(-1.0, 3.0), sigma=st.floats(-2.0, 4.0),
+       gamma=st.integers(-3, 3), half_period=st.floats(-5.0, 50.0))
+@example(alpha=1.5, sigma=-1.0, gamma=-1, half_period=3.0)
+@example(alpha=1.0, sigma=1.0, gamma=0, half_period=0.0)
+@example(alpha=2.0, sigma=0.0, gamma=1, half_period=-0.0)
+def test_problem_params_raise_exactly_on_config_windows(alpha, sigma, gamma,
+                                                       half_period):
+    # one table of windows: ProblemParams refuses exactly the values the
+    # config reports as problem.* violations, with its first message
+    values = {"alpha": alpha, "sigma": sigma, "gamma": gamma,
+              "half_period": half_period}
+    text = "[problem]\n" + "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    try:
+        parse_config(text)
+        reported = []
+    except ValidationError as exc:
+        reported = [line.strip()[len("- problem."):]
+                    for line in str(exc).splitlines()
+                    if line.strip().startswith("- problem.")]
+    try:
+        ProblemParams(**values)
+    except ValidationError as exc:
+        assert reported and str(exc) == reported[0]
+    else:
+        assert reported == []
+
+
+@pytest.fixture(scope="module")
+def small_profile():
+    pars = ProblemParams(alpha=1.5, sigma=1.0, gamma=-1, half_period=math.pi)
+    return solve_defocusing(pars, mu=1.0, n_modes=16)
+
+
+_FOCUSING = ProblemParams(alpha=1.5, sigma=1.0, gamma=1, half_period=math.pi)
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("error, call", [
+    (ValidationError, lambda p: kernel_kp(1.5, math.pi, _NAN, 64)),
+    (ValidationError, lambda p: kernel_kp(1.5, _NAN, 1.0, 64)),
+    (ValidationError, lambda p: kernel_ka(1.5, math.pi, _NAN, 64)),
+    (PositivityViolation, lambda p: positivity_report(
+        KernelSamples(1.5, math.pi, 1.0, np.full(64, _NAN), "Ka"))),
+    (ValidationError, lambda p: n_preserving_perturbation(
+        p, _NAN, np.random.default_rng(0))),
+    (ValidationError, lambda p: initial_state(p.field, _NAN)),
+    (ValidationError, lambda p: AntiperiodicField(
+        _NAN, p.field.wavenumbers, p.field.coeff)),
+    (ValidationError, lambda p: stability_experiment(
+        p, [0.0 * p.field], horizon=_NAN)),
+    (ValidationError, lambda p: stability_experiment(
+        p, [0.0 * p.field], horizon=1.0, dt=_NAN)),
+    (ValidationError, lambda p: stability_experiment(
+        p, [0.0 * p.field], horizon=math.inf)),
+    (ValidationError, lambda p: stability_experiment(
+        p, [0.0 * p.field], horizon=1.0, dt=math.inf)),
+    (ValidationError, lambda p: solve_defocusing(p.params, mu=_NAN, n_modes=16)),
+    (SpeedOutOfRange, lambda p: solve_defocusing(p.params, c=_NAN, n_modes=16)),
+    (ValidationError, lambda p: solve_focusing(_FOCUSING, 0.5, p0=_NAN, n_modes=16)),
+    (OmegaOutOfRange, lambda p: solve_focusing(_FOCUSING, _NAN, n_modes=16)),
+], ids=["kernel_kp-t", "kernel_kp-half_period", "kernel_ka-t",
+        "positivity_report", "n_preserving_perturbation-epsilon",
+        "initial_state-dt", "AntiperiodicField-half_period",
+        "stability_experiment-horizon", "stability_experiment-dt",
+        "stability_experiment-horizon-inf", "stability_experiment-dt-inf",
+        "solve_defocusing-mu", "solve_defocusing-c", "solve_focusing-p0",
+        "solve_focusing-omega"])
+def test_nan_fails_every_input_guard(small_profile, error, call):
+    # each guard is written so that a NaN comparison fails it
+    with pytest.raises(error):
+        call(small_profile)

@@ -12,8 +12,8 @@ from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
                             NonConvergence, StepTooLarge, ValidationError)
 from fnlslab.fields import (cosine_field, derivative, random_field,
-                            rotate_phase, translate)
-from fnlslab.functionals import charge, inner, momentum, x_norm
+                            rotate_phase, synthesize, translate)
+from fnlslab.functionals import charge, inner, kinetic, momentum, x_norm
 from fnlslab.params import FD_STEP, ProblemParams
 from fnlslab.profiles import solve_defocusing, solve_focusing
 from fnlslab.spectrum import (assemble, deflated_solve, eigensolve,
@@ -49,6 +49,24 @@ def test_profile_is_equilibrium(def15):
     assert drift["hamiltonian"] < 1e-9
     assert drift["charge"] < 1e-10
     assert drift["momentum"] < 1e-10
+
+
+def test_log_rows_take_q_n_k_from_the_functionals(def15):
+    pars, prof = def15
+    rng = np.random.default_rng(5)
+    fields = [prof.field + random_field(T, 48, rng, scale=1e-3)
+              for _ in range(3)]
+    eng = dynamics._Stepper(fields, pars, prof.omega, 1e-3)
+    eng.advance(20)
+    rows = eng.log_rows()
+    assert len(rows) == 3
+    for j, row in enumerate(rows):
+        f = eng.field(j)
+        # P stays a quadrature on the stepper grid
+        vals = np.abs(synthesize(f.coeff, eng.bins, eng.n))
+        p = (T / eng.n) * float(np.sum(vals ** 4.0)) / 4.0
+        assert row == (eng.time, kinetic(f, pars.alpha) - pars.gamma * p,
+                       charge(f), momentum(f))
 
 
 def test_charge_conserved_to_roundoff(def15):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fnlslab.errors import (AntiperiodicityViolation, SamplingError,
                             ValidationError)
 import fnlslab.fields as fields
-from fnlslab.fields import (AntiperiodicField, GridSamples, analyze,
+from fnlslab.fields import (AntiperiodicField, GridSamples, _monotonicity,
+                            analyze,
                             cosine_block, cosine_field, derivative, evaluate,
                             fractional_laplacian, imag_part, lift,
                             odd_wavenumbers, random_field, real_part,
@@ -248,3 +249,31 @@ def test_cosine_block_matches_dense_oracle(size, sign, seed, zeros):
         mp.setattr(fields, "analyze", lambda values, bins, n: line)
         block = cosine_block(samples, size, sign)
     assert block.tobytes() == cosine_block_dense(2.0 * line, size, sign).tobytes()
+
+
+def test_monotonicity_classifies_the_first_quarter_of_the_2t_grid():
+    n = 64
+    x = 2 * T * np.arange(n) / n
+    slack = 1e-10
+    assert _monotonicity(np.cos(2 * x), slack) == "nonincreasing"
+    assert _monotonicity(-np.cos(2 * x), slack) == "nondecreasing"
+    assert _monotonicity(np.full(n, 3.0), slack) == "constant"
+    assert _monotonicity(np.cos(6 * x), slack) == "none"
+    # only the samples on [0, T/2] are read
+    v = np.cos(2 * x)
+    v[n // 4 + 1:] = RNG.standard_normal(n - n // 4 - 1)
+    assert _monotonicity(v, slack) == "nonincreasing"
+
+
+def test_monotonicity_slack_bounds_each_step():
+    n = 64
+    flat = np.full(n, 1.0)
+    wiggle = flat.copy()
+    wiggle[1:n // 4 + 1:2] += 1e-11          # steps of +-1e-11
+    assert _monotonicity(wiggle, 1e-10) == "constant"
+    assert _monotonicity(wiggle, 1e-12) == "none"
+    ramp = -np.arange(n, dtype=float)
+    ramp[5] += 1.0 + 5e-11                   # one step up by 5e-11
+    assert _monotonicity(ramp, 1e-10) == "nonincreasing"
+    assert _monotonicity(ramp, 1e-11) == "none"
+    assert _monotonicity(-ramp, 1e-10) == "nondecreasing"

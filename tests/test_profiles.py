@@ -14,9 +14,10 @@ from fnlslab.fields import (GridSamples, random_field, rotate_phase, to_grid,
 from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
 from fnlslab.params import ProblemParams
-from fnlslab.profiles import (StandingProfile, continue_in, family_pair,
-                              gauge_fix, profile_residual, recovered_omega,
-                              solve_defocusing, solve_focusing)
+from fnlslab.profiles import (StandingProfile, _damped_newton, continue_in,
+                              family_pair, gauge_fix, profile_residual,
+                              recovered_omega, solve_defocusing,
+                              solve_focusing)
 import oracles
 
 T = np.pi
@@ -403,6 +404,40 @@ def test_gauge_fix_flags_vanishing_int_phi_squared():
                            0.0, 0, 0.0)
     with pytest.raises(GaugeAmbiguity, match="int phi\\^2 vanishes"):
         gauge_fix(prof)
+
+
+# --- the damped Newton loop of both polishes ----------------------------------
+
+def test_damped_newton_returns_the_start_when_no_halving_helps():
+    calls = []
+
+    def residual(x, omega):
+        calls.append((x, omega))
+        return np.array([1.0, 1.0])    # never drops
+
+    x0 = np.array([2.0, 3.0])
+    x, omega, steps = _damped_newton(x0, 0.5, residual,
+                                     lambda x, omega, r: (-x, 1.0))
+    assert x is x0 and omega == 0.5 and steps == 0
+    assert len(calls) == 1 + 12        # the start and twelve halvings
+
+
+def test_damped_newton_stops_at_the_relative_residual_test():
+    # r = x, and each step halves x exactly: the loop runs until
+    # |x| < 1e-13 max(1, |x|), first met at x = 2^-44 (2^-43 > 1e-13)
+    x, omega, steps = _damped_newton(np.array([1.0]), 0.0,
+                                     lambda x, omega: x,
+                                     lambda x, omega, r: (-0.5 * x, 1.0))
+    assert steps == 44
+    assert x[0] == 2.0 ** -44
+    assert omega == 44.0
+
+    def no_step(x, omega, r):
+        raise AssertionError("a converged start takes no step")
+
+    _, _, steps = _damped_newton(np.array([4e-14]), 0.0,
+                                 lambda x, omega: x, no_step)
+    assert steps == 0
 
 
 # --- validation and failure modes ---------------------------------------------

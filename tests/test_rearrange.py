@@ -21,10 +21,9 @@ from fnlslab.fields import (AntiperiodicField, GridSamples, cosine_field,
 from fnlslab.functionals import kinetic
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import solve_defocusing
-from fnlslab.rearrange import (_hash_rows, _star_rows, cell_asymmetry,
-                               polya_szego_check, polya_szego_trials,
-                               potential_ordering_check, rearrange_hash,
-                               rearrange_star, rearrangement_budget)
+from fnlslab.rearrange import (_hash_rows, _star_rows, polya_szego_check,
+                               polya_szego_trials, potential_ordering_check,
+                               rearrange_hash, rearrange_star)
 from fnlslab.spectrum import sector_spectra
 import oracles
 
@@ -59,7 +58,8 @@ def test_star_collapses_shifted_cosine():
 
 def test_star_placement_invariants():
     for seed in (0, 3, 8):
-        g = to_grid(random_real(seed), 512)
+        f = random_real(seed)
+        g = to_grid(f, 512)
         star = rearrange_star(g)
         vals = star.values.real
         # nonincreasing on [0, T] exactly, largest value at the origin
@@ -69,7 +69,7 @@ def test_star_placement_invariants():
         assert np.array_equal(np.sort(vals), np.sort(g.values.real))
         # antiperiodic pairing survives placement to roundoff
         assert star.antiperiodic_defect() < 1e-13
-        assert cell_asymmetry(star) < 0.05
+        assert polya_szego_check(f, 1.5, 512)["evenness_defect"] < 0.05
 
 
 def test_hash_is_half_period_shift_of_star():
@@ -186,13 +186,13 @@ def test_grid_defect_shrinks_linearly_with_resolution():
     for seed in range(6):
         f = random_real(seed)
         for n in sizes:
-            mean[n] += cell_asymmetry(rearrange_star(to_grid(f, n))) / 6
+            mean[n] += polya_szego_check(f, 1.5, n)["evenness_defect"] / 6
     # one-cell asymmetry halves per doubling (allow generous slack)
     assert mean[512] < mean[256] / 1.4
     assert mean[1024] < mean[512] / 1.4
     # the documented budget is exactly linear in 1/N
     f = random_real(0)
-    b = [rearrangement_budget(f, 1.5, n) for n in sizes]
+    b = [polya_szego_check(f, 1.5, n)["eps_rearr"] for n in sizes]
     assert b[1] == pytest.approx(b[0] / 2, rel=1e-15)
     assert b[2] == pytest.approx(b[1] / 2, rel=1e-15)
 
@@ -281,7 +281,7 @@ def test_ground_state_ordering_chain_through_rearrangement():
 
     hsh = rearrange_hash(GridSamples(T, gv))
     r_hash = quotient(hsh.values.real, kinetic(to_modes(hsh), 1.5))
-    assert r_hash <= r_even + rearrangement_budget(g, 1.5, n)
+    assert r_hash <= r_even + polya_szego_check(g, 1.5, n)["eps_rearr"]
 
     # and the quotient bound is consistent with the sector ordering
     odd = spectra[("L_minus", "odd")]
