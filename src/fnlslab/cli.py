@@ -205,9 +205,8 @@ def _cmd_sweep(config: RunConfig) -> ResultBundle:
                          tol=config.solver["tol"])
     rows = []
     for p in result.profiles:
-        value = {"c": p.c, "mu": p.mu, "omega": p.omega}[sw["parameter"]]
-        rows.append((float(value), p.omega, p.c, p.mu, charge(p.field),
-                     momentum(p.field), p.residual))
+        rows.append((float(getattr(p, sw["parameter"])), p.omega, p.c, p.mu,
+                     charge(p.field), momentum(p.field), p.residual))
     results = {
         "parameter": sw["parameter"],
         "target": sw["target"],

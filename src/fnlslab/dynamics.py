@@ -44,7 +44,7 @@ from .fields import (AntiperiodicField, analyze, derivative, evaluate, lift,
                      random_field, synthesize, to_grid, translate)
 from .functionals import charge, inner, kinetic, momentum, x_norm
 from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
-from .profiles import StandingProfile, _refine_peak, family_pair
+from .profiles import StandingProfile, _refine_peak, family_slope
 from .spectrum import assemble, deflated_solve, eigensolve, sector_coords
 
 # hard ceiling on |u| during focusing runs, relative to the initial peak
@@ -53,7 +53,7 @@ GUARD_FACTOR = 1e3
 TOL_CONS = 1e-8
 # even-sector size of the focusing cross-check <L_plus^(-1) phi, phi>
 _PAIRING_SIZE = 128
-# quadrature grid of second_variation_form
+# smallest quadrature grid of second_variation_form
 _FORM_GRID = 1024
 
 
@@ -88,25 +88,30 @@ class EvolutionState:
         among the three, not its own: momentum starts at zero on real
         data and its own-relative drift would be meaningless.
         """
-        if len(self.conserved_log) < 2:
-            return {"hamiltonian": 0.0, "charge": 0.0, "momentum": 0.0}
-        first = self.conserved_log[0, 1:]
-        dev = np.max(np.abs(self.conserved_log[:, 1:] - first), axis=0)
-        return _relative_drift(first, dev)
+        return _drift(self.conserved_log)
 
 
-def _relative_drift(first: np.ndarray, dev: np.ndarray) -> dict:
-    """The drift dict of EvolutionState.drift from the first (H, Q, N)
-    and the largest deviation of each from it."""
+def _drift(log: np.ndarray) -> dict:
+    """EvolutionState.drift of the (t, H, Q, N) rows of `log`."""
+    if len(log) < 2:
+        return {"hamiltonian": 0.0, "charge": 0.0, "momentum": 0.0}
+    first = log[0, 1:]
+    dev = np.max(np.abs(log[:, 1:] - first), axis=0)
     scale = np.maximum(np.abs(first), max(np.max(np.abs(first)), 1e-300))
     rel = dev / scale
     return {"hamiltonian": float(rel[0]), "charge": float(rel[1]),
             "momentum": float(rel[2])}
 
 
-def initial_state(field: AntiperiodicField, dt: float) -> EvolutionState:
+def _check_step(dt: float) -> None:
     if not dt > 0.0:
         raise ValidationError(f"time step must be positive, got {dt}")
+    if not dt < math.inf:
+        raise ValidationError(f"time step must be finite, got {dt}")
+
+
+def initial_state(field: AntiperiodicField, dt: float) -> EvolutionState:
+    _check_step(dt)
     return EvolutionState(field=field, time=0.0, dt=dt,
                           conserved_log=np.zeros((0, 4)))
 
@@ -122,8 +127,7 @@ class _Stepper:
 
     def __init__(self, fields, params: ProblemParams, omega: float,
                  dt: float, guard: float = math.inf, nonlinear: bool = True):
-        if not dt > 0.0:
-            raise ValidationError(f"time step must be positive, got {dt}")
+        _check_step(dt)
         head = fields[0]
         T = head.half_period
         k = head.wavenumbers
@@ -334,13 +338,11 @@ def n_preserving_perturbation(profile: StandingProfile, epsilon: float,
     return v + idphi * s
 
 
-def _richardson_index(parameter, pairs, functional):
-    """Central differences of `functional` over the family pairs at steps
-    h = FD_STEP and h/2, accepted when they agree to TOL_RICHARDSON."""
+def _richardson_index(parameter, slopes, quantity):
+    """The `quantity` of the family slopes at steps h = FD_STEP and h/2,
+    accepted when the two agree to TOL_RICHARDSON."""
     h = FD_STEP
-    (lo1, hi1), (lo2, hi2) = pairs
-    d1 = (functional(hi1) - functional(lo1)) / (2.0 * h)
-    d2 = (functional(hi2) - functional(lo2)) / (2.0 * (0.5 * h))
+    d1, d2 = (slope[quantity] for slope in slopes)
     scale = max(abs(d2), 1e-12)
     rel = abs(d1 - d2) / scale
     if rel > TOL_RICHARDSON:
@@ -374,24 +376,21 @@ def stability_indices(profile: StandingProfile) -> dict:
     out = {"dNdc": None, "dQdomega": None, "dQdmu": None,
            "lplus_inverse_pairing": None}
 
-    def pairs(parameter):
-        return [family_pair(profile, parameter, step)
+    def slopes(parameter):
+        return [family_slope(profile, parameter, step)
                 for step in (FD_STEP, 0.5 * FD_STEP)]
 
     if profile.params.gamma == -1:
-        out["dNdc"] = _richardson_index(
-            "c", pairs("c"), lambda p: momentum(p.field))
-        mu_pairs = pairs("mu")
-        out["dQdmu"] = _richardson_index(
-            "mu", mu_pairs, lambda p: charge(p.field))
-        domega = _richardson_index("mu", mu_pairs, lambda p: p.omega)
+        out["dNdc"] = _richardson_index("c", slopes("c"), "momentum")
+        mu_slopes = slopes("mu")
+        out["dQdmu"] = _richardson_index("mu", mu_slopes, "charge")
+        domega = _richardson_index("mu", mu_slopes, "omega")
         out["dQdomega"] = {"value": 1.0 / domega["value"],
                            "step": domega["step"],
                            "richardson_rel": domega["richardson_rel"],
                            "via": "1 / (domega/dmu)"}
     else:
-        out["dQdomega"] = _richardson_index(
-            "omega", pairs("omega"), lambda p: charge(p.field))
+        out["dQdomega"] = _richardson_index("omega", slopes("omega"), "charge")
         pairing = _lplus_pairing(profile)
         agree = abs(pairing["value"] + out["dQdomega"]["value"])
         agree /= max(abs(out["dQdomega"]["value"]), 1e-12)
@@ -447,10 +446,10 @@ def second_variation_form(profile: StandingProfile,
     T = v.half_period
     w = np.abs(np.pi * v.wavenumbers / T) ** alpha
     quad = T * float(np.sum((w + profile.omega) * np.abs(v.coeff) ** 2))
-    n_grid = _FORM_GRID
+    band = max(v.n_modes, profile.field.n_modes)
+    n_grid = max(_FORM_GRID, 4 * band)
     phi_vals = to_grid(profile.field, n_grid).values.real
-    v_vals = to_grid(lift(v, max(v.n_modes, profile.field.n_modes)),
-                     n_grid).values
+    v_vals = to_grid(lift(v, band), n_grid).values
     a2 = v_vals.real**2
     b2 = v_vals.imag**2
     pot = np.abs(phi_vals) ** (2.0 * params.sigma)
@@ -499,11 +498,14 @@ def stability_experiment(profile: StandingProfile, perturbations,
         raise ValidationError(f"horizon must be positive, got {horizon}")
     if not dt > 0.0:
         raise ValidationError(f"time step must be positive, got {dt}")
+    if log_interval < 1:
+        raise ValidationError(f"log interval must be positive, got {log_interval}")
     if not (math.isfinite(dt) and math.isfinite(horizon / dt)):
         raise ValidationError(
             f"horizon / dt must be a finite step count, got {horizon} / {dt}")
     indices = stability_indices(profile)
-    peak = float(np.max(np.abs(to_grid(profile.field, 512).values)))
+    n_peak = max(512, 4 * profile.field.n_modes)
+    peak = float(np.max(np.abs(to_grid(profile.field, n_peak).values)))
     guard = GUARD_FACTOR * peak
 
     starts = [profile.field + v for v in perturbations]
@@ -511,15 +513,14 @@ def stability_experiment(profile: StandingProfile, perturbations,
     starts = [lift(f, band) for f in starts]
     steps = max(1, int(round(horizon / dt)))
     eng = _Stepper(starts, profile.params, profile.omega, dt, guard=guard)
-    logs = [[row] for row in eng.log_rows()]
+    # one (t, H, Q, N) log per run, filled a row per block
+    logs = np.empty((len(starts), 1 + -(-steps // log_interval), 4))
+    logs[:, 0] = eng.log_rows()
     rhos = [[orbital_distance(f, profile)] for f in starts]
-    first = [np.array(log[0][1:]) for log in logs]
-    dev = [np.zeros(3) for _ in logs]
-    for rows in eng.logged_blocks(steps, log_interval):
-        for i, row in enumerate(rows):
-            logs[i].append(row)
-            dev[i] = np.maximum(dev[i], np.abs(np.array(row[1:]) - first[i]))
-            worst = max(_relative_drift(first[i], dev[i]).values())
+    for j, rows in enumerate(eng.logged_blocks(steps, log_interval), 1):
+        logs[:, j] = rows
+        for i in range(len(starts)):
+            worst = max(_drift(logs[i, :j + 1]).values())
             if worst > tol_cons:
                 raise ConservationDriftExceeded(
                     f"perturbation {i}: relative drift {worst:.3e} exceeds "
@@ -528,9 +529,9 @@ def stability_experiment(profile: StandingProfile, perturbations,
             rhos[i].append(orbital_distance(eng.field(i), profile))
 
     runs = []
-    for v, log, rho, first_i, dev_i in zip(perturbations, logs, rhos, first, dev):
+    for v, log, rho in zip(perturbations, logs, rhos):
         size = x_norm(v, profile.params.alpha)
-        times = np.array(log)[:, 0]
+        times = log[:, 0]
         rho = np.array(rho)
         slope = float(np.polyfit(times, rho, 1)[0]) if len(times) > 2 else 0.0
         runs.append({
@@ -540,7 +541,7 @@ def stability_experiment(profile: StandingProfile, perturbations,
             "c_emp": float(np.max(rho) / size),
             "secular_slope": slope,
             "secular_fraction": slope * float(times[-1]) / max(float(np.max(rho)), 1e-300),
-            "drift": _relative_drift(first_i, dev_i),
+            "drift": _drift(log),
             "quadratic_form": second_variation_form(profile, v),
         })
     return StabilityReport(

@@ -107,10 +107,6 @@ class GridSamples:
     def x(self) -> np.ndarray:
         return 2.0 * self.half_period * np.arange(self.n) / self.n
 
-    def antiperiodic_defect(self) -> float:
-        """Relative norm of f(x + T) + f(x) on the grid (N even required)."""
-        return antiperiodic_defects(self.values[None])[0]
-
 
 # Row forms.  A (rows, ...) block holds one field or sample vector per
 # row.  Every sum and norm is a 1-D call on one row: a reduction along
@@ -132,7 +128,8 @@ def realness_defects(coeff: np.ndarray) -> list:
 
 
 def antiperiodic_defects(values: np.ndarray) -> list:
-    """antiperiodic_defect of each complex sample row."""
+    """Relative norm of f(x + T) + f(x) of each complex sample row on its
+    grid (N even required)."""
     n = values.shape[1]
     if n % 2 != 0:
         raise SamplingError("antiperiodicity check needs an even grid")
@@ -296,15 +293,12 @@ def zero_field(half_period: float, n_modes: int) -> AntiperiodicField:
     return AntiperiodicField(half_period, k, np.zeros(len(k), dtype=np.complex128))
 
 
-def cosine_field(half_period: float, amplitude: float, n_modes: int = 1,
-                 harmonic: int = 1) -> AntiperiodicField:
-    """amplitude * cos(pi q x / T) embedded in an M-mode band (q odd)."""
-    if harmonic % 2 == 0:
-        raise ValidationError("cosine harmonic must be odd to stay antiperiodic")
-    f = zero_field(half_period, max(n_modes, (harmonic + 1) // 2))
+def cosine_field(half_period: float, amplitude: float,
+                 n_modes: int = 1) -> AntiperiodicField:
+    """amplitude * cos(pi x / T) embedded in an M-mode band."""
+    f = zero_field(half_period, n_modes)
     c = f.coeff.copy()
-    idx = np.searchsorted(f.wavenumbers, [harmonic, -harmonic])
-    c[idx] = amplitude / 2.0
+    c[np.searchsorted(f.wavenumbers, [1, -1])] = amplitude / 2.0
     return f.with_coeff(c)
 
 

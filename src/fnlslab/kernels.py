@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (AntiperiodicityViolation, PositivityViolation,
                      SamplingError, UnderResolved, ValidationError)
-from .fields import toeplitz_plus_hankel
+from .fields import synthesize, toeplitz_plus_hankel
 
 # Fourier terms below this size are dropped from the kernel synthesis.
 _TERM_FLOOR = 1e-16
@@ -88,12 +88,9 @@ def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSampl
 
     sym[sym < _TERM_FLOOR] = 0.0
     # centered grid: e^(i pi n x_j / T) = (-1)^n e^(2 pi i n j / N)
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    spec = np.zeros(n, dtype=complex)
-    spec[0] = 1.0
-    spec[m] = sym * signs
-    spec[n - m] = sym * signs
-    vals = np.fft.ifft(spec) * n / (2.0 * T)
+    terms = sym * np.where(m % 2 == 0, 1.0, -1.0)
+    vals = synthesize(np.concatenate([[1.0], terms, terms]),
+                      np.concatenate([[0], m, n - m]), n) / (2.0 * T)
     peak = float(np.max(np.abs(vals.real)))
     if float(np.max(np.abs(vals.imag))) > 1e-14 * max(1.0, peak):
         raise SamplingError("kernel synthesis lost the even symmetry")

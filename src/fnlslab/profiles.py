@@ -381,7 +381,7 @@ def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
             u = lift(init, n_modes).coeff.copy()
         else:
             amp = 2.0 * math.sqrt(mu / params.half_period)
-            u = lift(cosine_field(params.half_period, amp), n_modes).coeff
+            u = cosine_field(params.half_period, amp, n_modes).coeff
 
         def grad(u):
             return ws.lam * u - params.gamma * ws.nonlinear(u)
@@ -438,7 +438,7 @@ def _solve_focusing(ws: _Workspace, omega: float, p0: float, tol: float,
     if init is not None:
         u = lift(init, n_modes).coeff.copy()
     else:
-        u = lift(cosine_field(params.half_period, 1.0), n_modes).coeff
+        u = cosine_field(params.half_period, 1.0, n_modes).coeff
 
     def pot(u):
         vals = synthesize(u, ws.bins, ws.N)
@@ -537,7 +537,7 @@ def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
             f"parameter {parameter!r} not available on this branch; use {sorted(allowed)}")
     if steps < 1:
         raise ValidationError("sweep needs at least one step")
-    start_value = {"c": start.c, "mu": start.mu, "omega": start.omega}[parameter]
+    start_value = getattr(start, parameter)
     values = list(np.linspace(start_value, target, steps + 1)[1:])
     profiles = [start]
     prev = start
@@ -562,10 +562,9 @@ def family_pair(profile: StandingProfile, parameter: str, h: float):
     """Neighbours of `profile` at parameter -/+ h along its family.
 
     Each is one warm-started continuation step at the default profile
-    tolerance, both solved in one workspace; central differences of the
-    pair give the family derivatives.  Returns (lower, upper).
+    tolerance, both solved in one workspace.  Returns (lower, upper).
     """
-    base = {"c": profile.c, "mu": profile.mu, "omega": profile.omega}[parameter]
+    base = getattr(profile, parameter)
     ws = _Workspace(profile.params, profile.field.n_modes)
     pair = []
     for target in (base - h, base + h):
@@ -575,3 +574,13 @@ def family_pair(profile: StandingProfile, parameter: str, h: float):
                 f"neighbour solve at {parameter} = {target!r} did not converge")
         pair.append(sweep.profiles[-1])
     return pair[0], pair[1]
+
+
+def family_slope(profile: StandingProfile, parameter: str, h: float) -> dict:
+    """Central differences of step h over family_pair: the derivatives of
+    the field, omega, Q and N along the family."""
+    lower, upper = family_pair(profile, parameter, h)
+    return {"field": (1.0 / (2.0 * h)) * (upper.field - lower.field),
+            "omega": (upper.omega - lower.omega) / (2.0 * h),
+            "charge": (charge(upper.field) - charge(lower.field)) / (2.0 * h),
+            "momentum": (momentum(upper.field) - momentum(lower.field)) / (2.0 * h)}

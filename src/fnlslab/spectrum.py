@@ -27,9 +27,9 @@ from .errors import (ChainDoesNotTerminate, InconsistentRange, NonConvergence,
 from .fields import (AntiperiodicField, _monotonicity, cosine_block,
                      derivative, fractional_laplacian, imag_part, synthesize,
                      to_grid)
-from .functionals import _default_grid, charge, momentum
+from .functionals import _default_grid
 from .params import EPS_REAL, FD_STEP, TOL_DEFLATE
-from .profiles import family_pair
+from .profiles import family_slope
 
 _SECTORS = ("even", "odd")
 _OPERATORS = ("L_plus", "L_minus")
@@ -372,25 +372,12 @@ def _chain_prologue(profile, message: str):
 
 
 def _mu_chain(profile, n: int):
-    """Charge-family neighbours, domega/dmu, and the chain residual
-    L_plus (dphi/dmu) + (domega/dmu) phi on the n-point grid, from
-    central differences of step FD_STEP."""
-    h = FD_STEP
-    lower, upper = family_pair(profile, "mu", h)
-    dmu_field = (1.0 / (2.0 * h)) * (upper.field - lower.field)
-    domega_dmu = (upper.omega - lower.omega) / (2.0 * h)
-    chain = _apply_on_grid(profile, "L_plus", dmu_field, n) \
-        + domega_dmu * to_grid(profile.field, n).values
-    return (lower, upper), domega_dmu, chain
-
-
-def _c_chain(profile):
-    """Speed-family neighbours and Im dphi/dc, the chain vector of
-    L_minus over phi', from central differences of step FD_STEP."""
-    h = FD_STEP
-    lower, upper = family_pair(profile, "c", h)
-    dc_field = (1.0 / (2.0 * h)) * (upper.field - lower.field)
-    return (lower, upper), imag_part(dc_field)
+    """The charge-family slope at step FD_STEP and the chain residual
+    L_plus (dphi/dmu) + (domega/dmu) phi on the n-point grid."""
+    slope = family_slope(profile, "mu", FD_STEP)
+    chain = _apply_on_grid(profile, "L_plus", slope["field"], n) \
+        + slope["omega"] * to_grid(profile.field, n).values
+    return slope, chain
 
 
 def fredholm_range_checks(profile, spectra: dict) -> dict:
@@ -424,9 +411,9 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
     }
 
     # Parameter derivative chain L_plus (dphi/dmu) + (domega/dmu) phi = 0.
-    _, domega_dmu, res_mu = _mu_chain(profile, n)
+    mu_slope, res_mu = _mu_chain(profile, n)
     report["mu_chain_inf"] = float(np.max(np.abs(res_mu)))
-    report["domega_dmu"] = float(domega_dmu)
+    report["domega_dmu"] = float(mu_slope["omega"])
 
     # Deflated odd-sector solve against the speed derivative of the field.
     spec = spectra[("L_minus", "odd")]
@@ -436,7 +423,7 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
     report["deflated_components"] = deflated
     report["deflated_drop"] = dropped
 
-    _, dc_imag = _c_chain(profile)
+    dc_imag = imag_part(family_slope(profile, "c", FD_STEP)["field"])
     y_fd = sector_coords(dc_imag, "odd", size)
     denom = max(np.linalg.norm(y), 1e-300)
     report["c_consistency"] = float(np.linalg.norm(y - y_fd) / denom)
@@ -455,33 +442,27 @@ def jordan_structure(profile) -> dict:
     """
     dphi, n = _chain_prologue(
         profile, "the two-parameter chain structure lives on the defocusing branch")
-    h = FD_STEP
-    (p_dn, p_up), domega_dmu, chain_mu = _mu_chain(profile, n)
-    dq_dmu = (charge(p_up.field) - charge(p_dn.field)) / (2.0 * h)
-    dn_dmu = (momentum(p_up.field) - momentum(p_dn.field)) / (2.0 * h)
-
-    (c_dn, c_up), dc_imag = _c_chain(profile)
-    dn_dc = (momentum(c_up.field) - momentum(c_dn.field)) / (2.0 * h)
-    dq_dc = (charge(c_up.field) - charge(c_dn.field)) / (2.0 * h)
-    domega_dc = (c_up.omega - c_dn.omega) / (2.0 * h)
-    chain_c = _apply_on_grid(profile, "L_minus", dc_imag, n) \
+    mu, chain_mu = _mu_chain(profile, n)
+    c = family_slope(profile, "c", FD_STEP)
+    chain_c = _apply_on_grid(profile, "L_minus", imag_part(c["field"]), n) \
         + to_grid(dphi, n).values
+    dn_dc, dq_dmu = c["momentum"], mu["charge"]
 
     if abs(dn_dc) < 1e-8 or abs(dq_dmu) < 1e-8:
         raise ChainDoesNotTerminate(
             f"Fredholm pairing too small: dN/dc = {dn_dc:.3e}, "
             f"dQ/dmu = {dq_dmu:.3e}")
 
-    jac_nq = np.array([[dn_dc, dn_dmu], [dq_dc, dq_dmu]])
-    jac_comega = np.array([[1.0, 0.0], [domega_dc, domega_dmu]])
+    jac_nq = np.array([[dn_dc, mu["momentum"]], [c["charge"], dq_dmu]])
+    jac_comega = np.array([[1.0, 0.0], [c["omega"], mu["omega"]]])
     return {
         "chain_mu_inf": float(np.max(np.abs(chain_mu))),
         "chain_c_inf": float(np.max(np.abs(chain_c))),
         "dN_dc": float(dn_dc),
         "dN_dc_sign": float(np.sign(dn_dc)),
         "dQ_dmu": float(dq_dmu),
-        "domega_dmu": float(domega_dmu),
-        "domega_dc": float(domega_dc),
+        "domega_dmu": float(mu["omega"]),
+        "domega_dc": float(c["omega"]),
         "jacobian_NQ": jac_nq.tolist(),
         "jacobian_comega": jac_comega.tolist(),
         "det_NQ": float(np.linalg.det(jac_nq)),

@@ -192,10 +192,11 @@ def test_import_loads_no_scipy():
 
 
 def test_every_export_has_a_caller():
-    # every name fnlslab exports, and every public module-level def and
-    # class of the package, is read by the package or the benchmark
-    # outside its own definition; reads from inside a name that has no
-    # such reader do not count, so a dead chain is flagged whole
+    # every name fnlslab exports, every public module-level def and class
+    # of the package, and every public method and property of those
+    # classes, is read by the package or the benchmark outside its own
+    # definition; reads from inside a name that has no such reader do not
+    # count, so a dead chain is flagged whole
     import ast
 
     import fnlslab
@@ -207,9 +208,15 @@ def test_every_export_has_a_caller():
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     sources = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
     for path in sources:
-        names |= {top.name for top in ast.parse(path.read_text()).body
-                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                  and not top.name.startswith("_")}
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                    or top.name.startswith("_"):
+                continue
+            names.add(top.name)
+            if isinstance(top, ast.ClassDef):
+                names |= {node.name for node in top.body
+                          if isinstance(node, ast.FunctionDef)
+                          and not node.name.startswith("_")}
     sources += sorted(bench.glob("*.py"))
     # name -> top-level definitions that read it (None: module-level code)
     readers = {}
@@ -401,6 +408,16 @@ def test_main_non_finite_values_exit_2(tmp_path, capsys, old, new, keys):
     assert rc == 2
     err = capsys.readouterr().err
     assert all(key in err for key in keys)
+
+
+def test_main_report_runs_past_128_modes(tmp_path, capsys):
+    # the guard peak was sampled on a fixed 512-point grid, which refused
+    # every band past 128 modes inside the n_modes window
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE.replace("n_modes = 32", "n_modes = 130")
+                   .replace("horizon_periods = 2", "horizon_periods = 0.01"))
+    rc = cli.main(["--config", str(cfg), "--command", "report"])
+    assert (rc, capsys.readouterr().err) == (0, "")
 
 
 def test_main_huge_sector_size_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,10 @@ from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
                               stability_experiment, stability_indices)
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
                             NonConvergence, StepTooLarge, ValidationError)
-from fnlslab.fields import (cosine_field, derivative, random_field,
+from fnlslab.fields import (cosine_field, derivative, lift, random_field,
                             rotate_phase, synthesize, translate)
 from fnlslab.functionals import charge, inner, kinetic, momentum, x_norm
-from fnlslab.params import FD_STEP, ProblemParams
+from fnlslab.params import ProblemParams
 from fnlslab.profiles import solve_defocusing, solve_focusing
 from fnlslab.spectrum import (assemble, deflated_solve, eigensolve,
                               sector_coords)
@@ -196,6 +197,13 @@ def test_evolution_state_validation(def15):
     pars, prof = def15
     with pytest.raises(ValidationError, match="positive"):
         initial_state(prof.field, 0.0)
+    # an infinite step is bad input, not a blow-up at the first kick
+    with pytest.raises(ValidationError, match="finite, got inf"):
+        initial_state(prof.field, math.inf)
+    with pytest.raises(ValidationError, match="finite, got inf"):
+        evolve(EvolutionState(field=prof.field, time=0.0, dt=math.inf,
+                              conserved_log=np.zeros((0, 4))),
+               pars, prof.omega, steps=1)
     with pytest.raises(ValidationError, match="rows"):
         EvolutionState(field=prof.field, time=0.0, dt=1e-3,
                        conserved_log=np.zeros((2, 3)))
@@ -370,11 +378,10 @@ def test_boosted_profile_evolves_by_galilean_flow(def20):
 
 
 def test_richardson_disagreement_raises_step_too_large():
-    # x^3 / h^2 has central differences 1 at step h and 1/4 at h/2
-    h = FD_STEP
-    pairs = ((-h, h), (-0.5 * h, 0.5 * h))
+    # the central differences of x^3 / h^2: 1 at step h and 1/4 at h/2
+    slopes = ({"momentum": 1.0}, {"momentum": 0.25})
     with pytest.raises(StepTooLarge, match="disagree by 3.00e"):
-        dynamics._richardson_index("c", pairs, lambda x: x**3 / h**2)
+        dynamics._richardson_index("c", slopes, "momentum")
 
 
 def test_focusing_pairing_matches_slope():
@@ -418,6 +425,15 @@ def test_second_variation_matches_sector_route(def15):
     # constrained perturbations live above the projected minimum
     quotient = direct / inner(v, v)
     assert quotient > 3.5
+
+
+def test_second_variation_form_samples_bands_past_256_modes(def15):
+    # the quadrature grid grows with the band: 300 modes need 1200 points
+    _, prof = def15
+    v = n_preserving_perturbation(prof, 1e-3, np.random.default_rng(4))
+    wide = dataclasses.replace(prof, field=lift(prof.field, 300))
+    assert second_variation_form(wide, v) == pytest.approx(
+        second_variation_form(prof, v), rel=1e-12)
 
 
 # ------------------------------------------------------------ experiment
@@ -467,6 +483,21 @@ def test_stability_experiment_ensemble_equals_single_runs(def15):
         assert run["drift"] == single["drift"]
 
 
+def test_experiment_drift_is_the_drift_of_its_log(def15):
+    # a lone evolve writes each run's log row for row; the run's drift is
+    # EvolutionState.drift of that log
+    pars, prof = def15
+    rng = np.random.default_rng(11)
+    vs = [n_preserving_perturbation(prof, e, rng) for e in (1e-4, 1e-3)]
+    rep = stability_experiment(prof, vs, horizon=T, dt=1e-3, log_interval=500)
+    steps = int(round(T / 1e-3))
+    for v, run in zip(vs, rep.orbital_distance_series):
+        alone = evolve(initial_state(prof.field + v, 1e-3), pars, prof.omega,
+                       steps=steps, log_interval=500)
+        assert np.array_equal(alone.conserved_log[:, 0], run["times"])
+        assert run["drift"] == alone.drift()
+
+
 def test_experiment_raises_on_conservation_drift(def15):
     _, prof = def15
     v = n_preserving_perturbation(prof, 1e-3, np.random.default_rng(1))
@@ -502,3 +533,6 @@ def test_experiment_input_validation(def15):
     v = n_preserving_perturbation(prof, 1e-3, np.random.default_rng(1))
     with pytest.raises(ValidationError, match="horizon"):
         stability_experiment(prof, [v], horizon=0.0)
+    # a zero interval logged empty blocks without end
+    with pytest.raises(ValidationError, match="log interval must be positive"):
+        stability_experiment(prof, [v], horizon=T, log_interval=0)

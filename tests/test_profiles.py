@@ -15,9 +15,9 @@ from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import (StandingProfile, _damped_newton, continue_in,
-                              family_pair, gauge_fix, profile_residual,
-                              recovered_omega, solve_defocusing,
-                              solve_focusing)
+                              family_pair, family_slope, gauge_fix,
+                              profile_residual, recovered_omega,
+                              solve_defocusing, solve_focusing)
 import oracles
 
 T = np.pi
@@ -328,6 +328,22 @@ def test_family_pair_in_one_workspace_matches_fresh_solves(parameter):
     pair = family_pair(start, parameter, 1e-3)
     for prof, value in zip(pair, (base - 1e-3, base + 1e-3)):
         assert _same_profile(prof, _fresh_step(start, parameter, value))
+
+
+@pytest.mark.parametrize("parameter", ["c", "mu"])
+def test_family_slope_is_the_central_difference_of_fresh_solves(parameter):
+    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
+    h = 1e-3
+    base = getattr(start, parameter)
+    lower, upper = (_fresh_step(start, parameter, base + s) for s in (-h, h))
+    slope = family_slope(start, parameter, h)
+    field = (1.0 / (2.0 * h)) * (upper.field - lower.field)
+    assert np.array_equal(slope["field"].coeff, field.coeff)
+    for key, value in (("omega", lambda p: p.omega),
+                       ("charge", lambda p: charge(p.field)),
+                       ("momentum", lambda p: momentum(p.field))):
+        want = (value(upper) - value(lower)) / (2.0 * h)
+        assert float(slope[key]).hex() == float(want).hex()
 
 
 def test_continuation_builds_one_workspace(monkeypatch):

@@ -422,7 +422,9 @@ def test_jordan_chain_structure():
 def test_jordan_structure_rejects_vanishing_pairing(monkeypatch):
     # momentum flat along the c family makes dN/dc = 0: the odd chain
     # does not close at height 2
-    monkeypatch.setattr(spectrum, "momentum", lambda f: 0.0)
+    slope = spectrum.family_slope
+    monkeypatch.setattr(spectrum, "family_slope",
+                        lambda *args: {**slope(*args), "momentum": 0.0})
     with pytest.raises(ChainDoesNotTerminate, match="dN/dc = 0.000e"):
         jordan_structure(defoc_profile())
 
