@@ -42,7 +42,8 @@ from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
 from .fields import (AntiperiodicField, analyze, derivative, evaluate, lift,
                      random_field, synthesize, to_grid, translate)
-from .functionals import charge, inner, kinetic, momentum, x_norm
+from .functionals import (_default_grid, charge, inner, kinetic, momentum,
+                          x_norm)
 from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
 from .profiles import StandingProfile, _refine_peak, family_slope
 from .spectrum import assemble, deflated_solve, eigensolve, sector_coords
@@ -439,17 +440,18 @@ def second_variation_form(profile: StandingProfile,
 
     Equals <L_plus a, a> + <L_minus b, b> for v = a + i b on a real
     resting profile: kinetic and omega terms are spectral, the
-    potential terms use grid quadrature.
+    potential terms use grid quadrature on the alias-free grid of
+    functionals._default_grid for the common band (at least 1024 points).
     """
     params = profile.params
     alpha = params.alpha
     T = v.half_period
     w = np.abs(np.pi * v.wavenumbers / T) ** alpha
     quad = T * float(np.sum((w + profile.omega) * np.abs(v.coeff) ** 2))
-    band = max(v.n_modes, profile.field.n_modes)
-    n_grid = max(_FORM_GRID, 4 * band)
+    lifted = lift(v, max(v.n_modes, profile.field.n_modes))
+    n_grid = max(_FORM_GRID, _default_grid(lifted, params.sigma))
     phi_vals = to_grid(profile.field, n_grid).values.real
-    v_vals = to_grid(lift(v, band), n_grid).values
+    v_vals = to_grid(lifted, n_grid).values
     a2 = v_vals.real**2
     b2 = v_vals.imag**2
     pot = np.abs(phi_vals) ** (2.0 * params.sigma)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (AntiperiodicityViolation, PositivityViolation,
                      SamplingError, UnderResolved, ValidationError)
-from .fields import synthesize, toeplitz_plus_hankel
+from .fields import _blocks, synthesize, toeplitz_plus_hankel
 
 # Fourier terms below this size are dropped from the kernel synthesis.
 _TERM_FLOOR = 1e-16
@@ -59,6 +59,11 @@ class KernelSamples:
         return -self.half_period + 2.0 * self.half_period * np.arange(n) / n
 
 
+def _check_grid(n: int) -> None:
+    if n < 8 or n % 4 != 0:
+        raise SamplingError(f"kernel grid must be a multiple of 4, >= 8, got {n}")
+
+
 def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSamples:
     """Periodized kernel by direct Fourier synthesis on the centered grid.
 
@@ -72,8 +77,7 @@ def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSampl
         raise ValidationError(f"half_period must be positive, got {half_period}")
     if not t > 0.0:
         raise ValidationError(f"diffusion time must be positive, got {t}")
-    if n < 8 or n % 4 != 0:
-        raise SamplingError(f"kernel grid must be a multiple of 4, >= 8, got {n}")
+    _check_grid(n)
     T = half_period
     m = np.arange(1, n // 2)
     sym = np.exp(-(np.pi * m / T) ** alpha * t)
@@ -122,6 +126,13 @@ def _violation(tag: str, x: float, value: float, extra: str = "") -> PositivityV
         f"(resolution or implementation bug; the sign is provable)")
 
 
+def _first_min(tile: np.ndarray, start: int) -> tuple:
+    """(value, start + flat index) of the first NaN, else the first
+    minimum, of a tile, which is released when this returns."""
+    j = int(np.argmin(tile))
+    return tile.flat[j], start + j
+
+
 def positivity_report(ka: KernelSamples) -> dict:
     """The four sign certificates for an antiperiodized kernel.
 
@@ -129,11 +140,15 @@ def positivity_report(ka: KernelSamples) -> dict:
     on (0, T); (iii) K_a(x-y) + K_a(x+y) > 0 on (-T/2, T/2)^2;
     (iv) K_a(x-y) - K_a(x+y) > 0 on (0, T)^2.  Tensor grids exclude a
     one-cell boundary margin; minima are recorded as margins.  Each pair
-    tensor is Toeplitz +/- Hankel in window views of K_a; one is held at a time.
+    tensor is Toeplitz +/- Hankel in window views of K_a, scanned in row
+    tiles of at most fields._BLOCK_SAMPLES samples, so memory is O(N);
+    the first NaN, else the first minimum in row order, is reported.
+    The grid must be a multiple of 4, at least 8, as kernel_kp requires.
     """
     if ka.kind != "Ka":
         raise ValidationError(f"positivity_report needs a Ka kernel, got {ka.kind}")
     n = ka.n
+    _check_grid(n)
     T = ka.half_period
     step = 2.0 * T / n
     off = _offset_view(ka)
@@ -157,12 +172,16 @@ def positivity_report(ka: KernelSamples) -> dict:
     tline = off[(m - 1 - line) % n]
     pair_min = {}
     for tag, lo, sign in (("even", -n // 4 + 1, 1.0), ("odd", 1, -1.0)):
-        pair = toeplitz_plus_hankel(tline, off[(line + 2 * lo) % n], sign)
-        k = int(np.argmin(pair))
-        pair_min[tag] = float(pair.flat[k])
-        del pair                                 # one tensor at a time
+        hline = off[(line + 2 * lo) % n]
+        found, r0 = [], 0
+        for rows in _blocks(m, m):
+            found.append(_first_min(toeplitz_plus_hankel(
+                tline, hline, sign, slice(r0, r0 + rows)), r0 * m))
+            r0 += rows
+        low, k = found[int(np.argmin([value for value, _ in found]))]
+        pair_min[tag] = float(low)
         if not pair_min[tag] > 0.0:
-            xi, yi = np.unravel_index(k, (m, m))
+            xi, yi = divmod(k, m)
             raise _violation(f"{tag} pair kernel", (lo + xi) * step,
                              pair_min[tag], extra=f", y = {(lo + yi) * step:+.6f}")
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ComplexInput, MonotonicityUnverified, SamplingError,
                      ValidationError)
-from .fields import (AntiperiodicField, GridSamples, _monotonicity,
+from .fields import (AntiperiodicField, GridSamples, _blocks, _monotonicity,
                      antiperiodic_defects, grid_rows, modes_rows,
                      odd_wavenumbers, random_rows, real_projection,
                      realness_defects)
@@ -39,16 +39,6 @@ from .params import EPS_REAL
 
 # multiplies norm/N in the grid-defect budget for rearrangement checks
 _DEFECT_FACTOR = 10.0
-
-# the trial drivers hold at most this many samples per block of trials:
-# 64 trials at n = 1024, one trial at n = 65536
-_BLOCK_SAMPLES = 2 ** 16
-
-
-def _blocks(trials: int, n: int) -> list:
-    """Row counts of the successive blocks that cover `trials` trials."""
-    rows = max(1, _BLOCK_SAMPLES // n)
-    return [min(rows, trials - start) for start in range(0, trials, rows)]
 
 
 def _real_rows(values: np.ndarray) -> np.ndarray:
@@ -132,7 +122,7 @@ def polya_szego_trials(half_period: float, alpha: float, n_modes: int,
     """polya_szego_check of `trials` fields
     real_part(random_field(half_period, n_modes, rng)), drawn in order.
 
-    The trials run in blocks of at most _BLOCK_SAMPLES grid samples;
+    The trials run in blocks of at most fields._BLOCK_SAMPLES grid samples;
     each check is bit for bit the one of its field alone.
     """
     k = odd_wavenumbers(n_modes)

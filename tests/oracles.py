@@ -209,6 +209,23 @@ def cosine_block_dense(w, size, sign):
     return 0.5 * (toeplitz + sign * hankel)
 
 
+def second_variation_reference(profile, v, n):
+    """second_variation_form with the potential term summed over direct
+    mode-sum samples on n points, alias-free once n > (2 sigma + 2) max|k|
+    for integer sigma.  Returns (form, potential term)."""
+    p = profile.params
+    T = v.half_period
+    w = np.abs(np.pi * v.wavenumbers / T) ** p.alpha
+    spectral = T * float(np.sum((w + profile.omega) * np.abs(v.coeff) ** 2))
+    phi = direct_synthesis(profile.field.wavenumbers, profile.field.coeff,
+                           T, n).real
+    vv = direct_synthesis(v.wavenumbers, v.coeff, T, n)
+    weight = np.abs(phi) ** (2.0 * p.sigma)
+    term = -p.gamma * 0.5 * (2.0 * T / n) * float(np.sum(
+        weight * ((2.0 * p.sigma + 1.0) * vv.real**2 + vv.imag**2)))
+    return spectral + term, term
+
+
 def pair_tensor_dense(off, parity):
     """K_a(x - y) +/- K_a(x + y) on the interior offsets of (-T/2, T/2)
     (even) or (0, T) (odd), from the modular offset line off[m] =

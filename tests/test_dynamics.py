@@ -13,10 +13,11 @@ from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
                             NonConvergence, StepTooLarge, ValidationError)
 from fnlslab.fields import (cosine_field, derivative, lift, random_field,
-                            rotate_phase, synthesize, translate)
+                            real_part, rotate_phase, synthesize, translate)
 from fnlslab.functionals import charge, inner, kinetic, momentum, x_norm
 from fnlslab.params import ProblemParams
-from fnlslab.profiles import solve_defocusing, solve_focusing
+from fnlslab.profiles import (StandingProfile, solve_defocusing,
+                              solve_focusing)
 from fnlslab.spectrum import (assemble, deflated_solve, eigensolve,
                               sector_coords)
 
@@ -428,12 +429,26 @@ def test_second_variation_matches_sector_route(def15):
 
 
 def test_second_variation_form_samples_bands_past_256_modes(def15):
-    # the quadrature grid grows with the band: 300 modes need 1200 points
+    # the quadrature grid grows with the band: 300 modes need 2398 points
     _, prof = def15
     v = n_preserving_perturbation(prof, 1e-3, np.random.default_rng(4))
     wide = dataclasses.replace(prof, field=lift(prof.field, 300))
     assert second_variation_form(wide, v) == pytest.approx(
         second_variation_form(prof, v), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma, n_modes", [(1.0, 129), (2.0, 86)])
+def test_second_variation_form_is_alias_free(sigma, n_modes):
+    # broadband phi and v put |phi|^(2 sigma) |v|^2 up to wavenumber
+    # (2 sigma + 2)(2M - 1), one band past what 1024 points integrate
+    rng = np.random.default_rng(5)
+    pars = ProblemParams(alpha=1.5, sigma=sigma, gamma=-1, half_period=T)
+    phi = real_part(random_field(T, n_modes, rng, decay=0.0))
+    v = random_field(T, n_modes, rng, decay=0.0)
+    prof = StandingProfile(params=pars, field=phi, omega=0.7, c=0.0, mu=1.0,
+                           p0=1.0, residual=0.0, iterations=0, objective=0.0)
+    form, term = oracles.second_variation_reference(prof, v, 4096)
+    assert abs(second_variation_form(prof, v) - form) <= 1e-12 * abs(term)
 
 
 # ------------------------------------------------------------ experiment

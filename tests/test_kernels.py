@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fnlslab.kernels as kernels
+from fnlslab import fields
 from fnlslab.errors import (PositivityViolation, SamplingError, UnderResolved,
                             ValidationError)
 from fnlslab.fields import random_field, real_part, to_grid
@@ -202,10 +203,62 @@ def test_pair_certificates_name_the_first_oracle_minimum(parity, index, factor):
         positivity_report(bad)
 
 
+@pytest.mark.parametrize("case", ["nan", "tie"])
+def test_pair_certificates_across_tiles_name_the_dense_argmin(case):
+    # N = 1024 gives tiles of 128 rows; each case puts the dense argmin
+    # where only the scan order across tiles finds it
+    ka = kernel_ka(1.5, T, 0.5, 1024)
+    n, step = ka.n, 2 * T / ka.n
+    rows = fields._blocks(n // 2 - 1, n // 2 - 1)[0]
+    big = np.max(np.abs(ka.grid))
+    if case == "nan":
+        # +inf at x = -T + 186 and 188 steps: the even tensor only sees
+        # inf + finite, the odd one inf - inf = nan from row 186 on, after
+        # a first tile whose minimum is finite
+        parity, bad = "odd", doctored(doctored(ka, 698, np.inf), 700, np.inf)
+    else:
+        # an exactly even line with a deep dip at x = -T + 212 steps: the
+        # even minimum sits at (0, 210) in the first tile, tied with its
+        # transpose (210, 0) in the second
+        off = offset(ka)
+        m = np.arange(1, n // 2)
+        off[n - m] = off[m]
+        parity, bad = "even", doctored(
+            dataclasses.replace(ka, grid=np.roll(off, n // 2)), 724, -10 * big)
+    with np.errstate(invalid="ignore"):
+        tensor, idx = pair_tensor_dense(offset(bad), parity)
+    k = int(np.argmin(tensor))
+    xi, yi = np.unravel_index(k, tensor.shape)
+    if case == "nan":
+        assert xi >= rows and not np.any(np.isnan(tensor[:rows]))
+        assert np.min(tensor[:rows]) > 0
+    else:
+        assert xi < rows <= yi
+        assert tensor[yi, xi].tobytes() == tensor[xi, yi].tobytes()
+    with pytest.raises(PositivityViolation, match=re.escape(
+            f"{parity} pair kernel at x = {idx[xi] * step:+.6f}, "
+            f"y = {idx[yi] * step:+.6f}: value {tensor[xi, yi]:.6e}")), \
+            np.errstate(invalid="ignore"):
+        positivity_report(bad)
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 14, 18])
+def test_positivity_report_refuses_grids_kernel_kp_refuses(n):
+    # cos(pi x / T) passes all four certificates on any grid, but the
+    # interior index set only covers (-T/2, T/2) when 4 divides N
+    x = -T + 2 * T * np.arange(n) / n
+    ka = KernelSamples(alpha=1.5, half_period=T, t=0.5,
+                       grid=np.cos(np.pi * x / T), kind="Ka")
+    with pytest.raises(SamplingError, match=re.escape(
+            f"kernel grid must be a multiple of 4, >= 8, got {n}")):
+        positivity_report(ka)
+
+
 @settings(max_examples=100)
 @given(quarter=st.integers(2, 550), seed=st.integers(0, 2**32 - 1),
        zeros=st.integers(0, 8))
 @example(quarter=2, seed=1, zeros=2)                 # the smallest grid, N = 8
+@example(quarter=550, seed=2, zeros=3)               # 19 tiles, the last short
 def test_pair_tensors_match_dense_oracle(quarter, seed, zeros):
     # A random offset line that passes the interior and decrease checks:
     # positive decreasing on [0, T/2), decreasing on to T, positive on
@@ -225,32 +278,36 @@ def test_pair_tensors_match_dense_oracle(quarter, seed, zeros):
     ka = KernelSamples(alpha=1.5, half_period=T, t=0.5,
                        grid=np.roll(off, n // 2), kind="Ka")
 
-    built, build = [], kernels.toeplitz_plus_hankel
+    tiles, build = {1.0: [], -1.0: []}, kernels.toeplitz_plus_hankel
 
-    def record(tline, hline, sign):
-        # keep each pair tensor as built; hand back a positive stand-in so
-        # the odd tensor is built even where the even one is not positive
-        built.append(build(tline, hline, sign))
-        return np.ones_like(built[-1])
+    def record(tline, hline, sign, rows):
+        # keep each tile as built; hand back a positive stand-in so the
+        # odd tensor is built even where the even one is not positive
+        tiles[sign].append(build(tline, hline, sign, rows))
+        return np.ones_like(tiles[sign][-1])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "toeplitz_plus_hankel", record)
         positivity_report(ka)
-    assert len(built) == 2
-    for parity, pair in zip(("even", "odd"), built):
+    m = n // 2 - 1
+    for parity, sign in (("even", 1.0), ("odd", -1.0)):
+        assert [len(t) for t in tiles[sign]] == fields._blocks(m, m)
+        pair = np.concatenate(tiles[sign])
         assert pair.tobytes() == pair_tensor_dense(off, parity)[0].tobytes()
 
 
 def test_positivity_report_holds_one_pair_tensor():
-    n = 4096
-    ka = kernel_ka(1.5, T, 1.0, n)
-    tracemalloc.start()
-    try:
-        positivity_report(ka)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 8 * (n // 2 - 1) ** 2
+    # one tile of at most 2^16 samples (512 KB) plus O(N) lines; a whole
+    # pair tensor is 34 MB at N = 4096 and 537 MB at N = 16384
+    for n in (4096, 16384):
+        ka = kernel_ka(1.5, T, 1.0, n)
+        tracemalloc.start()
+        try:
+            positivity_report(ka)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 21
 
 
 def test_pair_minima_coincide_under_half_period_shift():
