@@ -3,6 +3,7 @@ produces a schema-valid bundle, the solve tables reproduce the elliptic
 closed form, reruns with one seed are byte-identical, and exit codes
 separate validation, convergence, and property failures."""
 
+import ast
 import contextlib
 import csv
 import functools
@@ -179,16 +180,119 @@ def test_spectrum_runs_one_sector_pass(monkeypatch):
 
 def test_import_loads_no_scipy():
     # scipy and jsonschema are test-only dependencies; importing either
-    # would add a large share of the start-up time of every CLI call
+    # would add a large share of the start-up time of every CLI call.
+    # `import fnlslab` loads no numpy either; the checks below run after
+    # the first attribute miss has loaded the numeric tier.
     code = ("import sys, fnlslab; "
+            "print('numpy' in sys.modules); "
+            "fnlslab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print('concurrent.futures' in sys.modules); "
             "print('jsonschema' in sys.modules)")
-    scipy_modules, pools, schema = run_python(code).split()
+    numpy, scipy_modules, pools, schema = run_python(code).split()
+    assert numpy == "False"
     assert scipy_modules == "[]"
     assert schema == "False"
     # the package runs everything serially and loads no pool machinery
     assert pools == "False"
+
+
+# What `from fnlslab import *` binds: 73 exports and 12 submodules, the
+# same names the package bound when every module loaded eagerly.
+STAR_NAMES = [
+    "AntiperiodicField", "COMMANDS", "EPS_ANTI", "EPS_FFT", "EPS_REAL",
+    "EvolutionState", "GridSamples", "KernelSamples", "MAX_ITER",
+    "NondegeneracyReport", "ProblemParams", "ResultBundle", "RunConfig",
+    "SectorOperator", "SectorSpectrum", "StabilityReport", "StandingProfile",
+    "Sweep", "TOL_PROFILE", "assemble", "charge", "cli", "coercivity_check",
+    "config", "continue_in", "cosine_field", "derivative", "dynamics",
+    "eigensolve", "emit", "errors", "evaluate", "evolve", "fields",
+    "fractional_laplacian", "fredholm_range_checks", "functionals",
+    "gauge_fix", "hamiltonian", "imag_part", "initial_state", "inner",
+    "jordan_structure", "kernel_ka", "kernel_kp", "kernels", "kinetic", "lift",
+    "main", "momentum", "moving_frame_energy", "n_preserving_perturbation",
+    "nondegeneracy_check", "odd_wavenumbers", "orbital_distance", "params",
+    "parse_config", "positivity_report", "potential",
+    "potential_ordering_check", "profile_residual", "profiles",
+    "quadratic_energy", "random_field", "real_part", "rearrange",
+    "rearrange_hash", "rearrange_star", "recovered_omega", "render_report",
+    "report_dict", "reports", "rotate_phase", "run", "second_variation_form",
+    "sector_spectra", "solve_defocusing", "solve_focusing", "spectrum",
+    "stability_experiment", "stability_indices", "to_grid", "translate",
+    "x_norm", "zero_field"]
+
+# A statement that prints the numpy and fnlslab modules loaded so far.
+LOADED = ("print(sorted(m for m in sys.modules "
+          "if m.split('.')[0] in ('numpy', 'fnlslab')))")
+CONFIG_TIER = str(["fnlslab", "fnlslab.config", "fnlslab.errors",
+                   "fnlslab.params"])
+
+
+def test_config_tier_parses_without_numpy():
+    code = f"import sys, fnlslab; fnlslab.parse_config({BASE!r}); {LOADED}"
+    assert run_python(code).strip() == CONFIG_TIER
+
+
+def test_validation_lists_every_bad_window_without_numpy():
+    text = (BASE.replace("alpha = 1.5", "alpha = 2.5")
+            .replace("sigma = 1", "sigma = 0").replace("gamma = -1", "gamma = 2"))
+    code = ("import sys, fnlslab\n"
+            "try:\n"
+            f"    fnlslab.parse_config({text!r})\n"
+            "except fnlslab.errors.ValidationError as exc:\n"
+            "    print(repr(str(exc)))\n"
+            f"{LOADED}")
+    message, loaded = run_python(code).splitlines()
+    assert "3 problem(s)" in message
+    for key in ("alpha", "sigma", "gamma"):
+        assert f"problem.{key}" in message
+    assert loaded == CONFIG_TIER
+
+
+def test_first_miss_loads_the_numeric_tier_whole():
+    # the benchmark tracer looks each of its target modules up in
+    # sys.modules, so one probe must load them all
+    code = ("import sys, fnlslab; "
+            f"{LOADED}; "
+            "from fnlslab import spectrum; "
+            f"{LOADED}; "
+            "print(fnlslab.solve_defocusing is fnlslab.profiles.solve_defocusing, "
+            "'__getattr__' in vars(fnlslab), '__dir__' in vars(fnlslab))")
+    before, after, bound = run_python(code).splitlines()
+    assert before == CONFIG_TIER
+    loaded = ast.literal_eval(after)
+    assert "numpy" in loaded
+    for name in ("fields", "functionals", "profiles", "spectrum", "kernels",
+                 "rearrange", "dynamics", "config", "reports", "cli"):
+        assert f"fnlslab.{name}" in loaded
+    # the module hooks are gone: the package is what an eager import builds
+    assert bound == "True False False"
+
+
+def test_star_import_and_dir_bind_every_name():
+    star = ("import sys, fnlslab; "
+            f"{LOADED}; "
+            "ns = {}; exec('from fnlslab import *', ns); "
+            "print(sorted(set(ns) - {'__builtins__'}))")
+    before, names = run_python(star).splitlines()
+    assert before == CONFIG_TIER
+    assert ast.literal_eval(names) == STAR_NAMES
+    listing = ("import fnlslab; "
+               "print([n for n in dir(fnlslab) if not n.startswith('_')])")
+    assert ast.literal_eval(run_python(listing)) == STAR_NAMES
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    code = ("import sys, fnlslab\n"
+            f"{LOADED}\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        fnlslab.no_such_name\n"
+            "    except AttributeError as exc:\n"
+            "        print(exc)\n")
+    before, first, second = run_python(code).splitlines()
+    assert before == CONFIG_TIER
+    assert first == second == "module 'fnlslab' has no attribute 'no_such_name'"
 
 
 def test_every_export_has_a_caller():
@@ -197,15 +301,22 @@ def test_every_export_has_a_caller():
     # classes, is read by the package or the benchmark outside its own
     # definition; reads from inside a name that has no such reader do not
     # count, so a dead chain is flagged whole
-    import ast
+    import inspect
 
     import fnlslab
 
     pkg = Path(fnlslab.__file__).resolve().parent
     bench = Path(__file__).resolve().parents[1] / "bench"
-    names = {alias.asname or alias.name
-             for node in ast.parse((pkg / "__init__.py").read_text()).body
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # the eager tier is imported; the numeric tier is a {module: names} table
+    init = ast.parse((pkg / "__init__.py").read_text()).body
+    names = {alias.asname or alias.name for node in init
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names}
+    numeric = next(node.value for node in init if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "_NUMERIC")
+    names |= {name for exports in ast.literal_eval(numeric).values()
+              for name in exports}
+    exports = set(names)
     sources = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
     for path in sources:
         for top in ast.parse(path.read_text()).body:
@@ -249,6 +360,9 @@ def test_every_export_has_a_caller():
             break
         dead = found
     assert sorted(dead) == []
+    # both tiers were read: all 73 exports of the loaded package
+    assert exports == {name for name in dir(fnlslab) if not name.startswith("_")
+                       and not inspect.ismodule(getattr(fnlslab, name))}
 
 
 def test_spectrum_eigenvalue_table_is_sorted_per_sector():
