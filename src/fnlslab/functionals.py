@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .fields import AntiperiodicField, _aligned, to_grid
 from .params import ProblemParams
 
@@ -59,19 +60,35 @@ def kinetic_rows(half_period: float, wavenumbers: np.ndarray,
             for row in w * np.abs(coeff) ** 2]
 
 
-def _default_grid(u: AntiperiodicField, sigma: float) -> int:
-    """Grid large enough that |u|^(2 sigma) u and |u|^(2 sigma + 2) are
-    quadratured without aliasing into the resolved band.
+_GRID_CAP = 1 << 22  # samples of the largest quadrature grid: 64 MiB complex
 
-    For integer sigma the product bandwidth is (2 sigma + 2) max|k| and the
-    bound is exact; fractional powers are not band-limited, so a margin of
-    two extra factors is applied and the residual defect is monitored.
-    """
-    k_max = u.max_wavenumber
-    factor = 2.0 * sigma + 2.0 if float(sigma).is_integer() else 2.0 * np.ceil(sigma) + 4.0
-    need = int(factor) * k_max + 2
-    n = max(4 * u.n_modes, need)
-    return n + (n % 2)
+
+def _power_band(sigma: float, k_max: int) -> int:
+    """Bandwidth charged to |u|^(2 sigma) on the band k_max, which sizes every
+    alias-free quadrature grid: 2 sigma k_max, exact for integer sigma.
+    Fractional powers are not band-limited; they are charged (2 ceil(sigma)
+    + 2) k_max, two factors of margin, and the residual defect is monitored."""
+    fac = 2 * sigma if float(sigma).is_integer() else 2 * np.ceil(sigma) + 2
+    return int(fac) * k_max
+
+
+def _capped(n: int, sigma: float, u: AntiperiodicField) -> int:
+    if n > _GRID_CAP:
+        raise ValidationError(
+            f"sigma = {sigma} on the band k_max = {u.max_wavenumber} needs a {n}-point "
+            f"quadrature grid, past the cap of {_GRID_CAP} points")
+    return n
+
+
+def _default_grid(u: AntiperiodicField, sigma: float) -> int:
+    """Grid on which |u|^(2 sigma) u and |u|^(2 sigma + 2) are alias-free (>= 4M)."""
+    k = u.max_wavenumber
+    return _capped(_power_band(sigma, k) + 2 * k + 2, sigma, u)
+
+
+def _residual_grid(u: AntiperiodicField, sigma: float) -> int:
+    """Twice _default_grid, for residuals that sample out-of-band content."""
+    return _capped(2 * _default_grid(u, sigma), sigma, u)
 
 
 def potential(u: AntiperiodicField, sigma: float) -> float:

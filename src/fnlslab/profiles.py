@@ -28,8 +28,8 @@ from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                      SpeedOutOfRange, ValidationError)
 from .fields import (AntiperiodicField, analyze, cosine_block, cosine_field,
                      lift, odd_wavenumbers, real_projection, synthesize,
-                     to_grid)
-from .functionals import (_default_grid, charge, kinetic, momentum,
+                     to_grid, zero_field)
+from .functionals import (_default_grid, _residual_grid, charge, kinetic, momentum,
                           moving_frame_energy, potential, quadratic_energy)
 from .params import MAX_ITER, TOL_PROFILE, ProblemParams
 
@@ -80,11 +80,9 @@ def recovered_omega(field: AntiperiodicField, c: float, params: ProblemParams) -
 
 def profile_residual(field: AntiperiodicField, omega: float, c: float,
                      params: ProblemParams) -> float:
-    """Infinity norm of Lambda^alpha phi + omega phi + i c phi' -
-    gamma |phi|^(2s) phi on a fine grid (linear parts are band-limited
-    exact; the nonlinearity is sampled pointwise, so out-of-band content
-    is included)."""
-    n_fine = 2 * _default_grid(field, params.sigma)
+    """Infinity norm of Lambda^alpha phi + omega phi + i c phi' - gamma
+    |phi|^(2s) phi on the residual grid, the nonlinearity sampled pointwise."""
+    n_fine = _residual_grid(field, params.sigma)
     T = field.half_period
     k = field.wavenumbers
     w = np.pi * k / T
@@ -109,8 +107,7 @@ class _Workspace:
         self.k = odd_wavenumbers(n_modes)
         self.w = np.pi * self.k / self.T
         self.lam = np.abs(self.w) ** params.alpha
-        probe = AntiperiodicField(self.T, self.k, np.zeros(2 * n_modes, complex))
-        self.N = _default_grid(probe, params.sigma)
+        self.N = _default_grid(zero_field(self.T, n_modes), params.sigma)
         self.bins = self.k % self.N
 
     @cached_property

@@ -27,7 +27,7 @@ from .errors import (ChainDoesNotTerminate, InconsistentRange, NonConvergence,
 from .fields import (AntiperiodicField, _monotonicity, cosine_block,
                      derivative, fractional_laplacian, imag_part, synthesize,
                      to_grid)
-from .functionals import _default_grid
+from .functionals import _capped, _power_band, _residual_grid
 from .params import EPS_REAL, FD_STEP, TOL_DEFLATE
 from .profiles import family_slope
 
@@ -97,17 +97,10 @@ def _require_real_resting(profile) -> None:
 
 
 def _quadrature_size(field: AntiperiodicField, sigma: float, size: int) -> int:
-    """Grid for the potential matrix entries.
-
-    Needs the FFT bins 2m, m <= 2 size - 1, to be alias-free for the
-    potential |phi|^(2 sigma), whose bandwidth is 2 ceil(sigma) (2M - 1)
-    for integer sigma (fractional powers get one extra factor of margin).
-    """
-    fac = math.ceil(sigma) + (0 if float(sigma).is_integer() else 1)
-    bandwidth = 2 * fac * (2 * field.n_modes - 1)
-    need = 4 * max(size, _SHARED_QUAD) + bandwidth + 2
-    need = max(need, 2 * (field.max_wavenumber + 1))
-    return 1 << int(math.ceil(math.log2(need)))
+    """Power-of-two grid on which the bins 2m, m < 2 size, of V are alias-free."""
+    k = field.max_wavenumber
+    need = 4 * max(size, _SHARED_QUAD) + _power_band(sigma, k) + 2
+    return _capped(1 << int(math.ceil(math.log2(need))), sigma, field)
 
 
 def _potential_samples(profile, which: str, n: int) -> np.ndarray:
@@ -344,16 +337,9 @@ def _nondegeneracy_report(profile, spectra: dict) -> NondegeneracyReport:
 
 def _apply_on_grid(profile, which: str, w: AntiperiodicField,
                    n: int) -> np.ndarray:
-    """(Lambda^alpha + omega + V) w sampled pointwise on a fine grid of at
-    least n points.
-
-    Works for any band-limited w, not just sector elements; the product
-    V w is evaluated pointwise so truncation shows up honestly in
-    infinity-norm residuals.
-    """
+    """(Lambda^alpha + omega + V) w on the n-point grid, for any w in its band;
+    V w is sampled pointwise, so truncation shows in infinity-norm residuals."""
     pars = profile.params
-    n = max(n, 2 * (w.max_wavenumber + 1), 2 * (profile.field.max_wavenumber + 1))
-    n += n % 2
     lam_w = fractional_laplacian(w, pars.alpha)
     wg = to_grid(w, n).values
     v = _potential_samples(profile, which, n)
@@ -368,7 +354,7 @@ def _chain_prologue(profile, message: str):
     if profile.params.gamma != -1:
         raise ValidationError(message)
     f = profile.field
-    return derivative(f), 2 * _default_grid(f, profile.params.sigma)
+    return derivative(f), _residual_grid(f, profile.params.sigma)
 
 
 def _mu_chain(profile, n: int):

@@ -226,6 +226,41 @@ def second_variation_reference(profile, v, n):
     return spectral + term, term
 
 
+# --- grid sizing as two separate rules, before the one alias-free rule of
+# functionals._power_band: both functions verbatim, to pin every site's n.
+
+_SHARED_QUAD = 1024
+
+
+def _default_grid(u, sigma: float) -> int:
+    """Grid large enough that |u|^(2 sigma) u and |u|^(2 sigma + 2) are
+    quadratured without aliasing into the resolved band.
+
+    For integer sigma the product bandwidth is (2 sigma + 2) max|k| and the
+    bound is exact; fractional powers are not band-limited, so a margin of
+    two extra factors is applied and the residual defect is monitored.
+    """
+    k_max = u.max_wavenumber
+    factor = 2.0 * sigma + 2.0 if float(sigma).is_integer() else 2.0 * np.ceil(sigma) + 4.0
+    need = int(factor) * k_max + 2
+    n = max(4 * u.n_modes, need)
+    return n + (n % 2)
+
+
+def _quadrature_size(field, sigma: float, size: int) -> int:
+    """Grid for the potential matrix entries.
+
+    Needs the FFT bins 2m, m <= 2 size - 1, to be alias-free for the
+    potential |phi|^(2 sigma), whose bandwidth is 2 ceil(sigma) (2M - 1)
+    for integer sigma (fractional powers get one extra factor of margin).
+    """
+    fac = math.ceil(sigma) + (0 if float(sigma).is_integer() else 1)
+    bandwidth = 2 * fac * (2 * field.n_modes - 1)
+    need = 4 * max(size, _SHARED_QUAD) + bandwidth + 2
+    need = max(need, 2 * (field.max_wavenumber + 1))
+    return 1 << int(math.ceil(math.log2(need)))
+
+
 def pair_tensor_dense(off, parity):
     """K_a(x - y) +/- K_a(x + y) on the interior offsets of (-T/2, T/2)
     (even) or (0, T) (odd), from the modular offset line off[m] =

@@ -543,6 +543,30 @@ def test_main_huge_sector_size_exits_2(tmp_path, capsys):
     assert "grid.sector_size" in capsys.readouterr().err
 
 
+def test_main_oversized_quadrature_grid_exits_2_before_allocating(tmp_path,
+                                                                  capsys):
+    # sigma = 1e6 lies in its window (0, inf), but its default grid at 48
+    # modes would take 2e6 * 95 + 2 * 95 + 2 = 190000192 samples, 2.8 GiB
+    # per complex array; the grid rule refuses it before anything is built
+    import tracemalloc
+
+    cfg = tmp_path / "big.ini"
+    cfg.write_text(BASE.replace("sigma = 1", "sigma = 1e6")
+                   .replace("n_modes = 32", "n_modes = 48"))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["--config", str(cfg), "--command", "solve"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "error: sigma = 1000000.0 on the band k_max = 95 needs a "
+        "190000192-point quadrature grid, past the cap of 4194304 points\n")
+    assert peak < 1 << 24
+
+
 @pytest.mark.parametrize("command, old, new, message", [
     ("evolve", "steps = 200", "steps = 1e12",
      "evolve.steps must lie in [1, 10000000]"),

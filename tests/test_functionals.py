@@ -1,15 +1,23 @@
-"""Conserved functionals, Parseval identities, and the profile equation."""
+"""Conserved functionals, Parseval identities, the profile equation, and
+the alias-free quadrature grid rule."""
+
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from fnlslab.errors import ValidationError
 from fnlslab.fields import (cosine_field, random_field, rotate_phase,
                             translate, zero_field)
-from fnlslab.functionals import (charge, hamiltonian, inner, kinetic,
+from fnlslab.functionals import (_GRID_CAP, _default_grid, _residual_grid,
+                                 charge, hamiltonian, inner, kinetic,
                                  momentum, moving_frame_energy, potential,
                                  quadratic_energy, x_norm)
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import profile_residual
+from fnlslab.spectrum import _quadrature_size
 
+import oracles
 from oracles import (conjugate_field, elliptic_field, snoidal_charge,
                      snoidal_params)
 
@@ -114,3 +122,60 @@ def test_inner_product_conventions():
     from fnlslab.fields import derivative
     du = derivative(u)
     assert abs(inner(1j * du, u) - 2 * momentum(u)) < 1e-12
+
+
+@pytest.mark.parametrize("sigma, n_modes", [(1.0, 129), (2.0, 86)])
+def test_potential_is_alias_free(sigma, n_modes):
+    # a broadband u puts |u|^(2 sigma + 2) up to wavenumber
+    # (2 sigma + 2)(2M - 1), one bin short of the default grid; the
+    # reference sums direct mode-sum samples on 4096 points
+    u = random_field(T, n_modes, np.random.default_rng(5), decay=0.0)
+    vals = oracles.direct_synthesis(u.wavenumbers, u.coeff, T, 4096)
+    expect = 0.5 * (2.0 * T / 4096) * float(
+        np.sum(np.abs(vals) ** (2 * sigma + 2))) / (2 * sigma + 2)
+    assert abs(potential(u, sigma) - expect) <= 1e-12 * expect
+
+
+# ------------------------------------------------------- quadrature grids
+
+def _band(n_modes):
+    """The two attributes the grid rule reads, of a full M-mode band."""
+    return SimpleNamespace(n_modes=n_modes, max_wavenumber=2 * n_modes - 1)
+
+
+def test_every_quadrature_site_keeps_its_grid():
+    # the one rule gives each site the n of the two rules it replaced
+    sigmas = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0, 50.0)
+    sizes = (1, 8, 128, 512, 1023, 1024, 1025, 2047, 2048, 4096)
+    for n_modes in range(1, 1025):
+        band = _band(n_modes)
+        for sigma in sigmas:
+            n = oracles._default_grid(band, sigma)
+            assert (_default_grid(band, sigma), _residual_grid(band, sigma)) \
+                == (n, 2 * n), (n_modes, sigma)
+            for size in sizes:
+                assert _quadrature_size(band, sigma, size) == \
+                    oracles._quadrature_size(band, sigma, size), \
+                    (n_modes, sigma, size)
+
+
+def test_quadrature_grid_keeps_its_power_of_two_edge():
+    # 4 * 1025 + 4 * 1023 + 2 = 8194 points: the last 2 lift the grid to
+    # the next power of two
+    band = _band(512)
+    assert _quadrature_size(band, 2.0, 1025) == 16384
+    assert oracles._quadrature_size(band, 2.0, 1025) == 16384
+
+
+def test_grids_past_the_cap_are_refused():
+    # sigma = 1000 on the widest config band charges 2000 * 2047 = 4094000:
+    # a quadrature grid of exactly the cap passes, the residual grid does not
+    band = _band(1024)
+    assert _quadrature_size(band, 1000.0, 4096) == _GRID_CAP == 1 << 22
+    assert _default_grid(band, 1000.0) == 4098096
+    with pytest.raises(ValidationError, match="needs a 8196192-point "
+                       "quadrature grid, past the cap of 4194304 points"):
+        _residual_grid(band, 1000.0)
+    with pytest.raises(ValidationError, match="sigma = 1100.0 on the band "
+                       "k_max = 2047 needs a 8388608-point"):
+        _quadrature_size(band, 1100.0, 1)

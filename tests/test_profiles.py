@@ -346,6 +346,21 @@ def test_family_slope_is_the_central_difference_of_fresh_solves(parameter):
         assert float(slope[key]).hex() == float(want).hex()
 
 
+@pytest.mark.parametrize("sigma, n_modes", [(1.0, 129), (2.0, 86)])
+def test_workspace_nonlinearity_is_alias_free(sigma, n_modes):
+    # a broadband u puts |u|^(2 sigma) u up to wavenumber (2 sigma + 1)(2M - 1);
+    # the workspace grid must fold none of it into the band; the reference
+    # is a direct mode sum and direct projection on 4096 points
+    from fnlslab.profiles import _Workspace
+
+    u = random_field(T, n_modes, np.random.default_rng(5), decay=0.0)
+    vals = oracles.direct_synthesis(u.wavenumbers, u.coeff, T, 4096)
+    expect = oracles.direct_analysis(np.abs(vals) ** (2 * sigma) * vals,
+                                     u.wavenumbers)
+    got = _Workspace(defoc(sigma=sigma), n_modes).nonlinear(u.coeff)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 def test_continuation_builds_one_workspace(monkeypatch):
     import fnlslab.profiles as profiles
 

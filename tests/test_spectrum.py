@@ -13,7 +13,8 @@ from fnlslab.errors import (ChainDoesNotTerminate, InconsistentRange,
                             ProfileNotReal, SpectralGapTooSmall,
                             ValidationError)
 from fnlslab.fields import (derivative, evaluate, odd_wavenumbers,
-                            rotate_phase, to_grid, zero_field)
+                            random_field, real_part, rotate_phase, to_grid,
+                            zero_field)
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import StandingProfile, solve_defocusing, solve_focusing
 from fnlslab.spectrum import (SectorOperator, SectorSpectrum, assemble,
@@ -102,6 +103,26 @@ def test_potential_entry_matches_direct_quadrature():
     bk = np.cos(11.0 * np.pi * x / T) / np.sqrt(T)
     entry = np.sum(v * bj * bk) * (2.0 * T / n)
     assert abs(op.matrix[2, 5] - entry) < 1e-12
+
+
+def test_assemble_is_alias_free_at_the_read_band_edge():
+    # sigma = 7 on 256 broadband modes puts V up to wavenumber 14 * 511 =
+    # 7154; entry (1023, 1023) reads the top cosine line w_2047, into which
+    # an 8192-point grid would fold V.  The reference takes w_0 and w_2047
+    # from direct mode-sum samples on 16384 points.
+    sigma, size, n = 7.0, 1024, 16384
+    phi = real_part(random_field(T, 256, np.random.default_rng(5), decay=0.0))
+    prof = StandingProfile(params=defoc(sigma=sigma), field=phi, omega=0.7,
+                           c=0.0, mu=1.0, p0=1.0, residual=0.0, iterations=0,
+                           objective=0.0)
+    x = 2.0 * T * np.arange(n) / n
+    v = np.abs(oracles.direct_synthesis(phi.wavenumbers, phi.coeff, T, n).real) \
+        ** (2 * sigma)
+    w0, w_top = (2.0 / n * float(np.sum(v * np.cos(2.0 * np.pi * m * x / T)))
+                 for m in (0, 2 * size - 1))
+    lam = (np.pi * (2 * size - 1) / T) ** 1.5
+    entry = assemble(prof, "L_minus", "even", size).matrix[-1, -1]
+    assert abs(entry - (0.5 * (w0 + w_top) + lam + 0.7)) <= 1e-12 * np.max(v)
 
 
 def test_assemble_validates_arguments():
