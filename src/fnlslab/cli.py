@@ -32,7 +32,7 @@ from .functionals import charge, kinetic, momentum, potential, x_norm
 from .kernels import kernel_ka, kernel_kp, positivity_report
 from .profiles import continue_in, gauge_fix, solve_defocusing, solve_focusing
 from .rearrange import polya_szego_trials, potential_ordering_check
-from .reports import ResultBundle, emit
+from .reports import ResultBundle, emit, result_lines
 from .spectrum import _nondegeneracy_report, jordan_structure, sector_spectra
 
 
@@ -203,10 +203,9 @@ def _cmd_sweep(config: RunConfig) -> ResultBundle:
         raise ValidationError("sweep.target is required for the sweep command")
     result = continue_in(prof, sw["parameter"], sw["target"], sw["steps"],
                          tol=config.solver["tol"])
-    rows = []
-    for p in result.profiles:
-        rows.append((float(getattr(p, sw["parameter"])), p.omega, p.c, p.mu,
-                     charge(p.field), momentum(p.field), p.residual))
+    rows = [(float(getattr(p, sw["parameter"])), float(p.omega), float(p.c),
+             float(p.mu), charge(p.field), momentum(p.field), p.residual)
+            for p in result.profiles]
     results = {
         "parameter": sw["parameter"],
         "target": sw["target"],
@@ -269,31 +268,18 @@ _DISPATCH = {
 
 
 def run(config: RunConfig) -> ResultBundle:
-    """Dispatch a validated config to its command implementation."""
+    """Dispatch a validated config to its command implementation, once
+    its output directory, if it names one, exists."""
     if config.command is None:
         raise ValidationError(
             "no command selected: set run.command in the config or pass "
             "--command")
+    if config.out is not None:
+        try:
+            Path(config.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output: {exc}") from exc
     return _DISPATCH[config.command](config)
-
-
-def _flatten(prefix: str, obj, into: list) -> None:
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(f"{prefix}{k}." if prefix else f"{k}.", obj[k], into)
-        return
-    key = prefix[:-1]
-    if isinstance(obj, (bool, np.bool_)):
-        into.append(f"{key} = {bool(obj)}")
-    elif isinstance(obj, (float, np.floating)):
-        into.append(f"{key} = {float(obj)!r}")
-    elif isinstance(obj, (int, np.integer)):
-        into.append(f"{key} = {int(obj)}")
-    elif isinstance(obj, str):
-        into.append(f"{key} = {obj}")
-    elif obj is None:
-        into.append(f"{key} = none")
-    # lists (tables in disguise) stay in the persisted report only
 
 
 def main(argv=None) -> int:
@@ -320,9 +306,7 @@ def main(argv=None) -> int:
         config = parse_config(text).with_overrides(
             command=args.command, seed=args.seed, out=args.out)
         bundle = run(config)
-        lines = []
-        _flatten("", bundle.results, lines)
-        for line in lines:
+        for line in result_lines(bundle):
             print(line)
         if config.out is not None:
             for path in emit(bundle, config.out):

@@ -1,10 +1,12 @@
-"""Result bundles, JSON reports, and CSV tables.
+"""Result bundles, and the one place where a result becomes text.
 
-Everything written is structured text with deterministic content: JSON
-with sorted keys, CSV with a header row, and floats rendered by repr
-(shortest round-trip), so identical config + seed reproduces files
-byte for byte.  Reports carry no wall-clock information for the same
-reason; provenance records the package version, seed, and tolerances.
+Results leave a run as sorted `key = value` stdout lines
+(`result_lines`), `report.json` with sorted keys, and one CSV per table
+(`write_csv`).  `_pyify` is the only numpy-to-Python normalizer, table
+rows hold Python int, float and str only, and every float is written by
+repr (shortest round-trip), so identical config + seed reproduces every
+byte.  Reports carry no wall-clock information for the same reason;
+provenance records the package version, seed, and tolerances.
 Reports follow the versioned schema shipped in fnlslab/schema.  The
 config and its windows already fix every value the schema bounds, so
 `report_dict` checks only what a library caller can set freely: the
@@ -42,7 +44,8 @@ class ResultBundle:
 
 
 def _pyify(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
+    """Python bools, ints, floats, lists and str-keyed dicts in place of
+    numpy scalars, arrays and tuples, for every written form."""
     if isinstance(obj, dict):
         return {str(k): _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -95,27 +98,37 @@ def render_report(bundle: ResultBundle) -> str:
     return json.dumps(report_dict(bundle), sort_keys=True, indent=2) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def result_lines(bundle: ResultBundle) -> list[str]:
+    """The stdout form of the results: one `key = value` line per scalar,
+    keys dotted and sorted, None as `none`; lists stay in report.json."""
+    lines = []
+
+    def walk(prefix, obj):
+        if isinstance(obj, dict):
+            for k in sorted(obj):
+                walk(f"{prefix}{k}.", obj[k])
+        elif obj is None:
+            lines.append(f"{prefix[:-1]} = none")
+        elif isinstance(obj, (str, int, float)):
+            lines.append(f"{prefix[:-1]} = {obj}")
+
+    walk("", _pyify(bundle.results))
+    return lines
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """A header row, then `rows`, whose cells are Python int, float and
+    str only: the csv module writes a float by repr and an int by str."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit(bundle: ResultBundle, out_dir) -> list[Path]:
     """Write report.json, config.ini, and one CSV per table.
 
-    Returns the written paths, sorted.  Writing is serialized; numeric
-    cells use shortest round-trip formatting.
+    Returns the written paths, sorted.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

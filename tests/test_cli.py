@@ -6,10 +6,12 @@ separate validation, convergence, and property failures."""
 import ast
 import contextlib
 import csv
+import errno
 import functools
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -704,3 +706,114 @@ def test_flag_overrides_win_over_config(tmp_path, capsys):
     report = (out / "report.json").read_text()
     assert '"command": "kernels"' in report
     assert '"seed": 2' in report
+
+
+FOCUSING = (BASE.replace("gamma = -1", "gamma = 1")
+            .replace("mu = 1\n", "omega = 0.5\n")
+            .replace("parameter = mu\ntarget = 1.2",
+                     "parameter = omega\ntarget = 0.6"))
+
+
+def test_every_table_cell_is_a_python_scalar():
+    # write_csv hands rows to the csv module as they are, which writes a
+    # float by repr only for a Python float (np.float64 would print its
+    # numpy repr), so every command's tables hold int, float and str only
+    bundles = [run_base(command) for command in COMMANDS]
+    bundles.append(cli.run(config_for("sweep", base=FOCUSING)))
+    for bundle in bundles:
+        for name, (header, rows) in bundle.tables.items():
+            assert rows, (bundle.command, name)
+            for row in rows:
+                assert len(row) == len(header), (bundle.command, name)
+                kinds = {type(v) for v in row}
+                assert kinds <= {int, float, str}, (bundle.command, name, kinds)
+
+
+@pytest.mark.parametrize("target, code", [("file", errno.EEXIST),
+                                          ("file/sub", errno.ENOTDIR)],
+                         ids=["file", "under-file"])
+def test_main_out_on_a_file_exits_2_before_the_run(tmp_path, capsys, target,
+                                                   code):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE)
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path / target
+
+    def never(config):
+        raise AssertionError("the command ran")
+
+    with mock.patch.dict(cli._DISPATCH, {"solve": never}):
+        rc = cli.main(["--config", str(cfg), "--command", "solve",
+                       "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"error: cannot write output: [Errno {code}] "
+                            f"{os.strerror(code)}: {str(out)!r}\n")
+    assert captured.out == ""
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+@st.composite
+def small_runs(draw, command):
+    """The INI text of one in-window run of `command` at small sizes."""
+    alpha = draw(st.sampled_from([1.5, 2.0, 1.25, 1.9]))
+    gamma = draw(st.sampled_from([-1, 1]))
+    half_period = draw(st.sampled_from([T, 2.0, 4.5]))
+    speed = (np.pi / half_period) ** (alpha - 1)
+    omega_max = (np.pi / half_period) ** alpha
+    frac = st.floats(-0.9, 0.9)
+    parameter = draw(st.sampled_from(["c", "mu"] if gamma == -1 else ["omega"]))
+    target = {"c": draw(frac) * speed, "mu": draw(st.floats(0.2, 3.0)),
+              "omega": draw(frac) * omega_max}[parameter]
+    positive = st.floats(1e-5, 1e-2)
+    sections = {
+        "problem": {"alpha": alpha, "sigma": draw(st.sampled_from([1, 2, 0.5])),
+                    "gamma": gamma, "half_period": half_period},
+        "run": {"command": command, "seed": draw(st.integers(0, 100))},
+        "solver": {"c": draw(st.sampled_from([0.0, 0.3, -0.6])) * speed,
+                   "mu": draw(st.floats(0.2, 3.0)),
+                   "omega": draw(frac) * omega_max,
+                   "n_modes": draw(st.sampled_from([32, 16, 24])),
+                   "tol": draw(st.sampled_from([1e-6, 1e-4, 1e-8]))},
+        "grid": {"n_grid": draw(st.sampled_from([128, 256])),
+                 "sector_size": draw(st.sampled_from([16, 32]))},
+        "kernels": {"n": draw(st.sampled_from([64, 128, 256])),
+                    "times": ", ".join(repr(t) for t in draw(st.lists(
+                        st.floats(0.05, 20.0), min_size=1, max_size=2)))},
+        "evolve": {"dt": draw(positive), "steps": draw(st.integers(1, 100)),
+                   "log_interval": draw(st.integers(1, 50))},
+        "sweep": {"parameter": parameter, "target": target,
+                  "steps": draw(st.integers(1, 3))},
+        "stability": {"horizon_periods": draw(st.floats(0.01, 0.1)),
+                      "dt": draw(st.floats(1e-3, 1e-2)),
+                      "epsilons": ", ".join(repr(e) for e in draw(st.lists(
+                          positive, min_size=1, max_size=2))),
+                      "log_interval": draw(st.integers(1, 50))},
+        "rearrange": {"trials": draw(st.integers(1, 10)),
+                      "n_modes": draw(st.integers(1, 8)),
+                      "n_grid": draw(st.sampled_from([64, 128]))},
+    }
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   + "\n" for name, keys in sections.items())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_main_fuzz_exits_cleanly_with_key_value_lines(command, data):
+    text = data.draw(small_runs(command), label="config")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(text)
+        rc = cli.main(["--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 2, 3, 4), text
+    assert "Traceback" not in stderr.getvalue(), text
+    lines = stdout.getvalue().splitlines()
+    results = lines[:next((i for i, line in enumerate(lines)
+                           if line.startswith("wrote ")), len(lines))]
+    for line in results:
+        assert re.fullmatch(r"[A-Za-z_][\w.]* = \S.*", line), (line, text)
+    assert (rc == 0) == any(line.startswith("wrote ") for line in lines), text

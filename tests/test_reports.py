@@ -1,13 +1,18 @@
 """Report assembly and persistence: schema conformance, deterministic
-rendering, CSV round trips, and the config echo."""
+rendering, CSV round trips, the config echo, and the exact text of every
+written form."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import fnlslab.cli as cli
 from fnlslab.config import parse_config
 from fnlslab.errors import ValidationError
 from fnlslab.reports import ResultBundle, emit, render_report, report_dict
@@ -124,3 +129,99 @@ def test_emit_is_deterministic(tmp_path):
     emit(b, d2)
     for p in sorted(d1.iterdir()):
         assert p.read_bytes() == (d2 / p.name).read_bytes()
+
+
+# numpy and Python scalars, keys out of order, None, nested dicts, and
+# tuple/array values, which stay in report.json only
+MIXED_RESULTS = {
+    "zeta": np.float64(1e16),
+    "nested": {"b": {"d": np.int32(-3), "c": 0.1}, "a": [1, 2]},
+    "alpha": {"small": np.float64(1e-5), "neg_zero": np.float64(-0.0),
+              "nan": np.float64(np.nan), "inf": np.float64(np.inf),
+              "ninf": -np.inf},
+    "count": np.int64(7), "flag": np.bool_(True), "off": False,
+    "missing": None, "label": "L_plus even",
+    "pair": (np.float64(0.5), 2), "row": np.arange(3.0),
+}
+MIXED_ROWS = [(0, 1e16, "a,b"), (1, 1e-05, 'say "hi"'), (-2, -0.0, ""),
+              (3, float("nan"), "x"), (4, float("-inf"), "")]
+
+GOLDEN_STDOUT = """\
+alpha.inf = inf
+alpha.nan = nan
+alpha.neg_zero = -0.0
+alpha.ninf = -inf
+alpha.small = 1e-05
+count = 7
+flag = True
+label = L_plus even
+missing = none
+nested.b.c = 0.1
+nested.b.d = -3
+off = False
+zeta = 1e+16
+wrote <out>/config.ini
+wrote <out>/mixed.csv
+wrote <out>/report.json
+"""
+GOLDEN_CSV = (b'k,value,label\n0,1e+16,"a,b"\n1,1e-05,"say ""hi"""\n'
+              b'-2,-0.0,\n3,nan,x\n4,-inf,\n')
+GOLDEN_RESULTS_JSON = """\
+  "results": {
+    "alpha": {
+      "inf": Infinity,
+      "nan": NaN,
+      "neg_zero": -0.0,
+      "ninf": -Infinity,
+      "small": 1e-05
+    },
+    "count": 7,
+    "flag": true,
+    "label": "L_plus even",
+    "missing": null,
+    "nested": {
+      "a": [
+        1,
+        2
+      ],
+      "b": {
+        "c": 0.1,
+        "d": -3
+      }
+    },
+    "off": false,
+    "pair": [
+      0.5,
+      2
+    ],
+    "row": [
+      0.0,
+      1.0,
+      2.0
+    ],
+    "zeta": 1e+16
+  },
+"""
+
+
+def test_every_written_form_matches_its_golden_text(tmp_path):
+    # the whole path a run's results take: stdout lines, report.json and
+    # CSV bytes, pinned byte for byte
+    def mixed(config):
+        return ResultBundle(config=config, command="solve",
+                            results=MIXED_RESULTS,
+                            tables={"mixed": (("k", "value", "label"),
+                                              MIXED_ROWS)})
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    stdout = io.StringIO()
+    with mock.patch.dict(cli._DISPATCH, {"solve": mixed}), \
+            contextlib.redirect_stdout(stdout):
+        rc = cli.main(["--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    assert stdout.getvalue().replace(str(out), "<out>") == GOLDEN_STDOUT
+    assert (out / "mixed.csv").read_bytes() == GOLDEN_CSV
+    text = (out / "report.json").read_text(encoding="utf-8")
+    assert GOLDEN_RESULTS_JSON + '  "schema": "report-v1"\n}\n' in text
