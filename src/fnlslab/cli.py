@@ -275,11 +275,16 @@ def run(config: RunConfig) -> ResultBundle:
             "no command selected: set run.command in the config or pass "
             "--command")
     if config.out is not None:
-        try:
-            Path(config.out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValidationError(f"cannot write output: {exc}") from exc
+        _writing(Path(config.out).mkdir, parents=True, exist_ok=True)
     return _DISPATCH[config.command](config)
+
+
+def _writing(write, *args, **kwargs):
+    """write(*args, **kwargs), an OSError raised as ValidationError."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -309,7 +314,7 @@ def main(argv=None) -> int:
         for line in result_lines(bundle):
             print(line)
         if config.out is not None:
-            for path in emit(bundle, config.out):
+            for path in _writing(emit, bundle, config.out):
                 print(f"wrote {path}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -137,7 +137,6 @@ class _Stepper:
         n = max(256, 1 << int(math.ceil(math.log2(4 * head.n_modes))))
         self.params = params
         self.T = T
-        self.k = k
         self.n = n
         self.bins = k % n
         lin = np.exp(-1j * (np.abs(np.pi * k / T) ** params.alpha + omega) * dt)
@@ -202,7 +201,7 @@ class _Stepper:
         self.steps_taken += m
 
     def field(self, j: int = 0) -> AntiperiodicField:
-        return AntiperiodicField(self.T, self.k, self.coeff[:, j].copy())
+        return AntiperiodicField(self.T, self.coeff[:, j].copy())
 
     def log_rows(self) -> list:
         """(t, H, Q, N) of every column at the current state: Q, N and K

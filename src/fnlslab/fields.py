@@ -5,11 +5,12 @@ function whose Fourier support lies on the odd lattice:
 
     f(x) = sum_k c_k exp(i pi k x / T),   k odd, |k| <= 2M - 1.
 
-Fields are immutable; grids are uniform with x_j = 2T j / N over one
-2T period.  Transforms go through the FFT with coefficients placed at
-bins k mod N, so grid sampling and mode extraction are exact (to
-roundoff) for band-limited data.  Real fields satisfy c_{-k} =
-conj(c_k).
+A field is T and the 2M amplitudes of this full odd band, which is
+derived from their number.  Fields are immutable; grids are uniform with
+x_j = 2T j / N over one 2T period.  Transforms go through the FFT with
+coefficients placed at bins k mod N, so grid sampling and mode
+extraction are exact (to roundoff) for band-limited data.  Real fields
+satisfy c_{-k} = conj(c_k).
 """
 
 from __future__ import annotations
@@ -32,36 +33,35 @@ def odd_wavenumbers(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AntiperiodicField:
+    """2M complex amplitudes, coeff[j] at k = 2j - (2M - 1): the full odd
+    band |k| <= 2M - 1, derived from len(coeff) = 2M and never stored."""
+
     half_period: float
-    wavenumbers: np.ndarray  # odd integers, ascending
-    coeff: np.ndarray        # complex amplitudes, aligned with wavenumbers
+    coeff: np.ndarray  # complex amplitudes, k ascending
 
     def __post_init__(self):
-        k = np.asarray(self.wavenumbers, dtype=np.int64)
         c = np.asarray(self.coeff, dtype=np.complex128)
-        if k.shape != c.shape or k.ndim != 1:
-            raise ValidationError("wavenumbers and coeff must be aligned 1-d arrays")
-        if np.any(k % 2 == 0):
-            raise ValidationError("wavenumbers must all be odd")
-        if np.any(np.diff(k) <= 0):
-            raise ValidationError("wavenumbers must be strictly increasing")
+        if c.ndim != 1 or len(c) < 2 or len(c) % 2:
+            raise ValidationError(f"coeff must be 1-d of even length >= 2, got {c.shape}")
         if not self.half_period > 0:
             raise ValidationError(f"half_period must be positive, got {self.half_period}")
-        k.setflags(write=False)
         c.setflags(write=False)
-        object.__setattr__(self, "wavenumbers", k)
         object.__setattr__(self, "coeff", c)
 
     @property
     def n_modes(self) -> int:
-        return len(self.wavenumbers) // 2
+        return len(self.coeff) // 2
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        return odd_wavenumbers(self.n_modes)
 
     @property
     def max_wavenumber(self) -> int:
-        return int(np.max(np.abs(self.wavenumbers)))
+        return 2 * self.n_modes - 1
 
     def with_coeff(self, coeff: np.ndarray) -> "AntiperiodicField":
-        return AntiperiodicField(self.half_period, self.wavenumbers.copy(), coeff)
+        return AntiperiodicField(self.half_period, coeff)
 
     # Basic linear algebra.  Operands must share T; bands are unioned.
     def __add__(self, other: "AntiperiodicField") -> "AntiperiodicField":
@@ -210,17 +210,18 @@ def to_grid(f: AntiperiodicField, n: int) -> GridSamples:
     inside the grid band (N >= 2 (max|k| + 1)); otherwise bins would
     collide and sampling would alias.
     """
-    return GridSamples(f.half_period, grid_rows(f.wavenumbers, f.coeff[None], n)[0])
+    return GridSamples(f.half_period, grid_rows(f.coeff[None], n)[0])
 
 
-def grid_rows(wavenumbers: np.ndarray, coeff: np.ndarray, n: int) -> np.ndarray:
-    """to_grid of each coefficient row on one band: (rows, n) samples."""
-    k_max = int(np.max(np.abs(wavenumbers)))
+def grid_rows(coeff: np.ndarray, n: int) -> np.ndarray:
+    """to_grid of each (rows, 2M) coefficient row: (rows, n) samples."""
+    k_max = coeff.shape[1] - 1
     if n % 2 != 0:
         raise SamplingError(f"grid size must be even, got {n}")
     if n < 2 * (k_max + 1):
         raise SamplingError(f"grid size {n} too small for modes up to |k| = {k_max}")
-    return np.ascontiguousarray(synthesize(coeff.T, wavenumbers % n, n).T)
+    bins = odd_wavenumbers(coeff.shape[1] // 2) % n
+    return np.ascontiguousarray(synthesize(coeff.T, bins, n).T)
 
 
 def to_modes(g: GridSamples, n_modes: int | None = None,
@@ -231,14 +232,13 @@ def to_modes(g: GridSamples, n_modes: int | None = None,
     against `tol` (relative) and discarded.  `n_modes` defaults to the
     full resolved odd band, M = N // 4.
     """
-    k, coeff = modes_rows(g.values[None], n_modes, tol)
-    return AntiperiodicField(g.half_period, k, coeff[0])
+    return AntiperiodicField(g.half_period, modes_rows(g.values[None], n_modes, tol)[0])
 
 
 def modes_rows(values: np.ndarray, n_modes: int | None = None,
-               tol: float = EPS_ANTI) -> tuple[np.ndarray, np.ndarray]:
-    """to_modes of each complex sample row: the odd band and its
-    (rows, 2 n_modes) coefficients; the first row past `tol` raises."""
+               tol: float = EPS_ANTI) -> np.ndarray:
+    """to_modes of each complex sample row: the (rows, 2 n_modes)
+    coefficients; the first row past `tol` raises."""
     n = values.shape[1]
     if n % 2 != 0 or n < 4:
         raise SamplingError(f"grid size must be even and >= 4, got {n}")
@@ -257,7 +257,7 @@ def modes_rows(values: np.ndarray, n_modes: int | None = None,
             raise AntiperiodicityViolation(
                 f"even-mode energy fraction {defect:.3e} exceeds tolerance {tol:.3e}"
             )
-    return k, spec[:, k % n]
+    return spec[:, k % n]
 
 
 def derivative(f: AntiperiodicField) -> AntiperiodicField:
@@ -303,8 +303,7 @@ def imag_part(f: AntiperiodicField) -> AntiperiodicField:
 
 
 def zero_field(half_period: float, n_modes: int) -> AntiperiodicField:
-    k = odd_wavenumbers(n_modes)
-    return AntiperiodicField(half_period, k, np.zeros(len(k), dtype=np.complex128))
+    return AntiperiodicField(half_period, np.zeros_like(odd_wavenumbers(n_modes), complex))
 
 
 def cosine_field(half_period: float, amplitude: float,
@@ -312,7 +311,7 @@ def cosine_field(half_period: float, amplitude: float,
     """amplitude * cos(pi x / T) embedded in an M-mode band."""
     f = zero_field(half_period, n_modes)
     c = f.coeff.copy()
-    c[np.searchsorted(f.wavenumbers, [1, -1])] = amplitude / 2.0
+    c[n_modes - 1:n_modes + 1] = amplitude / 2.0  # k = -1, 1
     return f.with_coeff(c)
 
 
@@ -320,7 +319,7 @@ def random_field(half_period: float, n_modes: int, rng: np.random.Generator,
                  decay: float = 2.0, real: bool = False,
                  scale: float = 1.0) -> AntiperiodicField:
     """Random smooth field with |c_k| ~ (1 + |k|)^(-decay)."""
-    return AntiperiodicField(half_period, odd_wavenumbers(n_modes),
+    return AntiperiodicField(half_period,
                              random_rows(n_modes, rng, 1, decay, real, scale)[0])
 
 
@@ -342,11 +341,10 @@ def lift(f: AntiperiodicField, n_modes: int) -> AntiperiodicField:
     """Re-embed into a band of at least M modes (zero padding)."""
     if n_modes < f.n_modes:
         raise ValidationError("lift cannot shrink the band; use to_modes for projection")
-    k = odd_wavenumbers(n_modes)
-    c = np.zeros(len(k), dtype=np.complex128)
-    idx = np.searchsorted(k, f.wavenumbers)
-    c[idx] = f.coeff
-    return AntiperiodicField(f.half_period, k, c)
+    pad = n_modes - f.n_modes
+    c = np.zeros(2 * n_modes, dtype=np.complex128)
+    c[pad:pad + len(f.coeff)] = f.coeff
+    return AntiperiodicField(f.half_period, c)
 
 
 def _aligned(u: AntiperiodicField, v: AntiperiodicField):

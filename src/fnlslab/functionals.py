@@ -15,26 +15,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .fields import AntiperiodicField, _aligned, to_grid
+from .fields import AntiperiodicField, _aligned, odd_wavenumbers, to_grid
 from .params import ProblemParams
 
 
 def inner(u: AntiperiodicField, v: AntiperiodicField) -> float:
     """Re int_0^T u conj(v) dx = Re[T sum u_k conj(v_k)] (equal bands)."""
-    if not np.array_equal(u.wavenumbers, v.wavenumbers):
+    if u.n_modes != v.n_modes:
         u, v = _aligned(u, v)
     return float(np.real(u.half_period * np.sum(u.coeff * np.conj(v.coeff))))
 
 
 def x_norm(u: AntiperiodicField, alpha: float) -> float:
     """Energy-space norm: (int_0^T |u|^2 + |Lambda^(alpha/2) u|^2)^(1/2)."""
-    return x_norm_rows(u.half_period, u.wavenumbers, u.coeff[None], alpha)[0]
+    return x_norm_rows(u.half_period, u.coeff[None], alpha)[0]
 
 
-def x_norm_rows(half_period: float, wavenumbers: np.ndarray,
-                coeff: np.ndarray, alpha: float) -> list:
-    """x_norm of each coefficient row on one band, one 1-D sum per row."""
-    w = np.abs(np.pi * wavenumbers / half_period) ** alpha
+def x_norm_rows(half_period: float, coeff: np.ndarray, alpha: float) -> list:
+    """x_norm of each (rows, 2M) coefficient row, one 1-D sum per row."""
+    w = np.abs(np.pi * odd_wavenumbers(coeff.shape[1] // 2) / half_period) ** alpha
     return [float(np.sqrt(half_period * np.sum(row)))
             for row in (1.0 + w) * np.abs(coeff) ** 2]
 
@@ -49,13 +48,12 @@ def momentum(u: AntiperiodicField) -> float:
 
 
 def kinetic(u: AntiperiodicField, alpha: float) -> float:
-    return kinetic_rows(u.half_period, u.wavenumbers, u.coeff[None], alpha)[0]
+    return kinetic_rows(u.half_period, u.coeff[None], alpha)[0]
 
 
-def kinetic_rows(half_period: float, wavenumbers: np.ndarray,
-                 coeff: np.ndarray, alpha: float) -> list:
-    """kinetic of each coefficient row on one band, one 1-D sum per row."""
-    w = np.abs(np.pi * wavenumbers / half_period) ** alpha
+def kinetic_rows(half_period: float, coeff: np.ndarray, alpha: float) -> list:
+    """kinetic of each (rows, 2M) coefficient row, one 1-D sum per row."""
+    w = np.abs(np.pi * odd_wavenumbers(coeff.shape[1] // 2) / half_period) ** alpha
     return [0.5 * half_period * float(np.sum(row))
             for row in w * np.abs(coeff) ** 2]
 

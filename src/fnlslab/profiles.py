@@ -104,11 +104,11 @@ class _Workspace:
         self.params = params
         self.T = params.half_period
         self.M = n_modes
-        self.k = odd_wavenumbers(n_modes)
-        self.w = np.pi * self.k / self.T
+        k = odd_wavenumbers(n_modes)
+        self.w = np.pi * k / self.T
         self.lam = np.abs(self.w) ** params.alpha
         self.N = _default_grid(zero_field(self.T, n_modes), params.sigma)
-        self.bins = self.k % self.N
+        self.bins = k % self.N
 
     @cached_property
     def unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +124,7 @@ class _Workspace:
         return analyze(np.abs(v) ** (2.0 * self.params.sigma) * v, self.bins, self.N)
 
     def field(self, coeff: np.ndarray) -> AntiperiodicField:
-        return AntiperiodicField(self.T, self.k, coeff)
+        return AntiperiodicField(self.T, coeff)
 
     def charge(self, coeff) -> float:
         return 0.5 * self.T * float(np.sum(np.abs(coeff) ** 2))
@@ -221,7 +221,7 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
     """
     gamma = ws.params.gamma
     sig = ws.params.sigma
-    lam_e = (np.pi * (2 * np.arange(ws.M) + 1) / ws.T) ** ws.params.alpha
+    lam_e = ws.lam[ws.M:]
 
     def residual(a, omega):
         coeff = _coeff_from_even_cos(ws, a)

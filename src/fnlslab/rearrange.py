@@ -32,8 +32,7 @@ from .errors import (ComplexInput, MonotonicityUnverified, SamplingError,
                      ValidationError)
 from .fields import (AntiperiodicField, GridSamples, _blocks, _monotonicity,
                      antiperiodic_defects, grid_rows, modes_rows,
-                     odd_wavenumbers, random_rows, real_projection,
-                     realness_defects)
+                     random_rows, real_projection, realness_defects)
 from .functionals import kinetic_rows, x_norm_rows
 from .params import EPS_REAL
 
@@ -112,8 +111,7 @@ def polya_szego_check(f: AntiperiodicField, alpha: float, n: int = 1024) -> dict
     covers the projection of the merely continuous rearranged function.
     Star and hash energies agree to roundoff (the shift is a phase).
     """
-    return _polya_szego_rows(f.half_period, f.wavenumbers, f.coeff[None],
-                             alpha, n)[0]
+    return _polya_szego_rows(f.half_period, f.coeff[None], alpha, n)[0]
 
 
 def polya_szego_trials(half_period: float, alpha: float, n_modes: int,
@@ -125,29 +123,28 @@ def polya_szego_trials(half_period: float, alpha: float, n_modes: int,
     The trials run in blocks of at most fields._BLOCK_SAMPLES grid samples;
     each check is bit for bit the one of its field alone.
     """
-    k = odd_wavenumbers(n_modes)
     checks = []
     for rows in _blocks(trials, n):
         coeff = real_projection(random_rows(n_modes, rng, rows))
-        checks += _polya_szego_rows(half_period, k, coeff, alpha, n)
+        checks += _polya_szego_rows(half_period, coeff, alpha, n)
     return checks
 
 
-def _polya_szego_rows(half_period, k, coeff, alpha, n) -> list:
-    """polya_szego_check of each row of a (rows, len(k)) coefficient block.
+def _polya_szego_rows(half_period, coeff, alpha, n) -> list:
+    """polya_szego_check of each row of a (rows, 2M) coefficient block.
 
     Synthesis, sorting, the rank gathers and the analysis of the star and
     hash rows act on the whole block; the sums and norms are per row.
     """
     if any(d > EPS_REAL for d in realness_defects(coeff)):
         raise ComplexInput("kinetic comparison needs a real-valued field")
-    kin = kinetic_rows(half_period, k, coeff, alpha)
-    star = _star_rows(_real_rows(grid_rows(k, coeff, n)))
+    kin = kinetic_rows(half_period, coeff, alpha)
+    star = _star_rows(_real_rows(grid_rows(coeff, n)))
     star_samples = star.astype(np.complex128)
-    kin_star = kinetic_rows(half_period, *modes_rows(star_samples), alpha)
-    kin_hash = kinetic_rows(half_period, *modes_rows(
+    kin_star = kinetic_rows(half_period, modes_rows(star_samples), alpha)
+    kin_hash = kinetic_rows(half_period, modes_rows(
         np.roll(star_samples, n // 4, axis=1)), alpha)
-    norms = x_norm_rows(half_period, k, coeff, alpha)
+    norms = x_norm_rows(half_period, coeff, alpha)
     checks = []
     for kin_f, kin_s, kin_h, norm, evenness, anti in zip(
             kin, kin_star, kin_hash, norms, _cell_asymmetry_rows(star),
@@ -202,14 +199,13 @@ def potential_ordering_check(V: GridSamples, trials: int, n_modes: int = 16,
 
     h = 2.0 * V.half_period / n
     rng = np.random.default_rng(seed)
-    k = odd_wavenumbers(n_modes)
     rearranger = _star_rows if direction == "nondecreasing" else _hash_rows
     min_gap = math.inf
     budget = 0.0
     violations = 0
     for rows in _blocks(trials, n):
         coeff = real_projection(random_rows(n_modes, rng, rows))
-        fg = grid_rows(k, coeff, n).real
+        fg = grid_rows(coeff, n).real
         sq = fg**2
         for sq_row, gap_row in zip(sq, sq - rearranger(fg)**2):
             gap = h * float(vals @ gap_row)

@@ -16,7 +16,8 @@ from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
 from fnlslab.fields import (GridSamples, antiperiodic_defects, lift,
-                            random_field, real_part, to_grid, to_modes)
+                            odd_wavenumbers, random_field, real_part, to_grid,
+                            to_modes)
 
 
 def direct_synthesis(k, coeff, half_period, n):
@@ -54,6 +55,25 @@ def boost(f, m):
     else:
         coeff[m:] = 0.0
     return g.with_coeff(coeff)
+
+
+def lift_by_search(f, n_modes):
+    """Coefficients of lift(f, n_modes), each amplitude placed at its
+    wavenumber by search in the wide band, as for any odd band."""
+    k = odd_wavenumbers(n_modes)
+    c = np.zeros(len(k), dtype=np.complex128)
+    idx = np.searchsorted(k, f.wavenumbers)
+    c[idx] = f.coeff
+    return c
+
+
+def cosine_by_search(amplitude, n_modes):
+    """Coefficients of cosine_field(T, amplitude, n_modes), the two
+    amplitudes placed at k = 1 and -1 by search in the band."""
+    k = odd_wavenumbers(n_modes)
+    c = np.zeros(len(k), dtype=np.complex128)
+    c[np.searchsorted(k, [1, -1])] = amplitude / 2.0
+    return c
 
 
 def direct_analysis(values, k):

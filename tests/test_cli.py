@@ -31,7 +31,7 @@ from fnlslab.config import COMMANDS, parse_config
 from fnlslab.errors import (ConservationDriftExceeded, ConvergenceError,
                             NonConvergence, PropertyViolation,
                             ValidationError)
-from fnlslab.reports import emit, report_dict
+from fnlslab.reports import emit, report_dict, result_lines
 import oracles
 
 T = np.pi
@@ -751,6 +751,22 @@ def test_main_out_on_a_file_exits_2_before_the_run(tmp_path, capsys, target,
                             f"{os.strerror(code)}: {str(out)!r}\n")
     assert captured.out == ""
     assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_main_write_failure_after_the_run_exits_2(tmp_path, capsys):
+    # report.json is a directory, which the pre-run check cannot see: the
+    # run prints its results, then the write fails as bad output (exit 2)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE)
+    report = tmp_path / "out" / "report.json"
+    report.mkdir(parents=True)
+    rc = cli.main(["--config", str(cfg), "--command", "solve", "--seed", "3",
+                   "--out", str(report.parent)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"error: cannot write output: [Errno {errno.EISDIR}] "
+                            f"{os.strerror(errno.EISDIR)}: {str(report)!r}\n")
+    assert captured.out.splitlines() == result_lines(run_base("solve"))
 
 
 @st.composite

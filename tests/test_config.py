@@ -359,8 +359,7 @@ _NAN = math.nan
     (ValidationError, lambda p: n_preserving_perturbation(
         p, _NAN, np.random.default_rng(0))),
     (ValidationError, lambda p: initial_state(p.field, _NAN)),
-    (ValidationError, lambda p: AntiperiodicField(
-        _NAN, p.field.wavenumbers, p.field.coeff)),
+    (ValidationError, lambda p: AntiperiodicField(_NAN, p.field.coeff)),
     (ValidationError, lambda p: stability_experiment(
         p, [0.0 * p.field], horizon=_NAN)),
     (ValidationError, lambda p: stability_experiment(

@@ -1,5 +1,7 @@
 """Spectral core: transforms, multipliers, and field algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +20,9 @@ from fnlslab.fields import (AntiperiodicField, GridSamples, _monotonicity,
 from fnlslab.functionals import inner
 from fnlslab.params import EPS_REAL
 
-from oracles import (conjugate_field, cosine_block_dense, direct_analysis,
-                     direct_synthesis, elliptic_field)
+from oracles import (conjugate_field, cosine_block_dense, cosine_by_search,
+                     direct_analysis, direct_synthesis, elliptic_field,
+                     lift_by_search)
 
 T = np.pi
 RNG = np.random.default_rng(7)
@@ -131,11 +134,44 @@ def test_sampling_validation():
 
 
 def test_wavenumber_lattice_validation():
-    with pytest.raises(ValidationError):
-        AntiperiodicField(T, np.array([0, 1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValidationError):
-        AntiperiodicField(T, np.array([1, 1]), np.array([1.0, 2.0]))
+    # the band is derived from len(coeff), so only a 1-d coefficient array
+    # of even length 2M >= 2 has one: odd, empty and 2-d arrays are refused
+    for coeff in (np.ones(3), np.ones(1), np.ones(0), np.ones((2, 2))):
+        with pytest.raises(ValidationError):
+            AntiperiodicField(T, coeff)
     assert list(odd_wavenumbers(2)) == [-3, -1, 1, 3]
+    assert [f.name for f in dataclasses.fields(AntiperiodicField)] == \
+        ["half_period", "coeff"]
+
+
+def test_band_is_derived_from_the_coefficient_count():
+    for m in range(1, 65):
+        f = AntiperiodicField(T, np.ones(2 * m))
+        assert f.n_modes == m
+        assert np.array_equal(f.wavenumbers, odd_wavenumbers(m))
+        assert f.max_wavenumber == 2 * m - 1
+        # the smallest grid that keeps every bin apart is 2 (2M - 1 + 1)
+        to_grid(f, 4 * m)
+        with pytest.raises(SamplingError):
+            to_grid(f, 4 * m - 2)
+
+
+def test_lift_and_cosine_field_match_searchsorted_placement():
+    rng = np.random.default_rng(11)
+    pairs = [(1, 1), (1, 2), (3, 3)] + [
+        tuple(sorted(rng.integers(1, 40, size=2))) for _ in range(20)]
+    for m, wide in pairs:
+        f = random_field(T, m, rng)
+        assert np.array_equal(lift(f, wide).coeff, lift_by_search(f, wide))
+        assert np.array_equal(cosine_field(T, 0.7, wide).coeff,
+                              cosine_by_search(0.7, wide))
+
+
+def test_inner_across_bands_is_inner_of_lifts():
+    u = random_field(T, 3, RNG)
+    v = random_field(T, 7, RNG)
+    assert inner(u, v) == inner(lift(u, 7), v)
+    assert inner(v, u) == inner(v, lift(u, 7))
 
 
 def test_cosine_field_values():

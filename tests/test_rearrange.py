@@ -16,9 +16,8 @@ from fnlslab.config import parse_config
 from fnlslab.errors import (ComplexInput, MonotonicityUnverified,
                             SamplingError, ValidationError)
 from fnlslab.fields import (AntiperiodicField, GridSamples,
-                            antiperiodic_defects, cosine_field,
-                            odd_wavenumbers, random_field, real_part, to_grid,
-                            to_modes, translate)
+                            antiperiodic_defects, cosine_field, random_field,
+                            real_part, to_grid, to_modes, translate)
 from fnlslab.functionals import kinetic
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import solve_defocusing
@@ -254,7 +253,7 @@ def even_sector_field(vec, half_period):
     coeff = np.zeros(2 * m, dtype=complex)
     coeff[m:] = vec / (2.0 * np.sqrt(half_period))
     coeff[:m] = coeff[m:][::-1]
-    return AntiperiodicField(half_period, odd_wavenumbers(m), coeff)
+    return AntiperiodicField(half_period, coeff)
 
 
 def test_ground_state_ordering_chain_through_rearrangement():
