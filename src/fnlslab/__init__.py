@@ -36,9 +36,9 @@ _NUMERIC = {
     "profiles": ("StandingProfile", "Sweep", "continue_in", "gauge_fix",
                  "profile_residual", "recovered_omega", "solve_defocusing",
                  "solve_focusing"),
-    "spectrum": ("NondegeneracyReport", "SectorOperator", "SectorSpectrum",
-                 "assemble", "eigensolve", "fredholm_range_checks",
-                 "jordan_structure", "nondegeneracy_check", "sector_spectra"),
+    "spectrum": ("NondegeneracyReport", "assemble", "eigensolve",
+                 "fredholm_range_checks", "jordan_structure",
+                 "nondegeneracy_check", "sector_spectra"),
     "kernels": ("KernelSamples", "kernel_ka", "kernel_kp", "positivity_report"),
     "rearrange": ("potential_ordering_check", "rearrange_hash", "rearrange_star"),
     "dynamics": ("EvolutionState", "StabilityReport", "coercivity_check", "evolve",

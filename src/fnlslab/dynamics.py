@@ -201,7 +201,7 @@ class _Stepper:
         self.steps_taken += m
 
     def field(self, j: int = 0) -> AntiperiodicField:
-        return AntiperiodicField(self.T, self.coeff[:, j].copy())
+        return AntiperiodicField(self.T, self.coeff[:, j])
 
     def log_rows(self) -> list:
         """(t, H, Q, N) of every column at the current state: Q, N and K
@@ -357,7 +357,7 @@ def _lplus_pairing(profile: StandingProfile) -> dict:
     size = _PAIRING_SIZE
     spec = eigensolve(assemble(profile, "L_plus", "even", size))
     p = sector_coords(profile.field, "even", size)
-    y, deflated, dropped = deflated_solve(profile, spec, p)
+    y, deflated, dropped = deflated_solve(profile, "L_plus", "even", spec, p)
     # sector coordinates integrate over [0, 2T): halve for [0, T]
     return {"value": 0.5 * float(y @ p), "deflated": deflated,
             "dropped": dropped}
@@ -419,7 +419,7 @@ def coercivity_check(profile: StandingProfile, size: int = 128) -> dict:
     out = {}
     for which in ("L_plus", "L_minus"):
         for sector, q in (("even", p_even), ("odd", d_odd)):
-            a = assemble(profile, which, sector, size).matrix
+            a = assemble(profile, which, sector, size)
             qn = q / np.linalg.norm(q)
             full = np.linalg.qr(
                 np.column_stack([qn, np.eye(size)]))[0]

@@ -34,13 +34,14 @@ def odd_wavenumbers(n_modes: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AntiperiodicField:
     """2M complex amplitudes, coeff[j] at k = 2j - (2M - 1): the full odd
-    band |k| <= 2M - 1, derived from len(coeff) = 2M and never stored."""
+    band |k| <= 2M - 1, derived from len(coeff) = 2M and never stored.
+    The field keeps a read-only copy of the coefficients it is given."""
 
     half_period: float
     coeff: np.ndarray  # complex amplitudes, k ascending
 
     def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=np.complex128)
+        c = np.array(self.coeff, dtype=np.complex128)
         if c.ndim != 1 or len(c) < 2 or len(c) % 2:
             raise ValidationError(f"coeff must be 1-d of even length >= 2, got {c.shape}")
         if not self.half_period > 0:
@@ -87,7 +88,8 @@ class AntiperiodicField:
 
 @dataclass(frozen=True)
 class GridSamples:
-    """Complex samples at x_j = 2T j / N, j = 0..N-1."""
+    """Complex samples at x_j = 2T j / N, j = 0..N-1.  A complex128 array
+    is kept without a copy and frozen: grids reach 2^22 samples."""
 
     half_period: float
     values: np.ndarray

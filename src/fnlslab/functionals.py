@@ -20,9 +20,8 @@ from .params import ProblemParams
 
 
 def inner(u: AntiperiodicField, v: AntiperiodicField) -> float:
-    """Re int_0^T u conj(v) dx = Re[T sum u_k conj(v_k)] (equal bands)."""
-    if u.n_modes != v.n_modes:
-        u, v = _aligned(u, v)
+    """Re int_0^T u conj(v) dx = Re[T sum u_k conj(v_k)] over the union band."""
+    u, v = _aligned(u, v)
     return float(np.real(u.half_period * np.sum(u.coeff * np.conj(v.coeff))))
 
 

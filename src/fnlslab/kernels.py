@@ -36,7 +36,8 @@ _TAIL_BUDGET = 1e-12
 
 @dataclass(frozen=True)
 class KernelSamples:
-    """Real kernel samples on the centered grid of one 2T period."""
+    """Real kernel samples on the centered grid of one 2T period.  A float64
+    array is kept without a copy and frozen: grids reach 2^22 samples."""
 
     alpha: float
     half_period: float

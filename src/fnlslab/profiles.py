@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
-                     SpeedOutOfRange, ValidationError)
+                     SpeedOutOfRange, UnderResolved, ValidationError)
 from .fields import (AntiperiodicField, analyze, cosine_block, cosine_field,
                      lift, odd_wavenumbers, real_projection, synthesize,
                      to_grid, zero_field)
@@ -375,7 +375,7 @@ def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
 
     if abs(c) < 1e-14:
         if init is not None:
-            u = lift(init, n_modes).coeff.copy()
+            u = lift(init, n_modes).coeff
         else:
             amp = 2.0 * math.sqrt(mu / params.half_period)
             u = cosine_field(params.half_period, amp, n_modes).coeff
@@ -394,11 +394,11 @@ def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
     else:
         it_bb = 0
         if init is not None:
-            u = renorm(lift(init, n_modes).coeff.copy())
+            u = renorm(lift(init, n_modes).coeff)
         else:
             base = _solve_defocusing(ws, 0.0, mu, tol, None)
             it_bb = base.iterations
-            u = base.field.coeff.copy()
+            u = base.field.coeff
         omega = recovered_omega(ws.field(u), c, params)
         u, omega, it_newton = _newton_complex(ws, u, omega, c, mu)
 
@@ -433,7 +433,7 @@ def _solve_focusing(ws: _Workspace, omega: float, p0: float, tol: float,
     sig = params.sigma
 
     if init is not None:
-        u = lift(init, n_modes).coeff.copy()
+        u = lift(init, n_modes).coeff
     else:
         u = cosine_field(params.half_period, 1.0, n_modes).coeff
 
@@ -559,16 +559,24 @@ def family_pair(profile: StandingProfile, parameter: str, h: float):
     """Neighbours of `profile` at parameter -/+ h along its family.
 
     Each is one warm-started continuation step at the default profile
-    tolerance, both solved in one workspace.  Returns (lower, upper).
+    tolerance, both solved in one workspace.  Returns (lower, upper).  A
+    failed neighbour of a profile that itself misses that tolerance is
+    UnderResolved: its band cannot reach the level the neighbours need.
     """
     base = getattr(profile, parameter)
-    ws = _Workspace(profile.params, profile.field.n_modes)
+    n_modes = profile.field.n_modes
+    ws = _Workspace(profile.params, n_modes)
     pair = []
     for target in (base - h, base + h):
         sweep = _continue(ws, profile, parameter, target, 1, TOL_PROFILE)
         if sweep.failed_at is not None:
-            raise NonConvergence(
-                f"neighbour solve at {parameter} = {target!r} did not converge")
+            failed = f"neighbour solve at {parameter} = {target!r} did not converge"
+            if profile.residual > TOL_PROFILE:
+                raise UnderResolved(
+                    f"{failed}: the profile's residual {profile.residual:.3e} "
+                    f"is above TOL_PROFILE = {TOL_PROFILE:.0e}, which its "
+                    f"neighbours are solved to, at n_modes = {n_modes}")
+            raise NonConvergence(failed)
         pair.append(sweep.profiles[-1])
     return pair[0], pair[1]
 

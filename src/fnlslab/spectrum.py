@@ -49,33 +49,6 @@ _SIGN_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
-class SectorOperator:
-    """Dense symmetric matrix of L_plus or L_minus on one parity sector."""
-
-    sector: str
-    size: int
-    matrix: np.ndarray
-    which: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class SectorSpectrum:
-    eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
-    sector: str
-    which: str
-
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
-
-@dataclass(frozen=True)
 class NondegeneracyReport:
     morse_plus: int
     morse_minus: int
@@ -113,8 +86,9 @@ def _potential_samples(profile, which: str, n: int) -> np.ndarray:
     return -strength * np.abs(vals) ** (2.0 * pars.sigma)
 
 
-def assemble(profile, which: str, sector: str, size: int) -> SectorOperator:
-    """Galerkin matrix of L_plus/L_minus on the even or odd sector.
+def assemble(profile, which: str, sector: str, size: int) -> np.ndarray:
+    """Galerkin matrix of L_plus/L_minus on the even or odd sector, a
+    read-only (size, size) float64 array.
 
     Entries are diag(|pi(2j+1)/T|^alpha + omega) plus the potential
     block (w_{|j-k|} +/- w_{j+k+1})/2 with w_m the cosine coefficients
@@ -136,17 +110,17 @@ def assemble(profile, which: str, sector: str, size: int) -> SectorOperator:
     sign = 1.0 if sector == "even" else -1.0
     mat = cosine_block(v, size, sign)
     mat.ravel()[:: size + 1] += lam + profile.omega  # the diagonal, in place
-    return SectorOperator(sector=sector, size=size, matrix=mat, which=which)
+    mat.setflags(write=False)
+    return mat
 
 
-def eigensolve(op: SectorOperator) -> SectorSpectrum:
-    """Full dense symmetric eigendecomposition of a sector matrix."""
+def eigensolve(matrix: np.ndarray):
+    """Full dense symmetric eigendecomposition of a sector matrix: numpy's
+    eigh pair, `.eigenvalues` ascending and `.eigenvectors` as columns."""
     try:
-        vals, vecs = np.linalg.eigh(op.matrix)
+        return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"dense eigensolve failed: {exc}") from exc
-    return SectorSpectrum(eigenvalues=vals, eigenvectors=vecs,
-                          sector=op.sector, which=op.which)
 
 
 def sector_spectra(profile, size: int) -> dict:
@@ -166,21 +140,22 @@ def sector_coords(field: AntiperiodicField, sector: str, size: int) -> np.ndarra
     return out
 
 
-def deflated_solve(profile, spec: SectorSpectrum, rhs: np.ndarray):
-    """Solve A y = rhs on the range of a sector matrix A from its spectrum.
+def deflated_solve(profile, which: str, sector: str, spec, rhs: np.ndarray):
+    """Solve A y = rhs on the range of the sector matrix A of `which` on
+    `sector` from spec, its (eigenvalues, eigenvectors) pair.
 
     Eigenvalues with |lambda| <= 1e-6 _kernel_scale of the operator are
     deflated.  The share of rhs along deflated eigenvectors is measured
     against TOL_DEFLATE and dropped; a larger share raises InconsistentRange.
     Returns (y, number of deflated directions, dropped share).
     """
-    vals, vecs = spec.eigenvalues, spec.eigenvectors
-    keep = np.abs(vals) > 1e-6 * _kernel_scale(profile, spec.which)
+    vals, vecs = spec
+    keep = np.abs(vals) > 1e-6 * _kernel_scale(profile, which)
     comp = vecs.T @ rhs
     dropped = float(np.linalg.norm(comp[~keep]) / np.linalg.norm(comp))
     if dropped > TOL_DEFLATE:
         raise InconsistentRange(
-            f"{spec.which} ({spec.sector} sector): right-hand side has "
+            f"{which} ({sector} sector): right-hand side has "
             f"relative component {dropped:.3e} along deflated directions")
     y = vecs[:, keep] @ (comp[keep] / vals[keep])
     return y, int(np.sum(~keep)), dropped
@@ -255,7 +230,7 @@ def nondegeneracy_check(profile, size: int) -> NondegeneracyReport:
 def _nondegeneracy_report(profile, spectra: dict) -> NondegeneracyReport:
     """The checks of nondegeneracy_check on spectra already computed."""
     _require_real_resting(profile)
-    size = spectra[("L_plus", "even")].size
+    size = len(spectra[("L_plus", "even")].eigenvalues)
     if size < profile.field.n_modes:
         raise ValidationError(
             f"sector size {size} below the profile band {profile.field.n_modes}")
@@ -320,8 +295,8 @@ def _nondegeneracy_report(profile, spectra: dict) -> NondegeneracyReport:
         ordering[which] = {"premise": premise, "even_ground": even_ground,
                            "odd_ground": odd_ground, "consistent": consistent}
 
-    a_plus_odd = assemble(profile, "L_plus", "odd", size).matrix
-    a_minus_even = assemble(profile, "L_minus", "even", size).matrix
+    a_plus_odd = assemble(profile, "L_plus", "odd", size)
+    a_minus_even = assemble(profile, "L_minus", "even", size)
     ker_plus = float(np.linalg.norm(a_plus_odd @ dphi_sin)
                      / np.linalg.norm(dphi_sin))
     ker_minus = float(np.linalg.norm(a_minus_even @ phi_cos)
@@ -403,9 +378,9 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
 
     # Deflated odd-sector solve against the speed derivative of the field.
     spec = spectra[("L_minus", "odd")]
-    size = spec.size
+    size = len(spec.eigenvalues)
     d = sector_coords(dphi, "odd", size)
-    y, deflated, dropped = deflated_solve(profile, spec, -d)
+    y, deflated, dropped = deflated_solve(profile, "L_minus", "odd", spec, -d)
     report["deflated_components"] = deflated
     report["deflated_drop"] = dropped
 

@@ -125,9 +125,9 @@ def test_criterion_2_nondegeneracy_grid():
         for which in ("L_plus", "L_minus"):
             for sector in ("even", "odd"):
                 lam = np.linalg.eigvalsh(
-                    assemble(prof, which, sector, 512).matrix)[:8]
+                    assemble(prof, which, sector, 512))[:8]
                 lam2 = np.linalg.eigvalsh(
-                    assemble(prof, which, sector, 1024).matrix)[:8]
+                    assemble(prof, which, sector, 1024))[:8]
                 shift = float(np.max(np.abs(lam - lam2)))
                 assert shift <= 1e-8
                 worst_shift = max(worst_shift, shift)

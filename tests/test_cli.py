@@ -199,13 +199,13 @@ def test_import_loads_no_scipy():
     assert pools == "False"
 
 
-# What `from fnlslab import *` binds: 73 exports and 12 submodules, the
+# What `from fnlslab import *` binds: 71 exports and 12 submodules, the
 # same names the package bound when every module loaded eagerly.
 STAR_NAMES = [
     "AntiperiodicField", "COMMANDS", "EPS_ANTI", "EPS_FFT", "EPS_REAL",
     "EvolutionState", "GridSamples", "KernelSamples", "MAX_ITER",
     "NondegeneracyReport", "ProblemParams", "ResultBundle", "RunConfig",
-    "SectorOperator", "SectorSpectrum", "StabilityReport", "StandingProfile",
+    "StabilityReport", "StandingProfile",
     "Sweep", "TOL_PROFILE", "assemble", "charge", "cli", "coercivity_check",
     "config", "continue_in", "cosine_field", "derivative", "dynamics",
     "eigensolve", "emit", "errors", "evaluate", "evolve", "fields",
@@ -362,7 +362,7 @@ def test_every_export_has_a_caller():
             break
         dead = found
     assert sorted(dead) == []
-    # both tiers were read: all 73 exports of the loaded package
+    # both tiers were read: all 71 exports of the loaded package
     assert exports == {name for name in dir(fnlslab) if not name.startswith("_")
                        and not inspect.ismodule(getattr(fnlslab, name))}
 
@@ -506,6 +506,14 @@ def test_main_validation_exit_code(tmp_path, capsys):
     rc = cli.main(["--config", str(cfg), "--command", "solve"])
     assert rc == 2
     assert "(1, 2]" in capsys.readouterr().err
+
+
+def test_main_focusing_config_without_omega_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "focusing.ini"
+    cfg.write_text(BASE.replace("gamma = -1", "gamma = 1"))
+    rc = cli.main(["--config", str(cfg), "--command", "solve"])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: solver.omega is required for the focusing branch\n")
 
 
 @pytest.mark.parametrize("old, new, keys", [

@@ -329,7 +329,7 @@ def test_dndc_dual_route(def15, def20):
     def spectral(prof, size):
         spec = eigensolve(assemble(prof, "L_minus", "odd", size))
         d = sector_coords(derivative(prof.field), "odd", size)
-        y, deflated, _ = deflated_solve(prof, spec, d)
+        y, deflated, _ = deflated_solve(prof, "L_minus", "odd", spec, d)
         assert not deflated
         return -0.5 * float(y @ d)
 
@@ -417,7 +417,7 @@ def test_second_variation_matches_sector_route(def15):
     sector_route = 0.0
     for fld, which in ((a, "L_plus"), (b, "L_minus")):
         for sector in ("even", "odd"):
-            mat = assemble(prof, which, sector, size).matrix
+            mat = assemble(prof, which, sector, size)
             p = sector_coords(fld, sector, size)
             # sector coordinates integrate over [0, 2T); halve
             sector_route += 0.5 * float(p @ mat @ p)

@@ -174,6 +174,24 @@ def test_inner_across_bands_is_inner_of_lifts():
     assert inner(v, u) == inner(v, lift(u, 7))
 
 
+def test_inner_refuses_fields_on_different_tori_in_either_order():
+    # equal bands used to skip the torus check: 1.5708 one way, 1.0 the other
+    u, v = cosine_field(np.pi, 1.0, 4), cosine_field(2.0, 1.0, 4)
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(ValidationError, match="^fields live on different tori$"):
+            inner(a, b)
+
+
+def test_field_keeps_a_read_only_copy_of_its_coefficients():
+    c = np.arange(4, dtype=np.complex128)
+    f = AntiperiodicField(1.0, c)
+    c[0] = 1.0  # the caller's array stays writable
+    assert np.array_equal(f.coeff, np.arange(4))
+    assert not f.coeff.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        f.coeff[0] = 1.0
+
+
 def test_cosine_field_values():
     a = 0.7
     f = cosine_field(T, a, n_modes=8)

@@ -379,6 +379,12 @@ def test_continuation_builds_one_workspace(monkeypatch):
     assert len(built) == 2
 
 
+def test_continue_in_needs_a_step():
+    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
+    with pytest.raises(ValidationError, match="^sweep needs at least one step$"):
+        continue_in(start, "mu", 1.2, 0)
+
+
 def test_continue_in_rejects_foreign_parameter():
     p = defoc()
     start = solve_defocusing(p, c=0.0, mu=1.0, n_modes=16)

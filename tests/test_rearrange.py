@@ -239,6 +239,9 @@ def test_potential_shape_validation():
         potential_ordering_check(grid_of(np.cos(np.pi * x / T)), 5)
     with pytest.raises(ValidationError):
         potential_ordering_check(grid_of(np.full(n, 1.0)), 0)
+    with pytest.raises(SamplingError,
+                       match=r"^potential grid must be a multiple of 4, got 10$"):
+        potential_ordering_check(grid_of(np.full(10, 1.0)), 5)
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,14 +11,13 @@ import pytest
 from fnlslab import spectrum
 from fnlslab.errors import (ChainDoesNotTerminate, InconsistentRange,
                             ProfileNotReal, SpectralGapTooSmall,
-                            ValidationError)
+                            UnderResolved, ValidationError)
 from fnlslab.fields import (derivative, evaluate, odd_wavenumbers,
                             random_field, real_part, rotate_phase, to_grid,
                             zero_field)
-from fnlslab.params import ProblemParams
+from fnlslab.params import TOL_PROFILE, ProblemParams
 from fnlslab.profiles import StandingProfile, solve_defocusing, solve_focusing
-from fnlslab.spectrum import (SectorOperator, SectorSpectrum, assemble,
-                              deflated_solve, eigensolve,
+from fnlslab.spectrum import (assemble, deflated_solve, eigensolve,
                               fredholm_range_checks, jordan_structure,
                               nondegeneracy_check, sector_spectra)
 from fnlslab.spectrum import _REFERENCE_N, _sector_values, _sign_changes
@@ -70,7 +69,7 @@ def test_zero_profile_gives_exact_multiplier_diagonal():
     lam = (np.pi * (2 * j + 1) / T) ** 1.5 + 0.7
     for sector in ("even", "odd"):
         op = assemble(prof, "L_plus", sector, 12)
-        assert np.max(np.abs(op.matrix - np.diag(lam))) < 1e-14
+        assert np.max(np.abs(op - np.diag(lam))) < 1e-14
         spec = eigensolve(op)
         assert np.max(np.abs(spec.eigenvalues - np.sort(lam))) < 1e-12
 
@@ -83,7 +82,7 @@ def test_sector_matrices_symmetric_with_dominated_diagonal():
     v_sup = 3.0 * np.max(np.abs(g.values)) ** 2  # |V| bound for L_plus, sigma = 1
     for which in ("L_plus", "L_minus"):
         for sector in ("even", "odd"):
-            m = assemble(prof, which, sector, 96).matrix
+            m = assemble(prof, which, sector, 96)
             assert np.array_equal(m, m.T)
             d = np.diag(m)
             assert np.max(np.abs(d - lam)) <= v_sup + 1e-12
@@ -102,7 +101,7 @@ def test_potential_entry_matches_direct_quadrature():
     bj = np.cos(5.0 * np.pi * x / T) / np.sqrt(T)
     bk = np.cos(11.0 * np.pi * x / T) / np.sqrt(T)
     entry = np.sum(v * bj * bk) * (2.0 * T / n)
-    assert abs(op.matrix[2, 5] - entry) < 1e-12
+    assert abs(op[2, 5] - entry) < 1e-12
 
 
 def test_assemble_is_alias_free_at_the_read_band_edge():
@@ -121,7 +120,7 @@ def test_assemble_is_alias_free_at_the_read_band_edge():
     w0, w_top = (2.0 / n * float(np.sum(v * np.cos(2.0 * np.pi * m * x / T)))
                  for m in (0, 2 * size - 1))
     lam = (np.pi * (2 * size - 1) / T) ** 1.5
-    entry = assemble(prof, "L_minus", "even", size).matrix[-1, -1]
+    entry = assemble(prof, "L_minus", "even", size)[-1, -1]
     assert abs(entry - (0.5 * (w0 + w_top) + lam + 0.7)) <= 1e-12 * np.max(v)
 
 
@@ -147,11 +146,20 @@ def test_complex_or_moving_profiles_rejected():
 
 # --- eigensolve -------------------------------------------------------------
 
+def test_assemble_returns_a_read_only_matrix_that_eigensolve_passes_to_eigh():
+    m = assemble(defoc_profile(), "L_plus", "odd", 64)
+    assert (m.dtype, m.shape) == (np.float64, (64, 64))
+    assert m.flags.c_contiguous and not m.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0.0
+    spec, ref = eigensolve(m), np.linalg.eigh(m)
+    assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, ref.eigenvectors)
+
+
 def test_eigensolve_two_by_two_closed_form():
     a, b, d = 0.7, -0.4, 2.1
-    op = SectorOperator(sector="even", size=2,
-                        matrix=np.array([[a, b], [b, d]]), which="L_plus")
-    spec = eigensolve(op)
+    spec = eigensolve(np.array([[a, b], [b, d]]))
     half = 0.5 * (a + d)
     disc = np.sqrt(0.25 * (a - d) ** 2 + b * b)
     assert np.allclose(spec.eigenvalues, [half - disc, half + disc],
@@ -162,8 +170,7 @@ def test_eigensolve_reconstructs_random_symmetric():
     rng = np.random.default_rng(20240819)
     raw = rng.standard_normal((50, 50))
     sym = 0.5 * (raw + raw.T)
-    op = SectorOperator(sector="odd", size=50, matrix=sym, which="L_minus")
-    spec = eigensolve(op)
+    spec = eigensolve(sym)
     rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
     assert np.max(np.abs(rebuilt - sym)) < 1e-10
     assert np.all(np.diff(spec.eigenvalues) >= 0.0)
@@ -175,7 +182,7 @@ def test_eigenpair_residuals_meet_bound():
     prof = defoc_profile()
     op = assemble(prof, "L_minus", "odd", 128)
     spec = eigensolve(op)
-    res = op.matrix @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
+    res = op @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
     norm_a = np.max(np.abs(spec.eigenvalues))
     assert np.max(np.linalg.norm(res, axis=0)) <= 1e-9 * norm_a
 
@@ -388,8 +395,7 @@ def test_fredholm_detects_rhs_outside_deflated_range():
     spec = specs[("L_minus", "odd")]
     vals = spec.eigenvalues.copy()
     vals[0] = 0.0  # pretend the ground direction is kernel: phi' leans on it
-    specs[("L_minus", "odd")] = SectorSpectrum(vals, spec.eigenvectors,
-                                               "odd", "L_minus")
+    specs[("L_minus", "odd")] = spec._replace(eigenvalues=vals)
     with pytest.raises(InconsistentRange):
         fredholm_range_checks(prof, specs)
 
@@ -399,22 +405,24 @@ def test_deflated_solve_drops_planted_kernel_direction():
     rng = np.random.default_rng(11)
     vecs = np.linalg.qr(rng.standard_normal((20, 20)))[0]
     vals = np.arange(20.0) - 3.0  # exact zero planted at index 3
-    spec = SectorSpectrum(vals, vecs, "odd", "L_minus")
     coords = rng.standard_normal(20)
     coords[3] = 0.0
     rhs = vecs @ (vals * coords)
-    y, deflated, dropped = deflated_solve(prof, spec, rhs)
+    y, deflated, dropped = deflated_solve(prof, "L_minus", "odd", (vals, vecs), rhs)
     assert deflated == 1
     assert dropped < 1e-14
     assert np.allclose(y, vecs @ coords, rtol=0.0, atol=1e-12)
     # a kernel share below TOL_DEFLATE is dropped and reported
     small = 1e-10 * np.linalg.norm(rhs)
-    y2, _, dropped2 = deflated_solve(prof, spec, rhs + small * vecs[:, 3])
+    y2, _, dropped2 = deflated_solve(prof, "L_minus", "odd", (vals, vecs),
+                                     rhs + small * vecs[:, 3])
     assert dropped2 == pytest.approx(1e-10, rel=1e-4)
     assert np.allclose(y2, y, rtol=0.0, atol=1e-12)
     # a larger one means rhs is outside the range
-    with pytest.raises(InconsistentRange, match="deflated"):
-        deflated_solve(prof, spec, rhs + 1e4 * small * vecs[:, 3])
+    with pytest.raises(InconsistentRange, match=r"^L_minus \(odd sector\): "
+                       r"right-hand side .* along deflated directions$"):
+        deflated_solve(prof, "L_minus", "odd", (vals, vecs),
+                       rhs + 1e4 * small * vecs[:, 3])
 
 
 def test_range_checks_are_defocusing_only():
@@ -440,6 +448,22 @@ def test_jordan_chain_structure():
     assert abs(rep["domega_dmu"]) > 1e-3
 
 
+def test_chains_at_the_sigma_half_floor_are_under_resolved():
+    # the 96-mode profile stops at its algebraic floor (residual ~2e-5),
+    # so its neighbours cannot reach TOL_PROFILE: a band fault (exit 2),
+    # not a non-convergence (exit 3)
+    prof = solve_defocusing(defoc(1.5, 0.5), mu=1.0, n_modes=96, tol=2e-4)
+    assert prof.residual > TOL_PROFILE
+    message = (r"^neighbour solve at mu = 0\.9990000000000351 did not converge: "
+               rf"the profile's residual {prof.residual:.3e} is above "
+               r"TOL_PROFILE = 1e-09, which its neighbours are solved to, "
+               r"at n_modes = 96$")
+    with pytest.raises(UnderResolved, match=message):
+        jordan_structure(prof)
+    with pytest.raises(UnderResolved, match=message):
+        fredholm_range_checks(prof, sector_spectra(prof, 128))
+
+
 def test_jordan_structure_rejects_vanishing_pairing(monkeypatch):
     # momentum flat along the c family makes dN/dc = 0: the odd chain
     # does not close at height 2
@@ -459,7 +483,7 @@ def test_speed_pairing_agrees_with_resolvent_route():
     spec = sector_spectra(prof, 128)[("L_minus", "odd")]
     dphi = derivative(prof.field)
     pos = dphi.coeff[dphi.n_modes:]
-    d = np.zeros(spec.size)
+    d = np.zeros(len(spec.eigenvalues))
     d[:len(pos)] = -2.0 * np.imag(pos) * np.sqrt(T)
     proj = spec.eigenvectors.T @ d
     dual = -0.5 * float(np.sum(proj ** 2 / spec.eigenvalues))
