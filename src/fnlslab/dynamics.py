@@ -42,8 +42,8 @@ from .errors import (BlowupDetected, ConservationDriftExceeded,
                      InconsistentRange, StepTooLarge, ValidationError)
 from .fields import (AntiperiodicField, analyze, derivative, evaluate, lift,
                      random_field, synthesize, to_grid, translate)
-from .functionals import (_default_grid, charge, inner, kinetic, momentum,
-                          x_norm)
+from .functionals import (_default_grid, _potential_sum, charge, inner, kinetic,
+                          momentum, x_norm)
 from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
 from .profiles import StandingProfile, _refine_peak, family_slope
 from .spectrum import assemble, deflated_solve, eigensolve, sector_coords
@@ -209,9 +209,8 @@ class _Stepper:
         rows = []
         for j in range(self.coeff.shape[1]):
             f = self.field(j)
-            vals = np.abs(synthesize(f.coeff, self.bins, self.n))
-            p = (self.T / self.n) * float(np.sum(vals ** (self.two_sigma + 2.0)))
-            p /= self.two_sigma + 2.0
+            p = _potential_sum(synthesize(f.coeff, self.bins, self.n), self.T,
+                               self.params.sigma)
             ham = kinetic(f, self.params.alpha) - self.params.gamma * p
             rows.append((self.time, ham, charge(f), momentum(f)))
         return rows

@@ -190,19 +190,23 @@ def toeplitz_plus_hankel(tline, hline, sign: float,
     return np.add(sliding_window_view(tline, size)[::-1][rows], out, out=out)
 
 
-def cosine_block(samples: np.ndarray, size: int, sign: float) -> np.ndarray:
-    """Matrix of pointwise multiplication by a real even T-periodic V in
-    the cos (sign +1) or sin (sign -1) ((2j+1) pi x / T) basis, j < size:
-    0.5 (w_|j-l| +/- w_{j+l+1}) with w_m = (1/T) int_0^{2T} V cos(2 pi m x / T) dx
-    by trapezoid sums over the samples of V on the n-point 2T grid; T and H
-    are window views of w, so the block is the one (size, size) allocation."""
+def sector_matrix(samples: np.ndarray, alpha: float, half_period: float,
+                  omega: float, sector: str, size: int) -> np.ndarray:
+    """Matrix of Lambda^alpha + omega + V, V real even T-periodic, in the cos
+    ("even") or sin ("odd") ((2j+1) pi x / T) basis, j < size: the diagonal
+    (pi (2j+1) / T)^alpha + omega plus 0.5 (w_|j-l| +/- w_{j+l+1}), w_m = (1/T)
+    int_0^{2T} V cos(2 pi m x / T) dx by trapezoid sums over the n samples of V
+    on the 2T grid; T and H are window views of w, the one (size, size) array."""
     n = len(samples)
     if 2 * (2 * size - 1) >= n:
         raise ValidationError("quadrature grid too small for multiplication matrix")
     w = 2.0 * np.real(analyze(samples, 2 * np.arange(2 * size), n))
-    block = toeplitz_plus_hankel(np.concatenate([w[size - 1:0:-1], w[:size]]),
-                                 w[1:], sign)
-    return np.multiply(block, 0.5, out=block)
+    mat = toeplitz_plus_hankel(np.concatenate([w[size - 1:0:-1], w[:size]]),
+                               w[1:], 1.0 if sector == "even" else -1.0)
+    np.multiply(mat, 0.5, out=mat)
+    lam = (np.pi * (2 * np.arange(size) + 1) / half_period) ** alpha
+    mat.ravel()[:: size + 1] += lam + omega  # the diagonal, in place
+    return mat
 
 
 def to_grid(f: AntiperiodicField, n: int) -> GridSamples:

@@ -91,12 +91,19 @@ def _residual_grid(u: AntiperiodicField, sigma: float) -> int:
 def potential(u: AntiperiodicField, sigma: float) -> float:
     """P(u) by trapezoid quadrature on the oversampled grid (spectrally exact
     for resolved data; |u|^(2 sigma + 2) is T-periodic so one period is half
-    the 2T grid sum)."""
+    the 2T grid sum); |g|^(2 sigma) |g|^2, not |g|^(2 sigma + 2): reports print it."""
     g = to_grid(u, _default_grid(u, sigma))
     mod = np.abs(g.values) ** (2.0 * sigma)
     dx = 2.0 * u.half_period / g.n
     integral = 0.5 * float(np.sum(mod * np.abs(g.values) ** 2)) * dx
     return integral / (2.0 * sigma + 2.0)
+
+
+def _potential_sum(values: np.ndarray, half_period: float, sigma: float) -> float:
+    """(T/n) sum |u|^(2 sigma + 2) / (2 sigma + 2) over n samples of one 2T
+    period: P of the focusing solve's renormalization and the evolution log."""
+    p = (half_period / len(values)) * float(np.sum(np.abs(values) ** (2.0 * sigma + 2.0)))
+    return p / (2.0 * sigma + 2.0)
 
 
 def hamiltonian(u: AntiperiodicField, params: ProblemParams) -> float:

@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                      SpeedOutOfRange, UnderResolved, ValidationError)
-from .fields import (AntiperiodicField, analyze, cosine_block, cosine_field,
-                     lift, odd_wavenumbers, real_projection, synthesize,
+from .fields import (AntiperiodicField, analyze, cosine_field, lift,
+                     odd_wavenumbers, real_projection, sector_matrix, synthesize,
                      to_grid, zero_field)
-from .functionals import (_default_grid, _residual_grid, charge, kinetic, momentum,
-                          moving_frame_energy, potential, quadratic_energy)
+from .functionals import (_default_grid, _potential_sum, _residual_grid, charge,
+                          kinetic, momentum, moving_frame_energy, potential,
+                          quadratic_energy)
 from .params import MAX_ITER, TOL_PROFILE, ProblemParams
 
 _NEWTON_GATE = 1e-5     # relative projected-gradient size that hands off to Newton
@@ -234,9 +235,8 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
     def step(a, omega, r):
         coeff = _coeff_from_even_cos(ws, a)
         vals = synthesize(coeff, ws.bins, ws.N)
-        wmat = cosine_block((2.0 * sig + 1.0) * np.abs(vals) ** (2.0 * sig),
-                            ws.M, 1.0)
-        jac = np.diag(lam_e + omega) - gamma * wmat
+        jac = sector_matrix(-gamma * (2.0 * sig + 1.0) * np.abs(vals) ** (2.0 * sig),
+                            ws.params.alpha, ws.T, omega, "even", ws.M)
         if mu is not None:
             jac = np.block([[jac, a[:, None]],
                             [0.5 * ws.T * a[None, :], np.zeros((1, 1))]])
@@ -437,13 +437,8 @@ def _solve_focusing(ws: _Workspace, omega: float, p0: float, tol: float,
     else:
         u = cosine_field(params.half_period, 1.0, n_modes).coeff
 
-    def pot(u):
-        vals = synthesize(u, ws.bins, ws.N)
-        dx = 2.0 * ws.T / ws.N
-        return 0.5 * float(np.sum(np.abs(vals) ** (2 * sig + 2))) * dx / (2 * sig + 2)
-
     def renorm(u):
-        p = pot(u)
+        p = _potential_sum(synthesize(u, ws.bins, ws.N), ws.T, sig)
         if p <= 0:
             raise NonConvergence("potential collapsed during descent")
         return u * (p0 / p) ** (1.0 / (2.0 * sig + 2.0))

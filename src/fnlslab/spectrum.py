@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (ChainDoesNotTerminate, InconsistentRange, NonConvergence,
                      ProfileNotReal, SpectralGapTooSmall, ValidationError)
-from .fields import (AntiperiodicField, _monotonicity, cosine_block,
-                     derivative, fractional_laplacian, imag_part, synthesize,
+from .fields import (AntiperiodicField, _monotonicity, derivative,
+                     fractional_laplacian, imag_part, sector_matrix, synthesize,
                      to_grid)
 from .functionals import _capped, _power_band, _residual_grid
 from .params import EPS_REAL, FD_STEP, TOL_DEFLATE
@@ -90,10 +90,9 @@ def assemble(profile, which: str, sector: str, size: int) -> np.ndarray:
     """Galerkin matrix of L_plus/L_minus on the even or odd sector, a
     read-only (size, size) float64 array.
 
-    Entries are diag(|pi(2j+1)/T|^alpha + omega) plus the potential
-    block (w_{|j-k|} +/- w_{j+k+1})/2 with w_m the cosine coefficients
-    of V on the shared quadrature grid (trapezoid sums, exact for
-    band-limited integrands).
+    It is fields.sector_matrix of the operator's potential V sampled on the
+    shared quadrature grid (trapezoid sums, exact for band-limited
+    integrands).
     """
     if which not in _OPERATORS:
         raise ValidationError(f"unknown operator {which!r}; use L_plus or L_minus")
@@ -105,11 +104,8 @@ def assemble(profile, which: str, sector: str, size: int) -> np.ndarray:
 
     pars = profile.params
     n = _quadrature_size(profile.field, pars.sigma, size)
-    v = _potential_samples(profile, which, n)
-    lam = (np.pi * (2 * np.arange(size) + 1) / pars.half_period) ** pars.alpha
-    sign = 1.0 if sector == "even" else -1.0
-    mat = cosine_block(v, size, sign)
-    mat.ravel()[:: size + 1] += lam + profile.omega  # the diagonal, in place
+    mat = sector_matrix(_potential_samples(profile, which, n), pars.alpha,
+                        pars.half_period, profile.omega, sector, size)
     mat.setflags(write=False)
     return mat
 
@@ -150,7 +146,7 @@ def deflated_solve(profile, which: str, sector: str, spec, rhs: np.ndarray):
     Returns (y, number of deflated directions, dropped share).
     """
     vals, vecs = spec
-    keep = np.abs(vals) > 1e-6 * _kernel_scale(profile, which)
+    keep = np.abs(vals) > 1e-6 * _kernel_scale(profile, _scale_samples(profile, which))
     comp = vecs.T @ rhs
     dropped = float(np.linalg.norm(comp[~keep]) / np.linalg.norm(comp))
     if dropped > TOL_DEFLATE:
@@ -168,18 +164,16 @@ def _scale_samples(profile, which: str) -> np.ndarray:
     return _potential_samples(profile, which, n)
 
 
-def _kernel_scale(profile, which: str, v: np.ndarray | None = None) -> float:
+def _kernel_scale(profile, v: np.ndarray) -> float:
     """Magnitude scale of the low-lying spectrum: first multiplier
     eigenvalue plus |omega| plus the potential sup norm (over the
-    samples v of _scale_samples, computed when not given).
+    samples v of _scale_samples).
 
     The raw matrix spectral radius grows like size^alpha and would make
     a radius-proportional kernel tolerance meaningless at large sector
     sizes, so the estimate deliberately excludes the high diagonal.
     """
     pars = profile.params
-    if v is None:
-        v = _scale_samples(profile, which)
     return (np.pi / pars.half_period) ** pars.alpha + abs(profile.omega) + \
         float(np.max(np.abs(v)))
 
@@ -246,7 +240,7 @@ def _nondegeneracy_report(profile, spectra: dict) -> NondegeneracyReport:
     ordering = {}
     for which in _OPERATORS:
         v = _scale_samples(profile, which)
-        scale = _kernel_scale(profile, which, v)
+        scale = _kernel_scale(profile, v)
         tolk = 1e-6 * scale
         union = np.concatenate([spectra[(which, s)].eigenvalues for s in _SECTORS])
         by_abs = np.sort(np.abs(union))

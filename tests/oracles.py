@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's FFT/solver paths:
 direct O(N M) summation for transforms, Jacobi elliptic closed forms for
 the classical-dispersion profiles, finite differences for operators, and
 truncated lattice sums for heat kernels.  The exceptions are the route
-references at the end (Strang steps, rearrangement trials), which replay
-a computation one substep or one field at a time to pin the bits of the
-package's batched routes.
+references at the end (Strang steps, rearrangement trials, sector
+matrices), which replay a computation one substep or one field at a time,
+or as an older route did, to pin the bits of the package's routes.
 """
 
 import math
@@ -15,9 +15,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from fnlslab.fields import (GridSamples, antiperiodic_defects, lift,
+from fnlslab import spectrum
+from fnlslab.errors import ValidationError
+from fnlslab.fields import (GridSamples, analyze, antiperiodic_defects, lift,
                             odd_wavenumbers, random_field, real_part, to_grid,
-                            to_modes)
+                            to_modes, toeplitz_plus_hankel)
 
 
 def direct_synthesis(k, coeff, half_period, n):
@@ -441,3 +443,29 @@ def rearrange_reference(config):
         tables={"polya_trials": (("trial", "kinetic_original",
                                   "kinetic_star", "violation", "budget"),
                                  rows)})
+
+
+# --- sector matrices as spectrum.assemble built them before
+# fields.sector_matrix: the potential block by cosine_block, then the
+# diagonal added in place; both functions verbatim, to pin every byte.
+
+
+def cosine_block_reference(samples, size, sign):
+    n = len(samples)
+    if 2 * (2 * size - 1) >= n:
+        raise ValidationError("quadrature grid too small for multiplication matrix")
+    w = 2.0 * np.real(analyze(samples, 2 * np.arange(2 * size), n))
+    block = toeplitz_plus_hankel(np.concatenate([w[size - 1:0:-1], w[:size]]),
+                                 w[1:], sign)
+    return np.multiply(block, 0.5, out=block)
+
+
+def assemble_reference(profile, which, sector, size):
+    pars = profile.params
+    n = spectrum._quadrature_size(profile.field, pars.sigma, size)
+    v = spectrum._potential_samples(profile, which, n)
+    lam = (np.pi * (2 * np.arange(size) + 1) / pars.half_period) ** pars.alpha
+    sign = 1.0 if sector == "even" else -1.0
+    mat = cosine_block_reference(v, size, sign)
+    mat.ravel()[:: size + 1] += lam + profile.omega  # the diagonal, in place
+    return mat

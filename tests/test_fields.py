@@ -11,12 +11,11 @@ from fnlslab.errors import (AntiperiodicityViolation, SamplingError,
                             ValidationError)
 import fnlslab.fields as fields
 from fnlslab.fields import (AntiperiodicField, GridSamples, _monotonicity,
-                            analyze, antiperiodic_defects,
-                            cosine_block, cosine_field, derivative, evaluate,
-                            fractional_laplacian, imag_part, lift,
-                            odd_wavenumbers, random_field, real_part,
-                            rotate_phase, synthesize, to_grid, to_modes,
-                            translate)
+                            analyze, antiperiodic_defects, cosine_field,
+                            derivative, evaluate, fractional_laplacian,
+                            imag_part, lift, odd_wavenumbers, random_field,
+                            real_part, rotate_phase, sector_matrix, synthesize,
+                            to_grid, to_modes, translate)
 from fnlslab.functionals import inner
 from fnlslab.params import EPS_REAL
 
@@ -280,29 +279,46 @@ def test_fields_are_immutable():
 
 
 @settings(max_examples=200)
-@given(size=st.integers(1, 1100), sign=st.sampled_from([1.0, -1.0]),
+@given(size=st.integers(1, 1100), sector=st.sampled_from(["even", "odd"]),
        seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 8))
-@example(size=48, sign=1.0, seed=1, zeros=3)
-@example(size=48, sign=-1.0, seed=2, zeros=3)
-@example(size=1, sign=-1.0, seed=3, zeros=2)
-def test_cosine_block_matches_dense_oracle(size, sign, seed, zeros):
-    # byte equality, so a flipped sign of zero fails too
+@example(size=48, sector="even", seed=1, zeros=3)
+@example(size=48, sector="odd", seed=2, zeros=3)
+@example(size=1, sector="odd", seed=3, zeros=2)
+def test_sector_matrix_matches_dense_oracle(size, sector, seed, zeros):
+    # byte equality, so a flipped sign of zero fails too: the potential
+    # block off the diagonal, and on it the block plus symbol and omega
     rng = np.random.default_rng(seed)
     n = 4 * size
     samples = rng.standard_normal(n)
+    alpha, omega = rng.uniform(1.0, 2.0), rng.standard_normal()
+    sign = 1.0 if sector == "even" else -1.0
+    off = ~np.eye(size, dtype=bool)
+    lam = (np.pi * (2 * np.arange(size) + 1) / T) ** alpha
+
+    def check(mat, dense):
+        assert mat[off].tobytes() == dense[off].tobytes()
+        assert np.diagonal(mat).tobytes() == (np.diagonal(dense) + (lam + omega)).tobytes()
+
     w = 2.0 * np.real(np.fft.fft(samples)[2 * np.arange(2 * size)] / n)
-    assert (cosine_block(samples, size, sign).tobytes()
-            == cosine_block_dense(w, size, sign).tobytes())
+    check(sector_matrix(samples, alpha, T, omega, sector, size),
+          cosine_block_dense(w, size, sign))
 
     # a random cosine line with planted +0.0 and -0.0 entries, fed to
-    # cosine_block in place of the transform of its samples
+    # sector_matrix in place of the transform of its samples
     line = rng.standard_normal(2 * size)
     line[rng.integers(0, 2 * size, zeros)] = np.copysign(
         0.0, rng.standard_normal(zeros))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "analyze", lambda values, bins, n: line)
-        block = cosine_block(samples, size, sign)
-    assert block.tobytes() == cosine_block_dense(2.0 * line, size, sign).tobytes()
+        mat = sector_matrix(samples, alpha, T, omega, sector, size)
+    check(mat, cosine_block_dense(2.0 * line, size, sign))
+
+
+def test_sector_matrix_refuses_a_grid_that_aliases_its_cosine_line():
+    # size 2 reads w_0..w_3, which need more than 2 (2 size - 1) = 6 points
+    with pytest.raises(ValidationError, match="^quadrature grid too small for "
+                       "multiplication matrix$"):
+        sector_matrix(np.ones(6), 1.5, T, 0.0, "even", 2)
 
 
 def test_monotonicity_classifies_the_first_quarter_of_the_2t_grid():

@@ -8,8 +8,9 @@ import pytest
 
 from fnlslab.errors import ValidationError
 from fnlslab.fields import (cosine_field, random_field, rotate_phase,
-                            translate, zero_field)
-from fnlslab.functionals import (_GRID_CAP, _default_grid, _residual_grid,
+                            to_grid, translate, zero_field)
+from fnlslab.functionals import (_GRID_CAP, _default_grid, _potential_sum,
+                                 _residual_grid,
                                  charge, hamiltonian, inner, kinetic,
                                  momentum, moving_frame_energy, potential,
                                  quadratic_energy, x_norm)
@@ -134,6 +135,21 @@ def test_potential_is_alias_free(sigma, n_modes):
     expect = 0.5 * (2.0 * T / 4096) * float(
         np.sum(np.abs(vals) ** (2 * sigma + 2))) / (2 * sigma + 2)
     assert abs(potential(u, sigma) - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize("sigma", [1, 0.5, 1.5])
+def test_potential_sum_is_both_former_sums_bit_for_bit(sigma):
+    # the focusing solve summed (0.5 S)(2T/n) and the evolution log (T/n) S,
+    # S = sum |u|^(2 sigma + 2); scaling by 2 is exact, so both are one value
+    u = random_field(T, 8, np.random.default_rng(3))
+    n = _default_grid(u, sigma)
+    vals = to_grid(u, n).values
+    solve = 0.5 * float(np.sum(np.abs(vals) ** (2 * sigma + 2))) * (2.0 * T / n) \
+        / (2 * sigma + 2)
+    log = (T / n) * float(np.sum(np.abs(vals) ** (2.0 * sigma + 2.0)))
+    log /= 2.0 * sigma + 2.0
+    assert _potential_sum(vals, T, sigma) == solve == log
+    assert abs(_potential_sum(vals, T, sigma) - potential(u, sigma)) <= 1e-13 * log
 
 
 # ------------------------------------------------------- quadrature grids

@@ -9,8 +9,9 @@ import pytest
 
 from fnlslab.errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                             SpeedOutOfRange, ValidationError)
-from fnlslab.fields import (GridSamples, random_field, rotate_phase, to_grid,
-                            to_modes, translate, zero_field)
+from fnlslab import profiles
+from fnlslab.fields import (GridSamples, random_field, rotate_phase, synthesize,
+                            to_grid, to_modes, translate, zero_field)
 from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
 from fnlslab.params import ProblemParams
@@ -475,6 +476,34 @@ def test_damped_newton_stops_at_the_relative_residual_test():
     _, _, steps = _damped_newton(np.array([4e-14]), 0.0,
                                  lambda x, omega: x, no_step)
     assert steps == 0
+
+
+def test_real_even_jacobian_is_the_diagonal_minus_gamma_times_the_block(monkeypatch):
+    # the step's sector_matrix against the rule it replaced, np.diag(lam +
+    # omega) - gamma * block: equal values, though an exact zero off the
+    # diagonal may change sign
+    jacs, steps = [], []
+    build = profiles.sector_matrix
+    monkeypatch.setattr(profiles, "sector_matrix",
+                        lambda *args: jacs.append(build(*args)) or jacs[-1])
+    monkeypatch.setattr(profiles, "_damped_newton",
+                        lambda x, omega, residual, step: steps.append(step))
+    a = 0.5 ** np.arange(12) * np.random.default_rng(4).standard_normal(12)
+    for gamma in (-1, 1):
+        ws = profiles._Workspace(ProblemParams(1.5, 1.5, gamma, T), 12)
+        profiles._newton_real_even(ws, a, 0.7, None)
+        steps[-1](a, 0.7, np.ones(12))
+        vals = synthesize(profiles._coeff_from_even_cos(ws, a), ws.bins, ws.N)
+        wmat = oracles.cosine_block_reference(4.0 * np.abs(vals) ** 3.0, 12, 1.0)
+        assert np.array_equal(jacs[-1], np.diag(ws.lam[12:] + 0.7) - gamma * wmat)
+
+
+def test_real_even_newton_names_a_singular_system():
+    # a = 0 zeroes the charge border of the bordered Jacobian
+    ws = profiles._Workspace(ProblemParams(1.5, 1, -1, np.pi), 8)
+    with pytest.raises(NonConvergence,
+                       match="^singular Newton system: Singular matrix$"):
+        profiles._newton_real_even(ws, np.zeros(8), 1.0, 1.0)
 
 
 # --- validation and failure modes ---------------------------------------------

@@ -124,6 +124,15 @@ def test_assemble_is_alias_free_at_the_read_band_edge():
     assert abs(entry - (0.5 * (w0 + w_top) + lam + 0.7)) <= 1e-12 * np.max(v)
 
 
+@pytest.mark.parametrize("size", [1, 2, 64, 128, 512, 1024])
+def test_assemble_matches_the_rule_before_sector_matrix(size):
+    for prof in (defoc_profile(), foc_profile()):
+        for which in ("L_plus", "L_minus"):
+            for sector in ("even", "odd"):
+                assert (assemble(prof, which, sector, size).tobytes()
+                        == oracles.assemble_reference(prof, which, sector, size).tobytes())
+
+
 def test_assemble_validates_arguments():
     prof = defoc_profile()
     with pytest.raises(ValidationError):
