@@ -65,11 +65,11 @@ def _profile_scalars(prof, config: RunConfig) -> dict:
 
 def _profile_tables(prof, config: RunConfig) -> dict:
     f = prof.field
-    modes = [(int(k), float(np.real(c)), float(np.imag(c)))
-             for k, c in zip(f.wavenumbers, f.coeff)]
+    modes = list(zip(f.wavenumbers.tolist(), f.coeff.real.tolist(),
+                     f.coeff.imag.tolist()))
     g = to_grid(f, config.grid["n_grid"])
-    grid = [(float(x), float(v.real), float(v.imag))
-            for x, v in zip(g.x, g.values)]
+    grid = list(zip(g.x.tolist(), g.values.real.tolist(),
+                    g.values.imag.tolist()))
     return {
         "profile_modes": (("k", "re", "im"), modes),
         "profile_grid": (("x", "re", "im"), grid),
@@ -93,11 +93,11 @@ def _cmd_spectrum(config: RunConfig) -> ResultBundle:
     grounds = {}
     for (which, sector), spec in sorted(spectra.items()):
         grounds[f"{which}_{sector}_ground"] = float(spec.eigenvalues[0])
-        for idx, lam in enumerate(spec.eigenvalues):
-            eig_rows.append((which, sector, idx, float(lam)))
+        eig_rows.extend((which, sector, idx, lam)
+                        for idx, lam in enumerate(spec.eigenvalues.tolist()))
         for rank in (0, 1):
-            vec = spec.eigenvectors[:, rank]
-            fun_rows.extend((which, sector, rank, j, float(v))
+            vec = spec.eigenvectors[:, rank].tolist()
+            fun_rows.extend((which, sector, rank, j, v)
                             for j, v in enumerate(vec))
     results = {
         "morse_plus": rep.morse_plus,
@@ -140,8 +140,8 @@ def _cmd_kernels(config: RunConfig) -> ResultBundle:
         margins = positivity_report(ka)
         margins["t_relative"] = float(t_rel)
         per_time.append(margins)
-        rows.extend((float(t), float(x), float(p), float(a))
-                    for x, p, a in zip(kp.x, kp.grid, ka.grid))
+        rows.extend((t, x, p, a) for x, p, a in zip(
+            kp.x.tolist(), kp.grid.tolist(), ka.grid.tolist()))
     results = {"alpha": alpha, "time_unit": unit, "positivity": per_time}
     return ResultBundle(
         config=config, command="kernels", results=results,
@@ -189,7 +189,7 @@ def _cmd_evolve(config: RunConfig) -> ResultBundle:
         "rho_final": rho, "flagged": out.flagged, "drift": out.drift(),
         "profile": _profile_scalars(prof, config),
     }
-    rows = [tuple(float(v) for v in row) for row in out.conserved_log]
+    rows = [tuple(row) for row in out.conserved_log.tolist()]
     return ResultBundle(
         config=config, command="evolve", results=results,
         tables={"conserved": (("t", "hamiltonian", "charge", "momentum"),
@@ -240,8 +240,8 @@ def _cmd_report(config: RunConfig) -> ResultBundle:
             "secular_fraction": run["secular_fraction"],
             "quadratic_form": run["quadratic_form"],
         })
-        rows.extend((i, float(st["epsilons"][i]), float(t), float(r))
-                    for t, r in zip(run["times"], run["rho"]))
+        rows.extend((i, float(st["epsilons"][i]), t, r)
+                    for t, r in zip(run["times"].tolist(), run["rho"].tolist()))
     results = {
         "indices": {"dNdc": rep.dNdc, "dQdomega": rep.dQdomega,
                     "dQdmu": rep.dQdmu},

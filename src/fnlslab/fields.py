@@ -167,7 +167,7 @@ def analyze(values: np.ndarray, bins, n: int) -> np.ndarray:
     return np.fft.fft(values, axis=0)[bins] / n
 
 
-# a block of rows (trials, tensor rows) holds at most this many samples:
+# a block of rows (rearrangement trials) holds at most this many samples:
 # 64 rows of 1024, one row of 65536, 512 KB of floats
 _BLOCK_SAMPLES = 2 ** 16
 
@@ -179,15 +179,13 @@ def _blocks(count: int, width: int) -> list:
     return [min(rows, count - start) for start in range(0, count, rows)]
 
 
-def toeplitz_plus_hankel(tline, hline, sign: float,
-                         rows=slice(None)) -> np.ndarray:
-    """Rows `rows` of T + sign H, T[j, l] = tline[s-1-j+l] and H[j, l] =
-    hline[j+l] for j, l < s (lines of length 2s - 1), from window views
-    into one array; each row is the same whichever range it comes in."""
+def toeplitz_plus_hankel(tline, hline, sign: float) -> np.ndarray:
+    """T + sign H, T[j, l] = tline[s-1-j+l] and H[j, l] = hline[j+l] for
+    j, l < s (lines of length 2s - 1), from window views into one array."""
     size = (len(tline) + 1) // 2
-    hankel = sliding_window_view(hline, size)[rows]
+    hankel = sliding_window_view(hline, size)
     out = np.multiply(hankel, sign, out=np.empty(hankel.shape))
-    return np.add(sliding_window_view(tline, size)[::-1][rows], out, out=out)
+    return np.add(sliding_window_view(tline, size)[::-1], out, out=out)
 
 
 def sector_matrix(samples: np.ndarray, alpha: float, half_period: float,

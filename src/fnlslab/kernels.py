@@ -11,7 +11,7 @@ onto the parity sectors with G_even/odd(x,y) = K_a(x-y) +/- K_a(x+y).
 Positivity of K_a on (-T/2,T/2) and of the sector combinations on their
 squares is what makes the sector ground states sign-definite; this
 module evaluates the kernels spectrally and certifies those signs on
-grids with recorded margins.
+grids with recorded margins, the pair signs in O(N) time and memory.
 
 Samples live on the centered grid x_j = -T + 2T j/N, j = 0..N-1.
 """
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AntiperiodicityViolation, PositivityViolation,
-                     SamplingError, UnderResolved, ValidationError)
-from .fields import _blocks, synthesize, toeplitz_plus_hankel
+from .errors import (PositivityViolation, SamplingError, UnderResolved,
+                     ValidationError)
+from .fields import synthesize
 
 # Fourier terms below this size are dropped from the kernel synthesis.
 _TERM_FLOOR = 1e-16
@@ -106,12 +106,7 @@ def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSampl
 def kernel_ka(alpha: float, half_period: float, t: float, n: int) -> KernelSamples:
     """Antiperiodized kernel K_a(x,t) = K_p(x,t) - K_p(x-T,t)."""
     kp = kernel_kp(alpha, half_period, t, n)
-    ka = kp.grid - np.roll(kp.grid, n // 2)
-    half = n // 2
-    defect = float(np.max(np.abs(ka[half:] + ka[:half])))
-    if defect > 1e-14 * max(1.0, float(np.max(np.abs(ka)))):
-        raise AntiperiodicityViolation(
-            f"antiperiodized kernel defect {defect:.3e}")
+    ka = kp.grid - np.roll(kp.grid, n // 2)  # fl(b - a) = -fl(a - b): antiperiodic
     return KernelSamples(alpha=alpha, half_period=half_period, t=t,
                          grid=ka, kind="Ka")
 
@@ -127,23 +122,17 @@ def _violation(tag: str, x: float, value: float, extra: str = "") -> PositivityV
         f"(resolution or implementation bug; the sign is provable)")
 
 
-def _first_min(tile: np.ndarray, start: int) -> tuple:
-    """(value, start + flat index) of the first NaN, else the first
-    minimum, of a tile, which is released when this returns."""
-    j = int(np.argmin(tile))
-    return tile.flat[j], start + j
-
-
 def positivity_report(ka: KernelSamples) -> dict:
     """The four sign certificates for an antiperiodized kernel.
 
     (i) K_a > 0 on the interior of (-T/2, T/2); (ii) strictly decreasing
     on (0, T); (iii) K_a(x-y) + K_a(x+y) > 0 on (-T/2, T/2)^2;
     (iv) K_a(x-y) - K_a(x+y) > 0 on (0, T)^2.  Tensor grids exclude a
-    one-cell boundary margin; minima are recorded as margins.  Each pair
-    tensor is Toeplitz +/- Hankel in window views of K_a, scanned in row
-    tiles of at most fields._BLOCK_SAMPLES samples, so memory is O(N);
-    the first NaN, else the first minimum in row order, is reported.
+    one-cell boundary margin; minima are recorded as margins.  A pair
+    tensor's minimum is the minimum over x - y of K_a(x - y) plus the
+    least +/-K_a(x + y) that difference meets, in O(N) time and memory;
+    only a minimum that is not positive scans the rows, one at a time, to
+    name the first NaN, else the first minimum in row order.
     The grid must be a multiple of 4, at least 8, as kernel_kp requires.
     """
     if ka.kind != "Ka":
@@ -167,24 +156,30 @@ def positivity_report(ka: KernelSamples) -> dict:
         raise _violation("monotone decrease of K_a", (j_min + 1) * step,
                          float(drops[j_min]))
 
-    # pairs over offsets lo + (0..m-1): K_a(x - y) is shared, K_a(x + y) is not
+    # entry (j, l) of a pair tensor over offsets lo + (0..m-1) is
+    # t[j - l] + y[j + l]; for d = j - l, s = j + l runs over the window
+    # |d|, |d| + 2, .., 2m - 2 - |d|, so, rounding being monotone, the
+    # tensor minimum is min_d (t[d] + w[|d|]) with w the window minima of y
     m = n // 2 - 1
-    line = np.arange(2 * m - 1)
-    tline = off[(m - 1 - line) % n]
+    d = np.arange(1 - m, m)
+    t = off[d % n]
     pair_min = {}
     for tag, lo, sign in (("even", -n // 4 + 1, 1.0), ("odd", 1, -1.0)):
-        hline = off[(line + 2 * lo) % n]
-        found, r0 = [], 0
-        for rows in _blocks(m, m):
-            found.append(_first_min(toeplitz_plus_hankel(
-                tline, hline, sign, slice(r0, r0 + rows)), r0 * m))
-            r0 += rows
-        low, k = found[int(np.argmin([value for value, _ in found]))]
-        pair_min[tag] = float(low)
+        y = sign * off[(np.arange(2 * m - 1) + 2 * lo) % n]
+        ends = np.minimum(y, y[::-1])[:m]       # a window's ends pair up
+        w = np.empty(m)
+        for p in (0, 1):                         # nested windows, centre out
+            w[p::2] = np.minimum.accumulate(ends[p::2][::-1])[::-1]
+        pair_min[tag] = float(np.min(t + w[np.abs(d)]))
         if not pair_min[tag] > 0.0:
-            xi, yi = divmod(k, m)
+            # row j is t[j - l] + y[j + l] over l; name its first NaN, else
+            # the first minimum in row order
+            lows = [np.min(t[j:j + m][::-1] + y[j:j + m]) for j in range(m)]
+            xi = int(np.argmin(lows))
+            row = t[xi:xi + m][::-1] + y[xi:xi + m]
+            yi = int(np.argmin(row))
             raise _violation(f"{tag} pair kernel", (lo + xi) * step,
-                             pair_min[tag], extra=f", y = {(lo + yi) * step:+.6f}")
+                             float(row[yi]), extra=f", y = {(lo + yi) * step:+.6f}")
 
     return {
         "alpha": ka.alpha,

@@ -5,21 +5,24 @@ direct O(N M) summation for transforms, Jacobi elliptic closed forms for
 the classical-dispersion profiles, finite differences for operators, and
 truncated lattice sums for heat kernels.  The exceptions are the route
 references at the end (Strang steps, rearrangement trials, sector
-matrices), which replay a computation one substep or one field at a time,
-or as an older route did, to pin the bits of the package's routes.
+matrices, kernel pair certificates), which replay a computation one
+substep or one field at a time, or as an older route did, to pin the
+bits of the package's routes.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from fnlslab import spectrum
+from fnlslab import kernels, spectrum
 from fnlslab.errors import ValidationError
-from fnlslab.fields import (GridSamples, analyze, antiperiodic_defects, lift,
-                            odd_wavenumbers, random_field, real_part, to_grid,
-                            to_modes, toeplitz_plus_hankel)
+from fnlslab.fields import (GridSamples, _blocks, analyze,
+                            antiperiodic_defects, lift, odd_wavenumbers,
+                            random_field, real_part, to_grid, to_modes,
+                            toeplitz_plus_hankel)
 
 
 def direct_synthesis(k, coeff, half_period, n):
@@ -469,3 +472,73 @@ def assemble_reference(profile, which, sector, size):
     mat = cosine_block_reference(v, size, sign)
     mat.ravel()[:: size + 1] += lam + profile.omega  # the diagonal, in place
     return mat
+
+
+# --- the pair certificates as kernels.positivity_report scanned them in
+# row tiles before it read the minima off one line: the tile scan, its
+# tile builder and its tile minimum verbatim, to pin every value and
+# every message.
+
+
+def toeplitz_plus_hankel_rows(tline, hline, sign, rows=slice(None)):
+    size = (len(tline) + 1) // 2
+    hankel = sliding_window_view(hline, size)[rows]
+    out = np.multiply(hankel, sign, out=np.empty(hankel.shape))
+    return np.add(sliding_window_view(tline, size)[::-1][rows], out, out=out)
+
+
+def _first_min(tile, start):
+    j = int(np.argmin(tile))
+    return tile.flat[j], start + j
+
+
+def positivity_report_reference(ka):
+    if ka.kind != "Ka":
+        raise ValidationError(f"positivity_report needs a Ka kernel, got {ka.kind}")
+    n = ka.n
+    kernels._check_grid(n)
+    T = ka.half_period
+    step = 2.0 * T / n
+    off = kernels._offset_view(ka)
+
+    half = np.arange(-n // 4 + 1, n // 4)        # (-T/2, T/2) interior
+    vals = off[half % n]
+    i_min = int(np.argmin(vals))
+    if not vals[i_min] > 0.0:
+        raise kernels._violation("K_a", half[i_min] * step, float(vals[i_min]))
+
+    ramp = off[np.arange(0, n // 2 + 1) % n]     # x from 0 to T inclusive
+    drops = -np.diff(ramp)
+    j_min = int(np.argmin(drops))
+    if not drops[j_min] > 0.0:
+        raise kernels._violation("monotone decrease of K_a", (j_min + 1) * step,
+                                 float(drops[j_min]))
+
+    # pairs over offsets lo + (0..m-1): K_a(x - y) is shared, K_a(x + y) is not
+    m = n // 2 - 1
+    line = np.arange(2 * m - 1)
+    tline = off[(m - 1 - line) % n]
+    pair_min = {}
+    for tag, lo, sign in (("even", -n // 4 + 1, 1.0), ("odd", 1, -1.0)):
+        hline = off[(line + 2 * lo) % n]
+        found, r0 = [], 0
+        for rows in _blocks(m, m):
+            found.append(_first_min(toeplitz_plus_hankel_rows(
+                tline, hline, sign, slice(r0, r0 + rows)), r0 * m))
+            r0 += rows
+        low, k = found[int(np.argmin([value for value, _ in found]))]
+        pair_min[tag] = float(low)
+        if not pair_min[tag] > 0.0:
+            xi, yi = divmod(k, m)
+            raise kernels._violation(f"{tag} pair kernel", (lo + xi) * step,
+                                     pair_min[tag], extra=f", y = {(lo + yi) * step:+.6f}")
+
+    return {
+        "alpha": ka.alpha,
+        "t": ka.t,
+        "n": n,
+        "interior_min": float(vals[i_min]),
+        "decrease_min": float(drops[j_min]),
+        "even_pair_min": pair_min["even"],
+        "odd_pair_min": pair_min["odd"],
+    }

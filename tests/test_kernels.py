@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fnlslab.kernels as kernels
-from fnlslab import fields
 from fnlslab.errors import (PositivityViolation, SamplingError, UnderResolved,
                             ValidationError)
 from fnlslab.fields import random_field, real_part, to_grid
 from fnlslab.kernels import (KernelSamples, kernel_ka, kernel_kp,
                              positivity_report)
 from oracles import (gaussian_lattice_kernel, pair_tensor_dense,
-                     poisson_closed_form, poisson_lattice_kernel)
+                     poisson_closed_form, poisson_lattice_kernel,
+                     positivity_report_reference)
 
 T = np.pi
 
@@ -125,6 +125,22 @@ def test_argument_validation():
         kernel_kp(1.5, T, 0.5, 250)
 
 
+@pytest.mark.parametrize("planted, refused", [(2e-15, False), (2e-13, True)])
+def test_kernel_synthesis_that_loses_the_even_symmetry_is_refused(
+        monkeypatch, planted, refused):
+    # a real synthesis keeps |Im| below 2e-16 of the peak; an imaginary
+    # part above 1e-14 of max(1, peak) (0.35 here) is refused
+    synth = kernels.synthesize
+    monkeypatch.setattr(kernels, "synthesize",
+                        lambda *args: synth(*args) + 2j * T * planted)
+    if not refused:
+        assert kernel_kp(1.5, T, 0.5, 256).kind == "Kp"
+        return
+    with pytest.raises(SamplingError, match=re.escape(
+            "kernel synthesis lost the even symmetry")):
+        kernel_kp(1.5, T, 0.5, 256)
+
+
 def test_positivity_report_margins_are_positive():
     for alpha in (1.1, 1.5, 2.0):
         t = 0.5 * (T / np.pi) ** alpha
@@ -204,22 +220,20 @@ def test_pair_certificates_name_the_first_oracle_minimum(parity, index, factor):
 
 
 @pytest.mark.parametrize("case", ["nan", "tie"])
-def test_pair_certificates_across_tiles_name_the_dense_argmin(case):
-    # N = 1024 gives tiles of 128 rows; each case puts the dense argmin
-    # where only the scan order across tiles finds it
+def test_pair_certificates_name_the_dense_argmin_in_row_order(case):
+    # each case puts the dense argmin where only the order of the rows
+    # finds it: behind rows of finite entries, or tied with a later row
     ka = kernel_ka(1.5, T, 0.5, 1024)
     n, step = ka.n, 2 * T / ka.n
-    rows = fields._blocks(n // 2 - 1, n // 2 - 1)[0]
     big = np.max(np.abs(ka.grid))
     if case == "nan":
         # +inf at x = -T + 186 and 188 steps: the even tensor only sees
         # inf + finite, the odd one inf - inf = nan from row 186 on, after
-        # a first tile whose minimum is finite
+        # rows whose entries are finite and positive
         parity, bad = "odd", doctored(doctored(ka, 698, np.inf), 700, np.inf)
     else:
         # an exactly even line with a deep dip at x = -T + 212 steps: the
-        # even minimum sits at (0, 210) in the first tile, tied with its
-        # transpose (210, 0) in the second
+        # even minimum sits at (0, 210), tied with its transpose (210, 0)
         off = offset(ka)
         m = np.arange(1, n // 2)
         off[n - m] = off[m]
@@ -227,13 +241,12 @@ def test_pair_certificates_across_tiles_name_the_dense_argmin(case):
             dataclasses.replace(ka, grid=np.roll(off, n // 2)), 724, -10 * big)
     with np.errstate(invalid="ignore"):
         tensor, idx = pair_tensor_dense(offset(bad), parity)
-    k = int(np.argmin(tensor))
-    xi, yi = np.unravel_index(k, tensor.shape)
+    xi, yi = np.unravel_index(int(np.argmin(tensor)), tensor.shape)
     if case == "nan":
-        assert xi >= rows and not np.any(np.isnan(tensor[:rows]))
-        assert np.min(tensor[:rows]) > 0
+        assert xi == 186 and np.isnan(tensor[xi, yi])
+        assert not np.any(np.isnan(tensor[:xi])) and np.min(tensor[:xi]) > 0
     else:
-        assert xi < rows <= yi
+        assert (xi, yi) == (0, 210)
         assert tensor[yi, xi].tobytes() == tensor[xi, yi].tobytes()
     with pytest.raises(PositivityViolation, match=re.escape(
             f"{parity} pair kernel at x = {idx[xi] * step:+.6f}, "
@@ -258,7 +271,10 @@ def test_positivity_report_refuses_grids_kernel_kp_refuses(n):
 @given(quarter=st.integers(2, 550), seed=st.integers(0, 2**32 - 1),
        zeros=st.integers(0, 8))
 @example(quarter=2, seed=1, zeros=2)                 # the smallest grid, N = 8
-@example(quarter=550, seed=2, zeros=3)               # 19 tiles, the last short
+@example(quarter=550, seed=2, zeros=3)               # the largest, N = 2200
+# both tensors positive, and a window mixing both parities of x + y
+# would read a lower even minimum
+@example(quarter=3, seed=19, zeros=0)
 def test_pair_tensors_match_dense_oracle(quarter, seed, zeros):
     # A random offset line that passes the interior and decrease checks:
     # positive decreasing on [0, T/2), decreasing on to T, positive on
@@ -278,27 +294,60 @@ def test_pair_tensors_match_dense_oracle(quarter, seed, zeros):
     ka = KernelSamples(alpha=1.5, half_period=T, t=0.5,
                        grid=np.roll(off, n // 2), kind="Ka")
 
-    tiles, build = {1.0: [], -1.0: []}, kernels.toeplitz_plus_hankel
+    # each minimum is the dense tensor's first in row order, by its bytes;
+    # the first one that is not positive is named instead
+    step = 2 * T / n
+    lows = {}
+    for parity in ("even", "odd"):
+        tensor, idx = pair_tensor_dense(off, parity)
+        xi, yi = np.unravel_index(int(np.argmin(tensor)), tensor.shape)
+        if not tensor[xi, yi] > 0:
+            with pytest.raises(PositivityViolation, match=re.escape(
+                    f"{parity} pair kernel at x = {idx[xi] * step:+.6f}, "
+                    f"y = {idx[yi] * step:+.6f}: value {tensor[xi, yi]:.6e} ")):
+                positivity_report(ka)
+            return
+        lows[f"{parity}_pair_min"] = tensor[xi, yi].tobytes()
+    rep = positivity_report(ka)
+    assert {key: np.float64(rep[key]).tobytes() for key in lows} == lows
 
-    def record(tline, hline, sign, rows):
-        # keep each tile as built; hand back a positive stand-in so the
-        # odd tensor is built even where the even one is not positive
-        tiles[sign].append(build(tline, hline, sign, rows))
-        return np.ones_like(tiles[sign][-1])
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "toeplitz_plus_hankel", record)
-        positivity_report(ka)
-    m = n // 2 - 1
-    for parity, sign in (("even", 1.0), ("odd", -1.0)):
-        assert [len(t) for t in tiles[sign]] == fields._blocks(m, m)
-        pair = np.concatenate(tiles[sign])
-        assert pair.tobytes() == pair_tensor_dense(off, parity)[0].tobytes()
+def outcome(report, ka):
+    """A report's values by their bytes, or its error's class and text."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return {key: np.float64(value).tobytes()
+                    for key, value in report(ka).items()}
+    except PositivityViolation as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n, alpha, t", [
+    (8, 1.5, 5.0), (12, 2.0, 2.0), (64, 1.1, 1.0), (256, 1.5, 0.5),
+    (1024, 1.9, 0.05), (4096, 1.5, 1.0), (16384, 0.8, 0.3)])
+def test_pair_certificates_match_the_tile_scan(n, alpha, t):
+    # against the row-tile scan the line minima replaced: every margin by
+    # its bytes and every message, on the kernel and on copies with a
+    # NaN, +-inf, +-0.0 or negative sample planted on (-T, -T/2], where
+    # only the pair tensors read it (at one point, or two)
+    ka = kernel_ka(alpha, T, t, n)
+    rng = np.random.default_rng(n)
+    cases = [ka]
+    for value in (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-3):
+        for count in (1, 2):
+            bad = ka
+            for index in rng.integers(n // 2 + 1, 3 * n // 4 + 1, count):
+                bad = doctored(bad, index, value)
+            cases.append(bad)
+    for case in cases:
+        assert outcome(positivity_report, case) == outcome(
+            positivity_report_reference, case)
+    assert isinstance(outcome(positivity_report, ka), dict)
 
 
 def test_positivity_report_holds_one_pair_tensor():
-    # one tile of at most 2^16 samples (512 KB) plus O(N) lines; a whole
-    # pair tensor is 34 MB at N = 4096 and 537 MB at N = 16384
+    # O(N) lines only; a whole pair tensor is 34 MB at N = 4096 and
+    # 537 MB at N = 16384
     for n in (4096, 16384):
         ka = kernel_ka(1.5, T, 1.0, n)
         tracemalloc.start()
