@@ -49,8 +49,8 @@ def _solve_profile(config: RunConfig):
                           n_modes=s["n_modes"], tol=s["tol"])
 
 
-def _profile_scalars(prof, config: RunConfig) -> dict:
-    prob = config.problem
+def _profile_scalars(prof) -> dict:
+    prob = prof.params
     f = prof.field
     return {
         "omega": prof.omega, "c": prof.c, "mu": prof.mu, "p0": prof.p0,
@@ -79,8 +79,8 @@ def _profile_tables(prof, config: RunConfig) -> dict:
 def _cmd_solve(config: RunConfig) -> ResultBundle:
     # canonical gauge so emitted tables are comparable across runs
     prof = gauge_fix(_solve_profile(config))
-    return ResultBundle(config=config, command="solve",
-                        results={"profile": _profile_scalars(prof, config)},
+    return ResultBundle(config=config,
+                        results={"profile": _profile_scalars(prof)},
                         tables=_profile_tables(prof, config))
 
 
@@ -112,9 +112,9 @@ def _cmd_spectrum(config: RunConfig) -> ResultBundle:
     }
     if config.problem.gamma == -1:
         results["jordan"] = jordan_structure(prof)
-    results["profile"] = _profile_scalars(prof, config)
+    results["profile"] = _profile_scalars(prof)
     return ResultBundle(
-        config=config, command="spectrum", results=results,
+        config=config, results=results,
         tables={
             "eigenvalues": (("operator", "sector", "index", "value"),
                             eig_rows),
@@ -136,7 +136,7 @@ def _cmd_kernels(config: RunConfig) -> ResultBundle:
     for t_rel in config.kernels["times"]:
         t = float(t_rel) * unit
         kp = kernel_kp(alpha, T, t, n)
-        ka = kernel_ka(alpha, T, t, n)
+        ka = kernel_ka(kp)
         margins = positivity_report(ka)
         margins["t_relative"] = float(t_rel)
         per_time.append(margins)
@@ -144,7 +144,7 @@ def _cmd_kernels(config: RunConfig) -> ResultBundle:
             kp.x.tolist(), kp.grid.tolist(), ka.grid.tolist()))
     results = {"alpha": alpha, "time_unit": unit, "positivity": per_time}
     return ResultBundle(
-        config=config, command="kernels", results=results,
+        config=config, results=results,
         tables={"kernel_samples": (("t", "x", "kp", "ka"), rows)})
 
 
@@ -171,7 +171,7 @@ def _cmd_rearrange(config: RunConfig) -> ResultBundle:
         "potential_ordering": ordering,
     }
     return ResultBundle(
-        config=config, command="rearrange", results=results,
+        config=config, results=results,
         tables={"polya_trials": (("trial", "kinetic_original",
                                   "kinetic_star", "violation", "budget"),
                                  rows)})
@@ -187,11 +187,11 @@ def _cmd_evolve(config: RunConfig) -> ResultBundle:
     results = {
         "dt": ev["dt"], "steps": ev["steps"], "time": out.time,
         "rho_final": rho, "flagged": out.flagged, "drift": out.drift(),
-        "profile": _profile_scalars(prof, config),
+        "profile": _profile_scalars(prof),
     }
     rows = [tuple(row) for row in out.conserved_log.tolist()]
     return ResultBundle(
-        config=config, command="evolve", results=results,
+        config=config, results=results,
         tables={"conserved": (("t", "hamiltonian", "charge", "momentum"),
                               rows)})
 
@@ -213,7 +213,7 @@ def _cmd_sweep(config: RunConfig) -> ResultBundle:
         "failed_at": result.failed_at,
     }
     return ResultBundle(
-        config=config, command="sweep", results=results,
+        config=config, results=results,
         tables={"sweep": (("value", "omega", "c", "mu", "charge",
                            "momentum", "residual"), rows)})
 
@@ -249,10 +249,10 @@ def _cmd_report(config: RunConfig) -> ResultBundle:
         "c_emp": rep.c_emp,
         "horizon": horizon,
         "coercivity": rep.coercivity,
-        "profile": _profile_scalars(prof, config),
+        "profile": _profile_scalars(prof),
     }
     return ResultBundle(
-        config=config, command="report", results=results,
+        config=config, results=results,
         tables={"rho_series": (("run", "epsilon", "t", "rho"), rows)})
 
 

@@ -19,7 +19,7 @@ Samples live on the centered grid x_j = -T + 2T j/N, j = 0..N-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,12 +103,12 @@ def kernel_kp(alpha: float, half_period: float, t: float, n: int) -> KernelSampl
                          grid=vals.real, kind="Kp")
 
 
-def kernel_ka(alpha: float, half_period: float, t: float, n: int) -> KernelSamples:
-    """Antiperiodized kernel K_a(x,t) = K_p(x,t) - K_p(x-T,t)."""
-    kp = kernel_kp(alpha, half_period, t, n)
-    ka = kp.grid - np.roll(kp.grid, n // 2)  # fl(b - a) = -fl(a - b): antiperiodic
-    return KernelSamples(alpha=alpha, half_period=half_period, t=t,
-                         grid=ka, kind="Ka")
+def kernel_ka(kp: KernelSamples) -> KernelSamples:
+    """Antiperiodized kernel K_a(x,t) = K_p(x,t) - K_p(x-T,t) of a K_p."""
+    if kp.kind != "Kp":
+        raise ValidationError(f"kernel_ka needs a Kp kernel, got {kp.kind}")
+    # fl(b - a) = -fl(a - b): antiperiodic
+    return replace(kp, grid=kp.grid - np.roll(kp.grid, kp.n // 2), kind="Ka")
 
 
 def _offset_view(ka: KernelSamples) -> np.ndarray:

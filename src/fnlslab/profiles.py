@@ -61,8 +61,6 @@ class StandingProfile:
 
 @dataclass(frozen=True)
 class Sweep:
-    parameter: str
-    values: list
     profiles: list
     failed_at: float | None
 
@@ -529,11 +527,9 @@ def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
             f"parameter {parameter!r} not available on this branch; use {sorted(allowed)}")
     if steps < 1:
         raise ValidationError("sweep needs at least one step")
-    start_value = getattr(start, parameter)
-    values = list(np.linspace(start_value, target, steps + 1)[1:])
     profiles = [start]
     prev = start
-    for v in values:
+    for v in np.linspace(getattr(start, parameter), target, steps + 1)[1:]:
         try:
             if params.gamma == -1:
                 c = v if parameter == "c" else prev.c
@@ -544,10 +540,10 @@ def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
                 _check_focusing(params, v, prev.p0)
                 prof = _solve_focusing(ws, v, prev.p0, tol, prev.field)
         except NonConvergence:
-            return Sweep(parameter, [start_value] + values, profiles, float(v))
+            return Sweep(profiles, float(v))
         profiles.append(prof)
         prev = prof
-    return Sweep(parameter, [start_value] + values, profiles, None)
+    return Sweep(profiles, None)
 
 
 def family_pair(profile: StandingProfile, parameter: str, h: float):

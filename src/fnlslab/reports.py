@@ -34,11 +34,11 @@ class ResultBundle:
     """Everything one run produced: scalars, tables, and the config echo.
 
     `results` holds JSON-serializable scalars and small structures;
-    `tables` maps a table name to (header, rows) destined for CSV.
+    `tables` maps a table name to (header, rows) destined for CSV.  The
+    command is the config's.
     """
 
     config: RunConfig
-    command: str
     results: dict
     tables: dict = field(default_factory=dict)
 
@@ -64,8 +64,8 @@ def _pyify(obj):
 def report_dict(bundle: ResultBundle) -> dict:
     """Schema-shaped report; raises ValidationError if it does not fit."""
     cfg = bundle.config
-    if bundle.command not in COMMANDS:
-        problem = f"command {bundle.command!r} is not one of {', '.join(COMMANDS)}"
+    if cfg.command not in COMMANDS:
+        problem = f"command {cfg.command!r} is not one of {', '.join(COMMANDS)}"
     elif cfg.seed < 0:
         problem = f"seed {cfg.seed} is negative"
     elif not isinstance(bundle.results, dict):
@@ -76,7 +76,7 @@ def report_dict(bundle: ResultBundle) -> dict:
         raise ValidationError(f"report does not fit {SCHEMA_NAME}: {problem}")
     return {
         "schema": SCHEMA_NAME,
-        "command": bundle.command,
+        "command": cfg.command,
         "provenance": {
             "version": _package_version(),
             "seed": int(cfg.seed),

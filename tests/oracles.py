@@ -3,14 +3,17 @@
 Everything here deliberately avoids the package's FFT/solver paths:
 direct O(N M) summation for transforms, Jacobi elliptic closed forms for
 the classical-dispersion profiles, finite differences for operators, and
-truncated lattice sums for heat kernels.  The exceptions are the route
-references at the end (Strang steps, rearrangement trials, sector
-matrices, kernel pair certificates), which replay a computation one
-substep or one field at a time, or as an older route did, to pin the
-bits of the package's routes.
+truncated lattice sums for heat kernels.  The Gaussian lattice sum is
+the benchmark's own (bench/reference.py, imported by path, read-only).
+The exceptions are the route references at the end (Strang steps,
+rearrangement trials, the kernels command, sector matrices, kernel pair
+certificates), which replay a computation one substep or one field at a
+time, or as an older route did, to pin the bits of the package's routes.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -185,13 +188,17 @@ def fd_lowest_eigs(v_func, half_period, n, k=10):
 # --- lattice-sum heat kernels on the 2T torus.
 
 
-def gaussian_lattice_kernel(x, t, half_period, n_images=60):
-    """Periodization of the Gauss-Weierstrass kernel (alpha = 2)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for n in range(-n_images, n_images + 1):
-        out += np.exp(-(x + 2.0 * half_period * n) ** 2 / (4.0 * t))
-    return out / np.sqrt(4.0 * np.pi * t)
+def _bench_reference():
+    """bench/reference.py, loaded by path without touching bench/."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Periodization of the Gauss-Weierstrass kernel (alpha = 2).
+gaussian_lattice_kernel = _bench_reference().gaussian_lattice_kernel
 
 
 def poisson_lattice_kernel(x, t, half_period, n_images=2000):
@@ -442,10 +449,50 @@ def rearrange_reference(config):
         "potential_ordering": ordering,
     }
     return ResultBundle(
-        config=config, command="rearrange", results=results,
+        config=config, results=results,
         tables={"polya_trials": (("trial", "kinetic_original",
                                   "kinetic_star", "violation", "budget"),
                                  rows)})
+
+
+# --- the kernels command as it ran before kernel_ka took its K_p: the
+# old kernel_ka rule verbatim, to pin every byte.
+
+
+def kernel_ka_reference(alpha, half_period, t, n):
+    """K_a as kernel_ka built it from parameters, with a K_p of its own."""
+    kp = kernels.kernel_kp(alpha, half_period, t, n)
+    ka = kp.grid - np.roll(kp.grid, n // 2)  # fl(b - a) = -fl(a - b): antiperiodic
+    return kernels.KernelSamples(alpha=alpha, half_period=half_period, t=t,
+                                 grid=ka, kind="Ka")
+
+
+def kernels_reference(config):
+    """The kernels command's bundle, each K_a synthesized apart from its K_p."""
+    from fnlslab.reports import ResultBundle
+
+    prob = config.problem
+    alpha = config.kernels["alpha"]
+    if alpha is None:
+        alpha = prob.alpha
+    T = prob.half_period
+    n = config.kernels["n"]
+    unit = (T / np.pi) ** alpha
+    per_time = []
+    rows = []
+    for t_rel in config.kernels["times"]:
+        t = float(t_rel) * unit
+        kp = kernels.kernel_kp(alpha, T, t, n)
+        ka = kernel_ka_reference(alpha, T, t, n)
+        margins = kernels.positivity_report(ka)
+        margins["t_relative"] = float(t_rel)
+        per_time.append(margins)
+        rows.extend((t, x, p, a) for x, p, a in zip(
+            kp.x.tolist(), kp.grid.tolist(), ka.grid.tolist()))
+    results = {"alpha": alpha, "time_unit": unit, "positivity": per_time}
+    return ResultBundle(
+        config=config, results=results,
+        tables={"kernel_samples": (("t", "x", "kp", "ka"), rows)})
 
 
 # --- sector matrices as spectrum.assemble built them before

@@ -141,7 +141,8 @@ def test_criterion_3_kernel_positivity_and_oracles():
     for alpha in (1.1, 1.5, 2.0):
         unit = (T / np.pi) ** alpha
         for t_rel in (0.1, 1.0, 10.0):
-            rep = positivity_report(kernel_ka(alpha, T, t_rel * unit, 1024))
+            kp = kernel_kp(alpha, T, t_rel * unit, 1024)
+            rep = positivity_report(kernel_ka(kp))
             for key in ("interior_min", "decrease_min", "even_pair_min",
                         "odd_pair_min"):
                 assert rep[key] > 0.0

@@ -390,6 +390,31 @@ def test_kernels_reports_positive_margins():
             assert margins[key] > 0.0
 
 
+def test_kernels_synthesizes_each_kp_once(tmp_path, monkeypatch):
+    # each time's K_a antiperiodizes the K_p the command already holds:
+    # three syntheses for three times, and the same files as a K_a
+    # synthesized apart from its K_p
+    import fnlslab.kernels as kernels
+
+    old = "[kernels]\nn = 256\n"
+    assert old in BASE
+    text = BASE.replace(old, old + "times = 0.2, 1.0, 5.0\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    synth, sizes = kernels.synthesize, []
+    monkeypatch.setattr(kernels, "synthesize",
+                        lambda *args: sizes.append(args[2]) or synth(*args))
+    assert cli.main(["--config", str(cfg), "--command", "kernels",
+                     "--out", str(tmp_path / "once")]) == 0
+    monkeypatch.undo()
+    assert sizes == [256] * 3
+    config = parse_config(text).with_overrides(command="kernels")
+    emit(oracles.kernels_reference(config), tmp_path / "reference")
+    for name in ("kernel_samples.csv", "report.json"):
+        assert (tmp_path / "once" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes()
+
+
 def test_rearrange_randomized_checks_pass():
     res = run_base("rearrange").results
     assert res["polya_szego"]["violations"] == 0

@@ -16,8 +16,7 @@ from fnlslab.dynamics import (initial_state, n_preserving_perturbation,
 from fnlslab.errors import (OmegaOutOfRange, ParseError, PositivityViolation,
                             SpeedOutOfRange, ValidationError)
 from fnlslab.fields import AntiperiodicField
-from fnlslab.kernels import (KernelSamples, kernel_ka, kernel_kp,
-                             positivity_report)
+from fnlslab.kernels import KernelSamples, kernel_kp, positivity_report
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import solve_defocusing, solve_focusing
 
@@ -353,7 +352,6 @@ _NAN = math.nan
 @pytest.mark.parametrize("error, call", [
     (ValidationError, lambda p: kernel_kp(1.5, math.pi, _NAN, 64)),
     (ValidationError, lambda p: kernel_kp(1.5, _NAN, 1.0, 64)),
-    (ValidationError, lambda p: kernel_ka(1.5, math.pi, _NAN, 64)),
     (PositivityViolation, lambda p: positivity_report(
         KernelSamples(1.5, math.pi, 1.0, np.full(64, _NAN), "Ka"))),
     (ValidationError, lambda p: n_preserving_perturbation(
@@ -372,9 +370,8 @@ _NAN = math.nan
     (SpeedOutOfRange, lambda p: solve_defocusing(p.params, c=_NAN, n_modes=16)),
     (ValidationError, lambda p: solve_focusing(_FOCUSING, 0.5, p0=_NAN, n_modes=16)),
     (OmegaOutOfRange, lambda p: solve_focusing(_FOCUSING, _NAN, n_modes=16)),
-], ids=["kernel_kp-t", "kernel_kp-half_period", "kernel_ka-t",
-        "positivity_report", "n_preserving_perturbation-epsilon",
-        "initial_state-dt", "AntiperiodicField-half_period",
+], ids=["kernel_kp-t", "kernel_kp-half_period", "positivity_report",
+        "n_preserving_perturbation-epsilon", "initial_state-dt", "AntiperiodicField-half_period",
         "stability_experiment-horizon", "stability_experiment-dt",
         "stability_experiment-horizon-inf", "stability_experiment-dt-inf",
         "solve_defocusing-mu", "solve_defocusing-c", "solve_focusing-p0",

@@ -1,6 +1,7 @@
 """Spectral core: transforms, multipliers, and field algebra."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ def test_wavenumber_lattice_validation():
     assert list(odd_wavenumbers(2)) == [-3, -1, 1, 3]
     assert [f.name for f in dataclasses.fields(AntiperiodicField)] == \
         ["half_period", "coeff"]
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (ValidationError, "need at least one mode, got 0",
+     lambda: odd_wavenumbers(0)),
+    (ValidationError, "values must be a 1-d array",
+     lambda: GridSamples(T, np.zeros((2, 2)))),
+    (SamplingError, "antiperiodicity check needs an even grid",
+     lambda: antiperiodic_defects(np.zeros((1, 7)))),
+], ids=["odd_wavenumbers", "GridSamples", "antiperiodic_defects"])
+def test_malformed_direct_calls_are_named(error, message, call):
+    # no package caller passes these inputs; a library caller can
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_band_is_derived_from_the_coefficient_count():

@@ -13,9 +13,9 @@ from fnlslab.errors import (PositivityViolation, SamplingError, UnderResolved,
 from fnlslab.fields import random_field, real_part, to_grid
 from fnlslab.kernels import (KernelSamples, kernel_ka, kernel_kp,
                              positivity_report)
-from oracles import (gaussian_lattice_kernel, pair_tensor_dense,
-                     poisson_closed_form, poisson_lattice_kernel,
-                     positivity_report_reference)
+from oracles import (gaussian_lattice_kernel, kernel_ka_reference,
+                     pair_tensor_dense, poisson_closed_form,
+                     poisson_lattice_kernel, positivity_report_reference)
 
 T = np.pi
 
@@ -65,7 +65,7 @@ def test_cauchy_kernel_matches_closed_form():
 
 
 def test_antiperiodized_kernel_structure():
-    ka = kernel_ka(1.5, T, 0.5, 512)
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 512))
     off = offset(ka)
     n = ka.n
     # antiperiodic under half-grid shift, zero at T/2, odd about T/2
@@ -87,7 +87,7 @@ def test_semigroup_matches_kernel_quadrature():
     fvals = to_grid(f, n).values.real
     heat = np.exp(-np.abs(np.pi * f.wavenumbers / T) ** alpha * t)
     out = to_grid(f.with_coeff(f.coeff * heat), n).values.real
-    off = offset(kernel_ka(alpha, T, t, n))
+    off = offset(kernel_ka(kernel_kp(alpha, T, t, n)))
     h = 2 * T / n
     j = np.arange(n // 2)
     conv = h * np.array([off[(i - j) % n] @ fvals[: n // 2] for i in range(n)])
@@ -97,7 +97,7 @@ def test_semigroup_matches_kernel_quadrature():
 def test_fundamental_mode_decays_at_symbol_rate():
     n = 512
     for alpha, t in [(1.1, 0.3), (1.5, 0.7), (2.0, 1.0)]:
-        off = offset(kernel_ka(alpha, T, t, n))
+        off = offset(kernel_ka(kernel_kp(alpha, T, t, n)))
         x = 2 * T * np.arange(n) / n
         fvals = np.cos(np.pi * x / T)
         h = 2 * T / n
@@ -141,10 +141,27 @@ def test_kernel_synthesis_that_loses_the_even_symmetry_is_refused(
         kernel_kp(1.5, T, 0.5, 256)
 
 
+def test_kernel_ka_antiperiodizes_the_kernel_it_is_given():
+    # the same samples as a K_a built from parameters with its own K_p
+    kp = kernel_kp(1.5, T, 0.5, 256)
+    ka = kernel_ka(kp)
+    ref = kernel_ka_reference(1.5, T, 0.5, 256)
+    assert ka.grid.tobytes() == ref.grid.tobytes()
+    assert (ka.alpha, ka.half_period, ka.t, ka.kind) == (1.5, T, 0.5, "Ka")
+    assert not ka.grid.flags.writeable and kp.kind == "Kp"
+
+
+def test_kernel_ka_refuses_a_kernel_that_is_not_kp():
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 256))
+    with pytest.raises(ValidationError, match=re.escape(
+            "kernel_ka needs a Kp kernel, got Ka")):
+        kernel_ka(ka)
+
+
 def test_positivity_report_margins_are_positive():
     for alpha in (1.1, 1.5, 2.0):
         t = 0.5 * (T / np.pi) ** alpha
-        rep = positivity_report(kernel_ka(alpha, T, t, 512))
+        rep = positivity_report(kernel_ka(kernel_kp(alpha, T, t, 512)))
         assert rep["interior_min"] > 0
         assert rep["decrease_min"] > 0
         assert rep["even_pair_min"] > 0
@@ -158,7 +175,7 @@ def test_positivity_report_rejects_periodic_kernel():
 
 
 def test_doctored_kernel_trips_the_certificate():
-    ka = kernel_ka(1.5, T, 0.5, 256)
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 256))
     bad = dataclasses.replace(ka, grid=-ka.grid)
     with pytest.raises(PositivityViolation):
         positivity_report(bad)
@@ -172,7 +189,7 @@ def doctored(ka, index, value):
 
 
 def test_interior_certificate_names_the_first_minimum():
-    ka = kernel_ka(1.5, T, 0.5, 256)
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 256))
     n, step = ka.n, 2 * T / ka.n
     bad = doctored(ka, n - 5, -1e-3)                 # x = -5 step
     off = offset(bad)
@@ -185,7 +202,7 @@ def test_interior_certificate_names_the_first_minimum():
 
 
 def test_decrease_certificate_names_the_first_minimum():
-    ka = kernel_ka(1.5, T, 0.5, 256)
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 256))
     n, step = ka.n, 2 * T / ka.n
     j = 3 * n // 8                                   # in (T/2, T): no interior point
     bad = doctored(ka, j, offset(ka)[j - 1])         # a flat step on the ramp
@@ -206,7 +223,7 @@ def test_decrease_certificate_names_the_first_minimum():
     ("odd", 129, 10.0),
 ])
 def test_pair_certificates_name_the_first_oracle_minimum(parity, index, factor):
-    ka = kernel_ka(1.5, T, 0.5, 256)
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 256))
     step = 2 * T / ka.n
     bad = doctored(ka, index, factor * np.max(np.abs(ka.grid)))
     if parity == "odd":
@@ -223,7 +240,7 @@ def test_pair_certificates_name_the_first_oracle_minimum(parity, index, factor):
 def test_pair_certificates_name_the_dense_argmin_in_row_order(case):
     # each case puts the dense argmin where only the order of the rows
     # finds it: behind rows of finite entries, or tied with a later row
-    ka = kernel_ka(1.5, T, 0.5, 1024)
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 1024))
     n, step = ka.n, 2 * T / ka.n
     big = np.max(np.abs(ka.grid))
     if case == "nan":
@@ -330,7 +347,7 @@ def test_pair_certificates_match_the_tile_scan(n, alpha, t):
     # its bytes and every message, on the kernel and on copies with a
     # NaN, +-inf, +-0.0 or negative sample planted on (-T, -T/2], where
     # only the pair tensors read it (at one point, or two)
-    ka = kernel_ka(alpha, T, t, n)
+    ka = kernel_ka(kernel_kp(alpha, T, t, n))
     rng = np.random.default_rng(n)
     cases = [ka]
     for value in (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-3):
@@ -349,7 +366,7 @@ def test_positivity_report_holds_one_pair_tensor():
     # O(N) lines only; a whole pair tensor is 34 MB at N = 4096 and
     # 537 MB at N = 16384
     for n in (4096, 16384):
-        ka = kernel_ka(1.5, T, 1.0, n)
+        ka = kernel_ka(kernel_kp(1.5, T, 1.0, n))
         tracemalloc.start()
         try:
             positivity_report(ka)
@@ -362,7 +379,7 @@ def test_positivity_report_holds_one_pair_tensor():
 def test_pair_minima_coincide_under_half_period_shift():
     # G_odd(x + T/2, y + T/2) = G_even(x, y) since K_a flips sign under
     # a T shift; the two tensor minima are the same number
-    rep = positivity_report(kernel_ka(1.3, T, 0.7, 512))
+    rep = positivity_report(kernel_ka(kernel_kp(1.3, T, 0.7, 512)))
     assert rep["even_pair_min"] == pytest.approx(rep["odd_pair_min"], rel=1e-12)
 
 

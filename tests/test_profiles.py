@@ -3,6 +3,7 @@ gauge fixing, parameter continuation, and the constrained-minimization
 degeneracies that shaped the solver design."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -241,13 +242,34 @@ def test_recovered_omega_agrees_with_multiplier():
     assert abs(recovered_omega(prof.field, prof.c, p) - prof.omega) < 1e-10
 
 
+def test_recovered_omega_refuses_the_zero_field():
+    with pytest.raises(ValidationError, match=re.escape(
+            "cannot recover omega from the zero field")):
+        recovered_omega(zero_field(T, 4), 0.0, defoc())
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda: solve_defocusing(defoc(), mu=1, n_modes=8,
+                              init=zero_field(T, 8)),
+     "charge collapsed during descent"),
+    (lambda: solve_focusing(foc(), omega=0.5, n_modes=8,
+                            init=zero_field(T, 8)),
+     "potential collapsed during descent"),
+], ids=["defocusing", "focusing"])
+def test_descent_from_the_zero_field_names_its_collapse(solve, message):
+    # the zero field has no charge (defocusing) or potential (focusing)
+    # for the descent to renormalize by
+    with pytest.raises(NonConvergence, match=f"^{re.escape(message)}$"):
+        solve()
+
+
 def test_continue_in_mu_tracks_constraint():
     p = defoc()
     start = solve_defocusing(p, c=0.0, mu=0.5, n_modes=32)
     sweep = continue_in(start, "mu", 2.0, 6)
     assert sweep.failed_at is None
     assert len(sweep.profiles) == 7
-    for prof, mu in zip(sweep.profiles, sweep.values):
+    for prof, mu in zip(sweep.profiles, np.linspace(0.5, 2.0, 7)):
         assert abs(charge(prof.field) - mu) < 1e-12 * max(1.0, mu)
     omegas = [prof.omega for prof in sweep.profiles]
     assert all(np.diff(omegas) < 0.0)  # frequency falls as charge grows
@@ -316,7 +338,8 @@ def test_sweep_in_one_workspace_matches_fresh_solves(branch, parameter, target):
     sweep = continue_in(start, parameter, target, 4)
     assert sweep.failed_at is None
     prev = start
-    for prof, value in zip(sweep.profiles[1:], sweep.values[1:]):
+    values = np.linspace(getattr(start, parameter), target, 5)[1:]
+    for prof, value in zip(sweep.profiles[1:], values):
         fresh = _fresh_step(prev, parameter, value)
         assert _same_profile(prof, fresh)
         prev = fresh

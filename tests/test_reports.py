@@ -32,8 +32,7 @@ seed = 12
 
 def bundle(results=None, tables=None):
     cfg = parse_config(CONFIG)
-    return ResultBundle(config=cfg, command="solve",
-                        results=results or {"value": 1.5},
+    return ResultBundle(config=cfg, results=results or {"value": 1.5},
                         tables=tables or {})
 
 
@@ -75,20 +74,19 @@ def test_numpy_values_are_converted():
 
 def test_schema_rejects_unknown_command():
     with pytest.raises(ValidationError, match="report-v1"):
-        report_dict(ResultBundle(config=parse_config(CONFIG),
-                                 command="frobnicate", results={}))
+        report_dict(ResultBundle(config=dataclasses.replace(
+            parse_config(CONFIG), command="frobnicate"), results={}))
 
 
 def test_schema_rejects_negative_seed():
     cfg = dataclasses.replace(parse_config(CONFIG), seed=-1)
     with pytest.raises(ValidationError, match="report-v1: seed -1"):
-        report_dict(ResultBundle(config=cfg, command="solve", results={}))
+        report_dict(ResultBundle(config=cfg, results={}))
 
 
 def test_schema_rejects_results_that_are_not_a_dict():
     with pytest.raises(ValidationError, match="report-v1: results"):
-        report_dict(ResultBundle(config=parse_config(CONFIG), command="solve",
-                                 results=[1.5]))
+        report_dict(ResultBundle(config=parse_config(CONFIG), results=[1.5]))
 
 
 def test_load_schema_identifies_itself(report_schema):
@@ -208,8 +206,7 @@ def test_every_written_form_matches_its_golden_text(tmp_path):
     # the whole path a run's results take: stdout lines, report.json and
     # CSV bytes, pinned byte for byte
     def mixed(config):
-        return ResultBundle(config=config, command="solve",
-                            results=MIXED_RESULTS,
+        return ResultBundle(config=config, results=MIXED_RESULTS,
                             tables={"mixed": (("k", "value", "label"),
                                               MIXED_ROWS)})
 

@@ -12,8 +12,9 @@ The ledger (tools/mutants.json by default) lists mutants, each with:
 - `tests`: pytest node ids, as the suite prints them, expected to fail;
 - `why`: what the mutant breaks.
 
-The runner copies src/, tests/ and pyproject.toml of the checkout that
-holds this file to a temporary directory. It first runs every named test
+The runner copies src/, tests/, bench/ (the tests read
+bench/reference.py) and pyproject.toml of the checkout that holds this
+file to a temporary directory. It first runs every named test
 there unmutated, and they must all pass. Then it applies each mutant in
 turn, runs only that mutant's tests and restores the file. A mutant is
 killed when every test it names fails. Any other outcome is a survivor:
@@ -65,8 +66,8 @@ def run(mutants: list) -> int:
     """Check the ledger; returns the number of faults (0 when all killed)."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", "*.pyc")
-        for part in ("src", "tests"):
+        skip = shutil.ignore_patterns("__pycache__", "*.pyc", "out")
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
 
