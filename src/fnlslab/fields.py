@@ -184,7 +184,7 @@ def toeplitz_plus_hankel(tline, hline, sign: float) -> np.ndarray:
     j, l < s (lines of length 2s - 1), from window views into one array."""
     size = (len(tline) + 1) // 2
     hankel = sliding_window_view(hline, size)
-    out = np.multiply(hankel, sign, out=np.empty(hankel.shape))
+    out = np.multiply(hankel, sign, out=np.empty(hankel.shape, hankel.dtype))
     return np.add(sliding_window_view(tline, size)[::-1], out, out=out)
 
 

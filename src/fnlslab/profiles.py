@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                      SpeedOutOfRange, UnderResolved, ValidationError)
 from .fields import (AntiperiodicField, analyze, cosine_field, lift,
                      odd_wavenumbers, real_projection, sector_matrix, synthesize,
-                     to_grid, zero_field)
+                     to_grid, toeplitz_plus_hankel, zero_field)
 from .functionals import (_default_grid, _potential_sum, _residual_grid, charge,
                           kinetic, momentum, moving_frame_energy, potential,
                           quadratic_energy)
@@ -95,9 +94,8 @@ def profile_residual(field: AntiperiodicField, omega: float, c: float,
 # --- low-level mode/grid workspace -----------------------------------------
 
 class _Workspace:
-    """Precomputed lattice data for one (params, M, N) combination; the
-    complex Newton unit columns are built on first use, shared by all steps.
-    A continuation builds one and solves every step in it."""
+    """Precomputed lattice data for one (params, M, N) combination.  A
+    continuation builds one and solves every step in it."""
 
     def __init__(self, params: ProblemParams, n_modes: int):
         self.params = params
@@ -108,15 +106,6 @@ class _Workspace:
         self.lam = np.abs(self.w) ** params.alpha
         self.N = _default_grid(zero_field(self.T, n_modes), params.sigma)
         self.bins = k % self.N
-
-    @cached_property
-    def unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit real and imaginary perturbations of each mode and their samples."""
-        nm = 2 * self.M
-        basis = np.zeros((nm, 2 * nm), dtype=np.complex128)
-        basis[:, :nm] = np.eye(nm)
-        basis[:, nm:] = 1j * np.eye(nm)
-        return basis, synthesize(basis, self.bins, self.N)
 
     def nonlinear(self, coeff: np.ndarray) -> np.ndarray:
         v = synthesize(coeff, self.bins, self.N)
@@ -247,17 +236,50 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
     return _damped_newton(a, omega, residual, step)
 
 
-def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
-                    mu: float):
-    """Bordered least-squares Newton for the complex traveling branch.
+def _bordered_jacobian(ws: _Workspace, coeff: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The (4M+3)-square Newton matrix of the complex branch at coefficients u.
 
-    The Jacobian is rank-deficient by the phase/translation symmetries;
-    the minimal-norm step never moves along them.
+    Rows and columns 0..4M are the Jacobian of (Re, Im) of diag u - gamma
+    analyze(|v|^(2s) v) and of the charge in (Re u, Im u, omega).  With
+    W1 = fft((s+1)|v|^(2s))/N and W2 = fft(s|v|^(2s) v^2/|v|^2)/N, the
+    column of Re u_l is W1[k-l] + W2[k+l] and of Im u_l i (W1[k-l] - W2[k+l]):
+    Toeplitz and Hankel blocks of one line of even bins.  The last two rows
+    and columns border it with the unit vectors along i u and i w u, the
+    phase and translation directions its kernel comes from.
     """
-    gamma = ws.params.gamma
     sig = ws.params.sigma
     nm = 2 * ws.M
-    lin = ws.lam + 1j * c * 1j * ws.w  # diagonal of Lambda^alpha + i c d/dx
+    vals = synthesize(coeff, ws.bins, ws.N)
+    mod2 = np.abs(vals) ** 2
+    pw = np.abs(vals) ** (2.0 * sig)
+    phase2 = np.divide(vals * vals, mod2, out=np.zeros_like(vals), where=mod2 > 1e-300)
+    lines = -ws.params.gamma * analyze(np.stack([(sig + 1.0) * pw, sig * pw * phase2], axis=1),
+                                       2 * np.arange(1 - nm, nm) % ws.N, ws.N)
+    re_cols, im_cols = (toeplitz_plus_hankel(lines[::-1, 0], lines[:, 1], sign)
+                        for sign in (1.0, -1.0))  # im_cols: the Im u columns / i
+    for blk in (re_cols, im_cols):
+        blk.ravel()[:: nm + 1] += diag  # the real diagonal, in place
+    jac = np.zeros((2 * nm + 3, 2 * nm + 3))
+    jac[:nm, :nm], jac[nm: 2 * nm, :nm] = re_cols.real, re_cols.imag
+    jac[:nm, nm: 2 * nm], jac[nm: 2 * nm, nm: 2 * nm] = -im_cols.imag, im_cols.real
+    ri = np.concatenate([coeff.real, coeff.imag])
+    jac[: 2 * nm, 2 * nm], jac[2 * nm, : 2 * nm] = ri, ws.T * ri
+    for j, d in enumerate((coeff, ws.w * coeff), 2 * nm + 1):
+        jac[: 2 * nm, j] = jac[j, : 2 * nm] = np.concatenate([-d.imag, d.real]) / np.linalg.norm(d)
+    return jac
+
+
+def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
+                    mu: float):
+    """Bordered Newton for the complex traveling branch.
+
+    The Jacobian is singular along the phase and translation orbit; its
+    border (see _bordered_jacobian) makes the system square and regular,
+    and no step moves along the orbit.
+    """
+    gamma = ws.params.gamma
+    nm = 2 * ws.M
+    lin = ws.lam - c * ws.w  # the real diagonal of Lambda^alpha + i c d/dx
 
     def residual(coeff, omega):
         r = (lin + omega) * coeff - gamma * ws.nonlinear(coeff)
@@ -265,24 +287,11 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
                                [ws.charge(coeff) - mu]])
 
     def step(coeff, omega, r):
-        vals = synthesize(coeff, ws.bins, ws.N)
-        w1 = (sig + 1.0) * np.abs(vals) ** (2.0 * sig)
-        mod2 = np.abs(vals) ** 2
-        safe = np.where(mod2 > 1e-300, mod2, 1.0)
-        w2 = sig * np.abs(vals) ** (2.0 * sig) * np.where(mod2 > 1e-300,
-                                                          vals * vals / safe, 0.0)
-        basis, vcols = ws.unit_columns
-        prod = w1[:, None] * vcols + w2[:, None] * np.conj(vcols)
-        pcols = analyze(prod, ws.bins, ws.N)
-        jcols = (lin + omega)[:, None] * basis - gamma * pcols
-        jac = np.zeros((2 * nm + 1, 2 * nm + 1))
-        jac[:nm, : 2 * nm] = np.real(jcols)
-        jac[nm: 2 * nm, : 2 * nm] = np.imag(jcols)
-        jac[:nm, 2 * nm] = np.real(coeff)
-        jac[nm: 2 * nm, 2 * nm] = np.imag(coeff)
-        jac[2 * nm, :nm] = ws.T * np.real(coeff)
-        jac[2 * nm, nm: 2 * nm] = ws.T * np.imag(coeff)
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        try:
+            delta = np.linalg.solve(_bordered_jacobian(ws, coeff, lin + omega),
+                                    -np.append(r, [0.0, 0.0]))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"singular Newton system: {exc}") from exc
         return delta[:nm] + 1j * delta[nm: 2 * nm], delta[2 * nm]
 
     return _damped_newton(coeff, omega, residual, step)

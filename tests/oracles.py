@@ -24,8 +24,8 @@ from fnlslab import kernels, spectrum
 from fnlslab.errors import ValidationError
 from fnlslab.fields import (GridSamples, _blocks, analyze,
                             antiperiodic_defects, lift, odd_wavenumbers,
-                            random_field, real_part, to_grid, to_modes,
-                            toeplitz_plus_hankel)
+                            random_field, real_part, synthesize, to_grid,
+                            to_modes, toeplitz_plus_hankel)
 
 
 def direct_synthesis(k, coeff, half_period, n):
@@ -589,3 +589,37 @@ def positivity_report_reference(ka):
         "even_pair_min": pair_min["even"],
         "odd_pair_min": pair_min["odd"],
     }
+
+
+# --- the complex Newton Jacobian as profiles._newton_complex built it
+# before the Toeplitz-plus-Hankel rule: one FFT column per unit real and
+# imaginary perturbation of each mode (the workspace's old unit columns),
+# verbatim, to pin the new rule's values.
+
+
+def complex_jacobian_reference(ws, coeff, omega, c):
+    nm = 2 * ws.M
+    basis = np.zeros((nm, 2 * nm), dtype=np.complex128)
+    basis[:, :nm] = np.eye(nm)
+    basis[:, nm:] = 1j * np.eye(nm)
+    vcols = synthesize(basis, ws.bins, ws.N)
+    gamma = ws.params.gamma
+    sig = ws.params.sigma
+    lin = ws.lam + 1j * c * 1j * ws.w  # diagonal of Lambda^alpha + i c d/dx
+    vals = synthesize(coeff, ws.bins, ws.N)
+    w1 = (sig + 1.0) * np.abs(vals) ** (2.0 * sig)
+    mod2 = np.abs(vals) ** 2
+    safe = np.where(mod2 > 1e-300, mod2, 1.0)
+    w2 = sig * np.abs(vals) ** (2.0 * sig) * np.where(mod2 > 1e-300,
+                                                      vals * vals / safe, 0.0)
+    prod = w1[:, None] * vcols + w2[:, None] * np.conj(vcols)
+    pcols = analyze(prod, ws.bins, ws.N)
+    jcols = (lin + omega)[:, None] * basis - gamma * pcols
+    jac = np.zeros((2 * nm + 1, 2 * nm + 1))
+    jac[:nm, : 2 * nm] = np.real(jcols)
+    jac[nm: 2 * nm, : 2 * nm] = np.imag(jcols)
+    jac[:nm, 2 * nm] = np.real(coeff)
+    jac[nm: 2 * nm, 2 * nm] = np.imag(coeff)
+    jac[2 * nm, :nm] = ws.T * np.real(coeff)
+    jac[2 * nm, nm: 2 * nm] = ws.T * np.imag(coeff)
+    return jac

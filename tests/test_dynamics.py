@@ -11,7 +11,8 @@ from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
                               orbital_distance, second_variation_form,
                               stability_experiment, stability_indices)
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
-                            NonConvergence, StepTooLarge, ValidationError)
+                            InconsistentRange, NonConvergence, StepTooLarge,
+                            ValidationError)
 from fnlslab.fields import (cosine_field, derivative, lift, random_field,
                             real_part, rotate_phase, synthesize, translate)
 from fnlslab.functionals import charge, inner, kinetic, momentum, x_norm
@@ -292,6 +293,14 @@ def test_n_preserving_perturbation_properties(def15):
         n_preserving_perturbation(prof, 0.5, rng)
 
 
+def test_n_preserving_perturbation_names_a_flat_momentum(def15, monkeypatch):
+    # a momentum that does not move along i phi' leaves no correction
+    monkeypatch.setattr(dynamics, "momentum", lambda f: 0.25)
+    with pytest.raises(ValidationError,
+                       match="^momentum is flat along i phi'; cannot correct$"):
+        n_preserving_perturbation(def15[1], 1e-3, np.random.default_rng(0))
+
+
 # ----------------------------------------------------- indices and forms
 
 def test_stability_indices_defocusing(def15):
@@ -395,6 +404,19 @@ def test_focusing_pairing_matches_slope():
     assert pairing["value"] == pytest.approx(-idx["dQdomega"]["value"],
                                              rel=1e-6)
     assert pairing["relative_mismatch"] < 1e-6
+
+
+def test_focusing_pairing_mismatch_is_inconsistent_range(monkeypatch):
+    # a pairing of the wrong sign, +dQ/domega where -dQ/domega is due
+    pars = ProblemParams(alpha=1.8, sigma=1.0, gamma=1, half_period=T)
+    prof = solve_focusing(pars, omega=0.5, n_modes=16)
+    monkeypatch.setattr(dynamics, "_lplus_pairing",
+                        lambda p: {"value": 1.0, "deflated": 1, "dropped": 0})
+    with pytest.raises(InconsistentRange,
+                       match=r"^<L_plus\^-1 phi, phi> = 1\.000000e\+00 vs "
+                             r"-dQ/domega = -\d\.\d{6}e[+-]\d\d "
+                             r"\(relative mismatch \d\.\d\de[+-]\d\d\)$"):
+        stability_indices(prof)
 
 
 def test_coercivity_blocks_positive(def15):

@@ -14,9 +14,10 @@ import fnlslab.fields as fields
 from fnlslab.fields import (AntiperiodicField, GridSamples, _monotonicity,
                             analyze, antiperiodic_defects, cosine_field,
                             derivative, evaluate, fractional_laplacian,
-                            imag_part, lift, odd_wavenumbers, random_field,
-                            real_part, rotate_phase, sector_matrix, synthesize,
-                            to_grid, to_modes, translate)
+                            imag_part, lift, modes_rows, odd_wavenumbers,
+                            random_field, real_part, rotate_phase,
+                            sector_matrix, synthesize, to_grid, to_modes,
+                            translate)
 from fnlslab.functionals import inner
 from fnlslab.params import EPS_REAL
 
@@ -151,7 +152,12 @@ def test_wavenumber_lattice_validation():
      lambda: GridSamples(T, np.zeros((2, 2)))),
     (SamplingError, "antiperiodicity check needs an even grid",
      lambda: antiperiodic_defects(np.zeros((1, 7)))),
-], ids=["odd_wavenumbers", "GridSamples", "antiperiodic_defects"])
+    (SamplingError, "grid size must be even and >= 4, got 5",
+     lambda: modes_rows(np.zeros((1, 5)))),
+    (SamplingError, "grid of size 8 resolves no odd modes",
+     lambda: modes_rows(np.zeros((1, 8)), n_modes=0)),
+], ids=["odd_wavenumbers", "GridSamples", "antiperiodic_defects",
+        "modes_rows_grid", "modes_rows_band"])
 def test_malformed_direct_calls_are_named(error, message, call):
     # no package caller passes these inputs; a library caller can
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -11,8 +11,9 @@ import pytest
 from fnlslab.errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                             SpeedOutOfRange, ValidationError)
 from fnlslab import profiles
-from fnlslab.fields import (GridSamples, random_field, rotate_phase, synthesize,
-                            to_grid, to_modes, translate, zero_field)
+from fnlslab.fields import (GridSamples, cosine_field, odd_wavenumbers,
+                            random_field, rotate_phase, synthesize, to_grid,
+                            to_modes, translate, zero_field)
 from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
 from fnlslab.params import ProblemParams
@@ -527,6 +528,69 @@ def test_real_even_newton_names_a_singular_system():
     with pytest.raises(NonConvergence,
                        match="^singular Newton system: Singular matrix$"):
         profiles._newton_real_even(ws, np.zeros(8), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n_modes", [4, 16, 48])
+def test_complex_jacobian_matches_the_fft_column_rule(sigma, n_modes):
+    # the Toeplitz-plus-Hankel Jacobian against the one FFT column per unit
+    # perturbation it replaced (tests/oracles.py), border excluded
+    rng = np.random.default_rng(int(4 * sigma) + n_modes)
+    size = 4 * n_modes + 1
+    for gamma in (-1, 1):
+        ws = profiles._Workspace(ProblemParams(1.5, sigma, gamma, T), n_modes)
+        coeff = rng.standard_normal(2 * n_modes) + 1j * rng.standard_normal(2 * n_modes)
+        old = oracles.complex_jacobian_reference(ws, coeff, 0.7, 0.13)
+        new = profiles._bordered_jacobian(ws, coeff, ws.lam - 0.13 * ws.w + 0.7)
+        assert new.shape == (size + 2, size + 2)
+        assert np.max(np.abs(new[:size, :size] - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+def test_traveling_newton_keeps_the_symmetry_and_steps_off_the_orbit(monkeypatch):
+    # from the real even c = 0 profile, u(-x) = conj u(x) (real coefficients)
+    # holds along the whole branch; a step with a component along the orbit
+    # directions i u and u' = i w u would break it.  A translated, rotated
+    # start has no such symmetry, so its steps test the orthogonality alone
+    steps = []
+    newton = profiles._damped_newton
+
+    def recording(x, omega, residual, step):
+        def recorded(x, omega, r):
+            dx, domega = step(x, omega, r)
+            steps.append((x, dx))
+            return dx, domega
+        return newton(x, omega, residual, recorded)
+
+    monkeypatch.setattr(profiles, "_damped_newton", recording)
+    p = defoc()
+    base = solve_defocusing(p, mu=1.0, n_modes=48)
+    sweep = continue_in(base, "c", 0.2, 16)
+    assert sweep.failed_at is None
+    solved = sweep.profiles[1:] + [solve_defocusing(p, c, 1.0, 48) for c in (0.05, 0.2)]
+    for prof in solved:
+        coeff = prof.field.coeff
+        assert np.max(np.abs(coeff.imag)) <= 1e-14 * np.max(np.abs(coeff))
+    moved = rotate_phase(translate(base.field, 0.3), 0.5)
+    assert solve_defocusing(p, 0.1, 1.0, 48, init=moved).residual < 1e-9
+    w = np.pi * odd_wavenumbers(48) / T
+    traveling = [(x, dx) for x, dx in steps if np.iscomplexobj(dx)]
+    assert len(traveling) >= 16 + 2 + 1  # at least one per traveling solve
+    for x, dx in traveling:
+        for d in (1j * x, 1j * w * x):
+            assert abs(np.real(np.vdot(d, dx))) <= 1e-13 * np.linalg.norm(d) * np.linalg.norm(dx)
+
+
+def test_traveling_newton_names_a_singular_system(monkeypatch):
+    # whether parallel border vectors leave an exact zero pivot depends on
+    # the LU's rounding, so numpy's solve reports the singular system here
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    ws = profiles._Workspace(defoc(), 8)
+    with pytest.raises(NonConvergence,
+                       match="^singular Newton system: Singular matrix$"):
+        profiles._newton_complex(ws, cosine_field(T, 1.0, 8).coeff, 1.0, 0.1, 1.0)
 
 
 # --- validation and failure modes ---------------------------------------------
