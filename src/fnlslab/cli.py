@@ -7,7 +7,8 @@ codes separate failure kinds so batch scripts can tell them apart:
 
     0  success
     2  validation problem (bad config, parameter window, malformed INI)
-    3  numerical non-convergence (solver, step size, blowup)
+       or a band or grid that does not resolve the run
+    3  numerical non-convergence (solver, singular Newton system, blowup)
     4  a mathematical property that should hold numerically does not
 
 Results go to stdout as deterministic key=value lines; with --out they

@@ -23,11 +23,10 @@ rotations and translations: the phase minimization is closed-form and
 the translation is a spectral cross-correlation scan refined by Newton
 steps on the slope of the correlation modulus.
 
-Stability indices (dN/dc, dQ/domega, dQ/dmu) come from warm-started
-continuation with central differences at two step sizes and a
-Richardson agreement check; the focusing index is cross-checked against
-the deflated solve of L_plus y = phi, whose pairing with phi equals
--dQ/domega.
+Stability indices (dN/dc, dQ/domega, dQ/dmu) come from the family
+tangents, one solve with the Newton matrix at the profile each; the
+focusing index is cross-checked against the deflated solve of
+L_plus y = phi, whose pairing with phi equals -dQ/domega.
 """
 
 from __future__ import annotations
@@ -39,13 +38,13 @@ import numpy as np
 from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .errors import (BlowupDetected, ConservationDriftExceeded,
-                     InconsistentRange, StepTooLarge, ValidationError)
+                     InconsistentRange, ValidationError)
 from .fields import (AntiperiodicField, analyze, derivative, evaluate, lift,
                      random_field, synthesize, to_grid, translate)
 from .functionals import (_default_grid, _potential_sum, charge, inner, kinetic,
                           momentum, x_norm)
-from .params import FD_STEP, TOL_RICHARDSON, ProblemParams
-from .profiles import StandingProfile, _refine_peak, family_slope
+from .params import ProblemParams
+from .profiles import StandingProfile, _refine_peak, family_tangent
 from .spectrum import assemble, deflated_solve, eigensolve, sector_coords
 
 # hard ceiling on |u| during focusing runs, relative to the initial peak
@@ -54,6 +53,8 @@ GUARD_FACTOR = 1e3
 TOL_CONS = 1e-8
 # even-sector size of the focusing cross-check <L_plus^(-1) phi, phi>
 _PAIRING_SIZE = 128
+# relative mismatch allowed between that pairing and -dQ/domega
+_PAIRING_TOL = 1e-3
 # smallest quadrature grid of second_variation_form
 _FORM_GRID = 1024
 
@@ -337,20 +338,6 @@ def n_preserving_perturbation(profile: StandingProfile, epsilon: float,
     return v + idphi * s
 
 
-def _richardson_index(parameter, slopes, quantity):
-    """The `quantity` of the family slopes at steps h = FD_STEP and h/2,
-    accepted when the two agree to TOL_RICHARDSON."""
-    h = FD_STEP
-    d1, d2 = (slope[quantity] for slope in slopes)
-    scale = max(abs(d2), 1e-12)
-    rel = abs(d1 - d2) / scale
-    if rel > TOL_RICHARDSON:
-        raise StepTooLarge(
-            f"central differences at steps {h} and {h/2} disagree by "
-            f"{rel:.2e} (> {TOL_RICHARDSON:.1e}) for {parameter}")
-    return {"value": d2, "step": 0.5 * h, "richardson_rel": rel}
-
-
 def _lplus_pairing(profile: StandingProfile) -> dict:
     """<L_plus^(-1) phi, phi> over [0, T] by deflated even-sector solve."""
     size = _PAIRING_SIZE
@@ -369,38 +356,24 @@ def stability_indices(profile: StandingProfile) -> dict:
     so dQ/domega follows from the chain rule through domega/dmu.  The
     focusing family is parameterized by omega directly and the slope is
     cross-checked against -<L_plus^(-1) phi, phi> from a deflated
-    even-sector solve; disagreement an order beyond the Richardson
-    tolerance raises InconsistentRange.
+    even-sector solve; a relative mismatch above _PAIRING_TOL raises
+    InconsistentRange.
     """
-    out = {"dNdc": None, "dQdomega": None, "dQdmu": None,
-           "lplus_inverse_pairing": None}
-
-    def slopes(parameter):
-        return [family_slope(profile, parameter, step)
-                for step in (FD_STEP, 0.5 * FD_STEP)]
-
     if profile.params.gamma == -1:
-        out["dNdc"] = _richardson_index("c", slopes("c"), "momentum")
-        mu_slopes = slopes("mu")
-        out["dQdmu"] = _richardson_index("mu", mu_slopes, "charge")
-        domega = _richardson_index("mu", mu_slopes, "omega")
-        out["dQdomega"] = {"value": 1.0 / domega["value"],
-                           "step": domega["step"],
-                           "richardson_rel": domega["richardson_rel"],
-                           "via": "1 / (domega/dmu)"}
-    else:
-        out["dQdomega"] = _richardson_index("omega", slopes("omega"), "charge")
-        pairing = _lplus_pairing(profile)
-        agree = abs(pairing["value"] + out["dQdomega"]["value"])
-        agree /= max(abs(out["dQdomega"]["value"]), 1e-12)
-        pairing["relative_mismatch"] = agree
-        if agree > 10.0 * TOL_RICHARDSON:
-            raise InconsistentRange(
-                f"<L_plus^-1 phi, phi> = {pairing['value']:.6e} vs "
-                f"-dQ/domega = {-out['dQdomega']['value']:.6e} "
-                f"(relative mismatch {agree:.2e})")
-        out["lplus_inverse_pairing"] = pairing
-    return out
+        mu = family_tangent(profile, "mu")
+        return {"dNdc": {"value": family_tangent(profile, "c")["momentum"]},
+                "dQdomega": {"value": 1.0 / mu["omega"], "via": "1 / (domega/dmu)"},
+                "dQdmu": {"value": mu["charge"]}, "lplus_inverse_pairing": None}
+    dqdomega = family_tangent(profile, "omega")["charge"]
+    pairing = _lplus_pairing(profile)
+    agree = abs(pairing["value"] + dqdomega) / max(abs(dqdomega), 1e-12)
+    pairing["relative_mismatch"] = agree
+    if agree > _PAIRING_TOL:
+        raise InconsistentRange(
+            f"<L_plus^-1 phi, phi> = {pairing['value']:.6e} vs "
+            f"-dQ/domega = {-dqdomega:.6e} (relative mismatch {agree:.2e})")
+    return {"dNdc": None, "dQdomega": {"value": dqdomega}, "dQdmu": None,
+            "lplus_inverse_pairing": pairing}
 
 
 def coercivity_check(profile: StandingProfile, size: int = 128) -> dict:

@@ -50,10 +50,6 @@ class NonConvergence(ConvergenceError):
     """Solver hit its iteration cap before the stopping test was met."""
 
 
-class StepTooLarge(ConvergenceError):
-    """Finite differences at two step sizes disagree past tolerance."""
-
-
 class BlowupDetected(ConvergenceError):
     """Field amplitude left the trust region during evolution."""
 

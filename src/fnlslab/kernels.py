@@ -122,6 +122,22 @@ def _violation(tag: str, x: float, value: float, extra: str = "") -> PositivityV
         f"(resolution or implementation bug; the sign is provable)")
 
 
+def _fault(ka: KernelSamples, tag: str, x: float, value: float, extra: str = ""):
+    """UnderResolved for a margin within the roundoff floor N u max K_p of
+    K_p(x) - K_p(x - T) at a t past t_max, where the leading mode's first
+    drop (2/T) e^(-(pi/T)^alpha t) (1 - cos(2 pi/N)) meets that floor (past
+    t_max, max K_p = 1/2T); any other failed margin is a PositivityViolation."""
+    n, T = ka.n, ka.half_period
+    floor = n * 0.5 * np.finfo(float).eps / (2.0 * T)
+    t_max = math.log(4.0 * math.sin(math.pi / n) ** 2 / (T * floor)) / (math.pi / T) ** ka.alpha
+    if abs(value) < floor and ka.t > t_max:
+        return UnderResolved(
+            f"{tag} at x = {x:+.6f}{extra}: value {value:.6e} is within the "
+            f"roundoff floor {floor:.1e} of K_p(x) - K_p(x - T) at N = {n}; "
+            f"t = {ka.t:.6g} is past t = {t_max:.3g}, the largest this grid resolves")
+    return _violation(tag, x, value, extra)
+
+
 def positivity_report(ka: KernelSamples) -> dict:
     """The four sign certificates for an antiperiodized kernel.
 
@@ -132,7 +148,9 @@ def positivity_report(ka: KernelSamples) -> dict:
     tensor's minimum is the minimum over x - y of K_a(x - y) plus the
     least +/-K_a(x + y) that difference meets, in O(N) time and memory;
     only a minimum that is not positive scans the rows, one at a time, to
-    name the first NaN, else the first minimum in row order.
+    name the first NaN, else the first minimum in row order.  A failed
+    margin at the roundoff floor of a t the grid cannot resolve is
+    UnderResolved (see _fault).
     The grid must be a multiple of 4, at least 8, as kernel_kp requires.
     """
     if ka.kind != "Ka":
@@ -147,13 +165,13 @@ def positivity_report(ka: KernelSamples) -> dict:
     vals = off[half % n]
     i_min = int(np.argmin(vals))
     if not vals[i_min] > 0.0:
-        raise _violation("K_a", half[i_min] * step, float(vals[i_min]))
+        raise _fault(ka, "K_a", half[i_min] * step, float(vals[i_min]))
 
     ramp = off[np.arange(0, n // 2 + 1) % n]     # x from 0 to T inclusive
     drops = -np.diff(ramp)
     j_min = int(np.argmin(drops))
     if not drops[j_min] > 0.0:
-        raise _violation("monotone decrease of K_a", (j_min + 1) * step,
+        raise _fault(ka, "monotone decrease of K_a", (j_min + 1) * step,
                          float(drops[j_min]))
 
     # entry (j, l) of a pair tensor over offsets lo + (0..m-1) is
@@ -178,7 +196,7 @@ def positivity_report(ka: KernelSamples) -> dict:
             xi = int(np.argmin(lows))
             row = t[xi:xi + m][::-1] + y[xi:xi + m]
             yi = int(np.argmin(row))
-            raise _violation(f"{tag} pair kernel", (lo + xi) * step,
+            raise _fault(ka, f"{tag} pair kernel", (lo + xi) * step,
                              float(row[yi]), extra=f", y = {(lo + yi) * step:+.6f}")
 
     return {

@@ -12,9 +12,7 @@ EPS_FFT = 1e-12      # transform round-trip accuracy (relative)
 EPS_REAL = 1e-10     # realness defect (relative)
 EPS_ANTI = 1e-10     # antiperiodicity / even-mode defect (relative)
 TOL_PROFILE = 1e-9   # profile-equation residual, infinity norm
-FD_STEP = 1e-3       # central-difference step along a profile family
 TOL_DEFLATE = 1e-8   # right-hand-side share allowed in deflated directions
-TOL_RICHARDSON = 1e-4  # agreement of the central differences at h and h/2
 MAX_ITER = 20000     # cap on descent iterations in the profile solvers
 
 # The window of each ProblemParams field as a (condition, rule) pair, in

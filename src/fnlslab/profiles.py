@@ -199,6 +199,23 @@ def _damped_newton(x, omega, residual, step):
     return x, omega, _NEWTON_STEPS
 
 
+def _newton_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve, a singular system raised as NonConvergence."""
+    try:
+        return np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"singular Newton system: {exc}") from exc
+
+
+def _even_jacobian(ws: _Workspace, a: np.ndarray, omega: float) -> np.ndarray:
+    """The M-square Jacobian in the cosine coefficients a of the real even
+    residual: the even-sector matrix of L_plus at the field of a."""
+    vals = synthesize(_coeff_from_even_cos(ws, a), ws.bins, ws.N)
+    sig = ws.params.sigma
+    return sector_matrix(-ws.params.gamma * (2.0 * sig + 1.0) * np.abs(vals) ** (2.0 * sig),
+                         ws.params.alpha, ws.T, omega, "even", ws.M)
+
+
 def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
                       mu: float | None):
     """Newton polish on the real even branch: a solve of the cosine system.
@@ -208,7 +225,6 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
     (focusing).  Returns (a, omega, n_steps) or raises NonConvergence.
     """
     gamma = ws.params.gamma
-    sig = ws.params.sigma
     lam_e = ws.lam[ws.M:]
 
     def residual(a, omega):
@@ -220,17 +236,11 @@ def _newton_real_even(ws: _Workspace, a: np.ndarray, omega: float,
         return r
 
     def step(a, omega, r):
-        coeff = _coeff_from_even_cos(ws, a)
-        vals = synthesize(coeff, ws.bins, ws.N)
-        jac = sector_matrix(-gamma * (2.0 * sig + 1.0) * np.abs(vals) ** (2.0 * sig),
-                            ws.params.alpha, ws.T, omega, "even", ws.M)
+        jac = _even_jacobian(ws, a, omega)
         if mu is not None:
             jac = np.block([[jac, a[:, None]],
                             [0.5 * ws.T * a[None, :], np.zeros((1, 1))]])
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"singular Newton system: {exc}") from exc
+        delta = _newton_solve(jac, -r)
         return delta[: ws.M], (delta[ws.M] if mu is not None else 0.0)
 
     return _damped_newton(a, omega, residual, step)
@@ -287,11 +297,8 @@ def _newton_complex(ws: _Workspace, coeff: np.ndarray, omega: float, c: float,
                                [ws.charge(coeff) - mu]])
 
     def step(coeff, omega, r):
-        try:
-            delta = np.linalg.solve(_bordered_jacobian(ws, coeff, lin + omega),
-                                    -np.append(r, [0.0, 0.0]))
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"singular Newton system: {exc}") from exc
+        delta = _newton_solve(_bordered_jacobian(ws, coeff, lin + omega),
+                              -np.append(r, [0.0, 0.0]))
         return delta[:nm] + 1j * delta[nm: 2 * nm], delta[2 * nm]
 
     return _damped_newton(coeff, omega, residual, step)
@@ -526,14 +533,18 @@ def continue_in(start: StandingProfile, parameter: str, target: float,
                      parameter, target, steps, tol)
 
 
-def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
-              target: float, steps: int, tol: float) -> Sweep:
-    """continue_in with its steps solved in ws (the band of `start`)."""
-    params = start.params
+def _check_parameter(params: ProblemParams, parameter: str) -> None:
     allowed = {"c", "mu"} if params.gamma == -1 else {"omega"}
     if parameter not in allowed:
         raise ValidationError(
             f"parameter {parameter!r} not available on this branch; use {sorted(allowed)}")
+
+
+def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
+              target: float, steps: int, tol: float) -> Sweep:
+    """continue_in with its steps solved in ws (the band of `start`)."""
+    params = start.params
+    _check_parameter(params, parameter)
     if steps < 1:
         raise ValidationError("sweep needs at least one step")
     profiles = [start]
@@ -555,37 +566,38 @@ def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
     return Sweep(profiles, None)
 
 
-def family_pair(profile: StandingProfile, parameter: str, h: float):
-    """Neighbours of `profile` at parameter -/+ h along its family.
-
-    Each is one warm-started continuation step at the default profile
-    tolerance, both solved in one workspace.  Returns (lower, upper).  A
-    failed neighbour of a profile that itself misses that tolerance is
-    UnderResolved: its band cannot reach the level the neighbours need.
-    """
-    base = getattr(profile, parameter)
-    n_modes = profile.field.n_modes
-    ws = _Workspace(profile.params, n_modes)
-    pair = []
-    for target in (base - h, base + h):
-        sweep = _continue(ws, profile, parameter, target, 1, TOL_PROFILE)
-        if sweep.failed_at is not None:
-            failed = f"neighbour solve at {parameter} = {target!r} did not converge"
-            if profile.residual > TOL_PROFILE:
-                raise UnderResolved(
-                    f"{failed}: the profile's residual {profile.residual:.3e} "
-                    f"is above TOL_PROFILE = {TOL_PROFILE:.0e}, which its "
-                    f"neighbours are solved to, at n_modes = {n_modes}")
-            raise NonConvergence(failed)
-        pair.append(sweep.profiles[-1])
-    return pair[0], pair[1]
-
-
-def family_slope(profile: StandingProfile, parameter: str, h: float) -> dict:
-    """Central differences of step h over family_pair: the derivatives of
-    the field, omega, Q and N along the family."""
-    lower, upper = family_pair(profile, parameter, h)
-    return {"field": (1.0 / (2.0 * h)) * (upper.field - lower.field),
-            "omega": (upper.omega - lower.omega) / (2.0 * h),
-            "charge": (charge(upper.field) - charge(lower.field)) / (2.0 * h),
-            "momentum": (momentum(upper.field) - momentum(lower.field)) / (2.0 * h)}
+def family_tangent(profile: StandingProfile, parameter: str) -> dict:
+    """Derivatives of the field, omega, Q and N along the profile's family in
+    c or mu (defocusing) or omega (focusing), by the implicit function
+    theorem: one solve with the Newton matrix at the profile.  For c and mu
+    it is the bordered Jacobian (the tangent stays off the symmetry orbit)
+    with the unit charge row or (Re w u, Im w u) as right side; for omega
+    the real even step's matrix with right side -a.  A profile above
+    TOL_PROFILE is UnderResolved: its band does not resolve the family."""
+    params = profile.params
+    _check_parameter(params, parameter)
+    if profile.residual > TOL_PROFILE:
+        raise UnderResolved(
+            f"tangent along {parameter}: the profile's residual "
+            f"{profile.residual:.3e} is above TOL_PROFILE = {TOL_PROFILE:.0e} "
+            f"at n_modes = {profile.field.n_modes}")
+    ws = _Workspace(params, profile.field.n_modes)
+    u = profile.field.coeff
+    nm = 2 * ws.M
+    if params.gamma == 1:
+        a = _even_cos_coeffs(ws, u)
+        du = _coeff_from_even_cos(ws, _newton_solve(_even_jacobian(ws, a, profile.omega), -a))
+        domega = 1.0
+    else:
+        rhs = np.zeros(2 * nm + 3)
+        if parameter == "mu":
+            rhs[2 * nm] = 1.0
+        else:
+            rhs[: 2 * nm] = np.concatenate([(ws.w * u).real, (ws.w * u).imag])
+        jac = _bordered_jacobian(ws, u, ws.lam - profile.c * ws.w + profile.omega)
+        delta = _newton_solve(jac, rhs)
+        du, domega = delta[:nm] + 1j * delta[nm: 2 * nm], float(delta[2 * nm])
+    dot = np.real(np.conj(u) * du)
+    return {"field": ws.field(du), "omega": domega,
+            "charge": ws.T * float(np.sum(dot)),
+            "momentum": -np.pi * float(np.sum(profile.field.wavenumbers * dot))}

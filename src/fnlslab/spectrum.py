@@ -28,8 +28,8 @@ from .fields import (AntiperiodicField, _monotonicity, derivative,
                      fractional_laplacian, imag_part, sector_matrix, synthesize,
                      to_grid)
 from .functionals import _capped, _power_band, _residual_grid
-from .params import EPS_REAL, FD_STEP, TOL_DEFLATE
-from .profiles import family_slope
+from .params import EPS_REAL, TOL_DEFLATE
+from .profiles import family_tangent
 
 _SECTORS = ("even", "odd")
 _OPERATORS = ("L_plus", "L_minus")
@@ -327,9 +327,9 @@ def _chain_prologue(profile, message: str):
 
 
 def _mu_chain(profile, n: int):
-    """The charge-family slope at step FD_STEP and the chain residual
+    """The charge-family tangent and the chain residual
     L_plus (dphi/dmu) + (domega/dmu) phi on the n-point grid."""
-    slope = family_slope(profile, "mu", FD_STEP)
+    slope = family_tangent(profile, "mu")
     chain = _apply_on_grid(profile, "L_plus", slope["field"], n) \
         + slope["omega"] * to_grid(profile.field, n).values
     return slope, chain
@@ -341,9 +341,8 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
     Verifies on a fine grid that L_minus phi' = 2 sigma gamma phi^(2 sigma) phi'
     and L_plus phi = -2 sigma gamma phi^(2 sigma + 1) (rearrangements of the
     profile equation and its x-derivative), that L_plus (dphi/dmu) =
-    -(domega/dmu) phi with finite-difference derivatives (step FD_STEP),
-    and that the deflated odd-sector solve L_minus y = -phi' reproduces
-    Im dphi/dc.
+    -(domega/dmu) phi with the family tangents, and that the deflated
+    odd-sector solve L_minus y = -phi' reproduces Im dphi/dc.
     """
     dphi, n = _chain_prologue(
         profile, "range checks use the charge/speed parameterization of the "
@@ -378,7 +377,7 @@ def fredholm_range_checks(profile, spectra: dict) -> dict:
     report["deflated_components"] = deflated
     report["deflated_drop"] = dropped
 
-    dc_imag = imag_part(family_slope(profile, "c", FD_STEP)["field"])
+    dc_imag = imag_part(family_tangent(profile, "c")["field"])
     y_fd = sector_coords(dc_imag, "odd", size)
     denom = max(np.linalg.norm(y), 1e-300)
     report["c_consistency"] = float(np.linalg.norm(y - y_fd) / denom)
@@ -390,15 +389,15 @@ def jordan_structure(profile) -> dict:
     """Height-2 generalized-kernel chains and the parameter Jacobians.
 
     Confirms numerically that L_plus (dphi/dmu) = -(domega/dmu) phi and
-    L_minus Im(dphi/dc) = -phi' (central differences of step FD_STEP on
-    the solver branch), that the chains terminate (the pairings dN/dc and dQ/dmu
+    L_minus Im(dphi/dc) = -phi' (the family tangents of the solver
+    branch), that the chains terminate (the pairings dN/dc and dQ/dmu
     stay away from zero) and that the Jacobians d(N,Q)/d(c,mu) and
     d(c,omega)/d(c,mu) are nonsingular.
     """
     dphi, n = _chain_prologue(
         profile, "the two-parameter chain structure lives on the defocusing branch")
     mu, chain_mu = _mu_chain(profile, n)
-    c = family_slope(profile, "c", FD_STEP)
+    c = family_tangent(profile, "c")
     chain_c = _apply_on_grid(profile, "L_minus", imag_part(c["field"]), n) \
         + to_grid(dphi, n).values
     dn_dc, dq_dmu = c["momentum"], mu["charge"]

@@ -7,7 +7,7 @@ truncated lattice sums for heat kernels.  The Gaussian lattice sum is
 the benchmark's own (bench/reference.py, imported by path, read-only).
 The exceptions are the route references at the end (Strang steps,
 rearrangement trials, the kernels command, sector matrices, kernel pair
-certificates), which replay a computation one substep or one field at a
+certificates, family slopes), which replay a computation one substep or one field at a
 time, or as an older route did, to pin the bits of the package's routes.
 """
 
@@ -20,8 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from fnlslab import kernels, spectrum
+from fnlslab import kernels, profiles, spectrum
 from fnlslab.errors import ValidationError
+from fnlslab.functionals import charge, momentum
 from fnlslab.fields import (GridSamples, _blocks, analyze,
                             antiperiodic_defects, lift, odd_wavenumbers,
                             random_field, real_part, synthesize, to_grid,
@@ -623,3 +624,24 @@ def complex_jacobian_reference(ws, coeff, omega, c):
     jac[2 * nm, :nm] = ws.T * np.real(coeff)
     jac[2 * nm, nm: 2 * nm] = ws.T * np.imag(coeff)
     return jac
+
+
+# --- family slopes by central differences -------------------------------------
+# The route the family tangents replaced: the two continue_in neighbours of a
+# profile at parameter -/+ h, differenced.
+
+
+def family_difference(profile, parameter, h):
+    """Central differences of step h of the field, omega, Q and N along the
+    profile's family, over its warm-started continue_in neighbours."""
+    base = getattr(profile, parameter)
+    pair = []
+    for target in (base - h, base + h):
+        sweep = profiles.continue_in(profile, parameter, target, 1)
+        assert sweep.failed_at is None, f"neighbour at {parameter} = {target}"
+        pair.append(sweep.profiles[-1])
+    lower, upper = pair
+    return {"field": (1.0 / (2.0 * h)) * (upper.field - lower.field),
+            "omega": (upper.omega - lower.omega) / (2.0 * h),
+            "charge": (charge(upper.field) - charge(lower.field)) / (2.0 * h),
+            "momentum": (momentum(upper.field) - momentum(lower.field)) / (2.0 * h)}

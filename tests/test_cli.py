@@ -390,6 +390,18 @@ def test_kernels_reports_positive_margins():
             assert margins[key] > 0.0
 
 
+@pytest.mark.parametrize("t", ["30", "100"])
+def test_kernels_past_the_cancellation_floor_exit_2(tmp_path, capsys, t):
+    # at T = pi the time unit is 1; both margins read zero at N = 1024
+    old = "[kernels]\nn = 256\n"
+    assert old in BASE
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE.replace(old, f"[kernels]\nn = 1024\ntimes = {t}\n"))
+    assert cli.main(["--config", str(cfg), "--command", "kernels"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"t = {t} is past t = 20.3, the largest this grid resolves\n")
+
+
 def test_kernels_synthesizes_each_kp_once(tmp_path, monkeypatch):
     # each time's K_a antiperiodizes the K_p the command already holds:
     # three syntheses for three times, and the same files as a K_a

@@ -11,8 +11,7 @@ from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
                               orbital_distance, second_variation_form,
                               stability_experiment, stability_indices)
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
-                            InconsistentRange, NonConvergence, StepTooLarge,
-                            ValidationError)
+                            InconsistentRange, NonConvergence, ValidationError)
 from fnlslab.fields import (cosine_field, derivative, lift, random_field,
                             real_part, rotate_phase, synthesize, translate)
 from fnlslab.functionals import charge, inner, kinetic, momentum, x_norm
@@ -309,11 +308,11 @@ def test_stability_indices_defocusing(def15):
     assert idx["dNdc"]["value"] == pytest.approx(3.610021541, rel=1e-6)
     assert idx["dQdmu"]["value"] == pytest.approx(1.0, abs=1e-9)
     assert idx["dQdomega"]["value"] == pytest.approx(-1.16767203, rel=1e-6)
-    assert idx["dNdc"]["richardson_rel"] < 1e-4
     assert idx["lplus_inverse_pairing"] is None
 
 
-def test_stability_indices_solve_each_neighbour_once(def15, monkeypatch):
+def test_stability_indices_solve_no_neighbours(def15, monkeypatch):
+    # every slope is a tangent at the profile: no profile is solved
     import fnlslab.profiles as profiles
 
     solve = profiles._solve_defocusing
@@ -325,9 +324,7 @@ def test_stability_indices_solve_each_neighbour_once(def15, monkeypatch):
 
     monkeypatch.setattr(profiles, "_solve_defocusing", counted)
     stability_indices(def15[1])
-    # (c, mu) -/+ h and -/+ h/2; the mu pairs serve dQ/dmu and domega/dmu
-    assert len(targets) == 8
-    assert len(set(targets)) == 8
+    assert targets == []
 
 
 def test_dndc_dual_route(def15, def20):
@@ -387,13 +384,6 @@ def test_boosted_profile_evolves_by_galilean_flow(def20):
     assert not out.flagged
 
 
-def test_richardson_disagreement_raises_step_too_large():
-    # the central differences of x^3 / h^2: 1 at step h and 1/4 at h/2
-    slopes = ({"momentum": 1.0}, {"momentum": 0.25})
-    with pytest.raises(StepTooLarge, match="disagree by 3.00e"):
-        dynamics._richardson_index("c", slopes, "momentum")
-
-
 def test_focusing_pairing_matches_slope():
     pars = ProblemParams(alpha=1.8, sigma=1.0, gamma=1, half_period=T)
     prof = solve_focusing(pars, omega=0.5, n_modes=48, tol=1e-12)
@@ -404,6 +394,16 @@ def test_focusing_pairing_matches_slope():
     assert pairing["value"] == pytest.approx(-idx["dQdomega"]["value"],
                                              rel=1e-6)
     assert pairing["relative_mismatch"] < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 1.9])
+def test_focusing_pairing_agrees_to_roundoff(alpha):
+    # dQ/domega = <phi, dphi/domega> with L_plus dphi/domega = -phi: the
+    # tangent and the deflated solve are one identity
+    pars = ProblemParams(alpha=alpha, sigma=1.0, gamma=1, half_period=T)
+    prof = solve_focusing(pars, omega=0.5, n_modes=48)
+    pairing = stability_indices(prof)["lplus_inverse_pairing"]
+    assert pairing["relative_mismatch"] <= 1e-12
 
 
 def test_focusing_pairing_mismatch_is_inconsistent_range(monkeypatch):

@@ -1,6 +1,7 @@
 """The byte-identity digest tool (tools/identity.py) on the benchmark's
-quick task lists: a rerun digests the same, and a one-ulp change in a CSV
-value or a flipped sign of a zero in an array is named by task and field."""
+quick task lists: a rerun digests the same, a one-ulp change in a CSV
+value or a flipped sign of a zero in an array is named by task and field,
+and a moved report.json float is named with its values and difference."""
 
 import copy
 import importlib.util
@@ -37,7 +38,7 @@ def test_rerun_digests_identically(quick, tmp_path):
     named, table, _ = quick
     assert {name.split("/")[0] for name, _ in named} == {"certify", "orbital", "cli"}
     again = {"seed": 1, "tasks": identity.digests(named, tmp_path)}
-    assert identity.compare(table, again) == []
+    assert identity.compare(table, again)[0] == []
     # the cli fields cover every output file, stdout and the exit code
     fields = table["tasks"]["cli/solve #0"]
     assert fields["output.rc"] == "int 0"
@@ -64,7 +65,7 @@ def test_one_ulp_in_a_csv_value_is_reported(quick, tmp_path):
             identity.digest(out_dir, "output.dir", {}, workdir))
     finally:
         path.write_bytes(original)
-    lines = identity.compare(table, planted)
+    lines, _ = identity.compare(table, planted)
     assert len(lines) == 1
     assert lines[0].startswith("cli/solve #0: output.dir/profile_grid.csv: file ")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -84,6 +85,34 @@ def test_flipped_sign_of_a_zero_is_reported(quick, tmp_path):
     after = identity.digest(out, "output", {}, tmp_path)
     table = {"seed": 1, "tasks": {"orbital/equilibrium a=1.5": before}}
     flipped = {"seed": 1, "tasks": {"orbital/equilibrium a=1.5": after}}
-    lines = identity.compare(table, flipped)
+    lines, _ = identity.compare(table, flipped)
     assert len(lines) == 1
     assert lines[0].startswith("orbital/equilibrium a=1.5: output.final: array ")
+
+
+def test_a_moved_report_float_is_named_with_its_delta(quick, tmp_path):
+    # report.json is digested by its JSON leaves, so one planted float is
+    # one field, printed with both values, |d| and rel, and summarized
+    _, table, workdir = quick
+    out_dir = workdir / "00-solve" / "out"
+    path = out_dir / "report.json"
+    original = path.read_bytes()
+    report = json.loads(original)
+    value = report["results"]["profile"]["omega"]
+    report["results"]["profile"]["omega"] = value + 3e-9
+    try:
+        path.write_text(json.dumps(report), encoding="utf-8")
+        planted = copy.deepcopy(table)
+        planted["tasks"]["cli/solve #0"].update(
+            identity.digest(out_dir, "output.dir", {}, workdir))
+    finally:
+        path.write_bytes(original)
+    lines, text = identity.compare(table, planted)
+    key = "cli/solve #0: output.dir/report.json.results.profile.omega"
+    d = abs(value + 3e-9 - value)
+    rel = f"{d / max(1.0, abs(value)):.3e}"
+    assert lines == [f"{key}: float {value!r} -> {value + 3e-9!r}, "
+                     f"|d| = {d:.3e}, rel = {rel}"]
+    tasks = len(table["tasks"])
+    assert text == (f"1 field(s) moved in {tasks} and {tasks} tasks; "
+                    f"largest relative float move {rel} ({key})")

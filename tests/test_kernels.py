@@ -188,6 +188,22 @@ def doctored(ka, index, value):
     return dataclasses.replace(ka, grid=grid)
 
 
+@pytest.mark.parametrize("t", [30.0, 100.0])
+def test_margins_at_the_cancellation_floor_are_under_resolved(t):
+    # K_a = K_p(x) - K_p(x - T) cancels two values near 1/2T down to about
+    # e^(-t) 2/T, so past t = 20.3 at N = 1024 its smallest margins fall to
+    # the roundoff floor N u max K_p and read zero: a resolution fault
+    ka = kernel_ka(kernel_kp(1.5, T, t, 1024))
+    with pytest.raises(UnderResolved, match=(
+            r": value -?0\.000000e\+00 is within the roundoff floor 1\.8e-14 of "
+            rf"K_p\(x\) - K_p\(x - T\) at N = 1024; t = {t:g} is past t = 20\.3, "
+            r"the largest this grid resolves$")):
+        positivity_report(ka)
+    # a negative margin above the floor is still a violation
+    with pytest.raises(PositivityViolation, match="value -1.000000e-06 is not positive"):
+        positivity_report(doctored(ka, 5, -1e-6))
+
+
 def test_interior_certificate_names_the_first_minimum():
     ka = kernel_ka(kernel_kp(1.5, T, 0.5, 256))
     n, step = ka.n, 2 * T / ka.n

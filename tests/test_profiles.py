@@ -3,6 +3,7 @@ gauge fixing, parameter continuation, and the constrained-minimization
 degeneracies that shaped the solver design."""
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -16,11 +17,10 @@ from fnlslab.fields import (GridSamples, cosine_field, odd_wavenumbers,
                             to_modes, translate, zero_field)
 from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
-from fnlslab.params import ProblemParams
+from fnlslab.params import TOL_PROFILE, ProblemParams
 from fnlslab.profiles import (StandingProfile, _damped_newton, continue_in,
-                              family_pair, family_slope, gauge_fix,
-                              profile_residual, recovered_omega,
-                              solve_defocusing, solve_focusing)
+                              family_tangent, gauge_fix, profile_residual,
+                              recovered_omega, solve_defocusing, solve_focusing)
 import oracles
 
 T = np.pi
@@ -294,19 +294,6 @@ def test_continue_in_partial_results_on_failure():
     assert sweep.profiles == [start]
 
 
-def test_family_pair_names_the_failed_neighbour(monkeypatch):
-    import fnlslab.profiles as profiles
-
-    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
-
-    def fail(*args, **kwargs):
-        raise NonConvergence("stalled")
-
-    monkeypatch.setattr(profiles, "_solve_defocusing", fail)
-    with pytest.raises(NonConvergence, match=r"neighbour solve at c = -0\.001"):
-        family_pair(start, "c", 1e-3)
-
-
 def _same_profile(a, b):
     """Every field of two profiles equal, coefficients bit for bit."""
     return all(
@@ -346,31 +333,6 @@ def test_sweep_in_one_workspace_matches_fresh_solves(branch, parameter, target):
         prev = fresh
 
 
-@pytest.mark.parametrize("parameter", ["c", "mu"])
-def test_family_pair_in_one_workspace_matches_fresh_solves(parameter):
-    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
-    base = getattr(start, parameter)
-    pair = family_pair(start, parameter, 1e-3)
-    for prof, value in zip(pair, (base - 1e-3, base + 1e-3)):
-        assert _same_profile(prof, _fresh_step(start, parameter, value))
-
-
-@pytest.mark.parametrize("parameter", ["c", "mu"])
-def test_family_slope_is_the_central_difference_of_fresh_solves(parameter):
-    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
-    h = 1e-3
-    base = getattr(start, parameter)
-    lower, upper = (_fresh_step(start, parameter, base + s) for s in (-h, h))
-    slope = family_slope(start, parameter, h)
-    field = (1.0 / (2.0 * h)) * (upper.field - lower.field)
-    assert np.array_equal(slope["field"].coeff, field.coeff)
-    for key, value in (("omega", lambda p: p.omega),
-                       ("charge", lambda p: charge(p.field)),
-                       ("momentum", lambda p: momentum(p.field))):
-        want = (value(upper) - value(lower)) / (2.0 * h)
-        assert float(slope[key]).hex() == float(want).hex()
-
-
 @pytest.mark.parametrize("sigma, n_modes", [(1.0, 129), (2.0, 86)])
 def test_workspace_nonlinearity_is_alias_free(sigma, n_modes):
     # a broadband u puts |u|^(2 sigma) u up to wavenumber (2 sigma + 1)(2M - 1);
@@ -400,8 +362,6 @@ def test_continuation_builds_one_workspace(monkeypatch):
     monkeypatch.setattr(profiles, "_Workspace", Counted)
     continue_in(start, "c", 0.1, 4)
     assert len(built) == 1
-    family_pair(start, "mu", 1e-3)
-    assert len(built) == 2
 
 
 def test_continue_in_needs_a_step():
@@ -591,6 +551,78 @@ def test_traveling_newton_names_a_singular_system(monkeypatch):
     with pytest.raises(NonConvergence,
                        match="^singular Newton system: Singular matrix$"):
         profiles._newton_complex(ws, cosine_field(T, 1.0, 8).coeff, 1.0, 0.1, 1.0)
+
+
+# --- family tangents ----------------------------------------------------------
+
+# The slopes whose central differences move at order h^2 along each family;
+# the others are pinned by the constraint (dQ/dmu = domega/domega = 1) or by
+# the symmetry of the real branch (dN/dmu, domega/dc, dQ/dc, dN/domega = 0).
+_MOVING = {"mu": ("field", "omega"), "c": ("field", "momentum"),
+           "omega": ("field", "charge")}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_profile(gamma, alpha, sigma):
+    """A criterion-2 grid profile at 48 modes, solved once per module."""
+    if gamma == -1:
+        return solve_defocusing(defoc(alpha, sigma), mu=1.0, n_modes=48)
+    return solve_focusing(foc(alpha, sigma), omega=0.5, n_modes=48)
+
+
+def _slope_errors(difference, tangent):
+    return {key: float(np.max(np.abs(difference[key].coeff - tangent[key].coeff)))
+            if key == "field" else abs(difference[key] - tangent[key])
+            for key in ("field", "omega", "charge", "momentum")}
+
+
+@pytest.mark.parametrize("gamma, alpha, sigma, parameter", [
+    (-1, a, s, par) for a in (1.25, 1.5, 1.9) for s in (1.0, 2.0) for par in ("mu", "c")
+] + [(1, a, 1.0, "omega") for a in (1.25, 1.5, 1.9)])
+def test_tangent_is_the_limit_of_central_differences(gamma, alpha, sigma, parameter):
+    # central differences of continue_in neighbours (tests/oracles.py) miss
+    # the tangent by h^2/6 times the third derivative: halving h quarters
+    # every moving error, and the pinned slopes agree to roundoff
+    prof = _grid_profile(gamma, alpha, sigma)
+    tangent = family_tangent(prof, parameter)
+    coarse, fine = (_slope_errors(oracles.family_difference(prof, parameter, h), tangent)
+                    for h in (1e-3, 5e-4))
+    for key in coarse:
+        if key in _MOVING[parameter]:
+            assert coarse[key] / fine[key] == pytest.approx(4.0, abs=0.2), key
+        else:
+            assert max(coarse[key], fine[key]) <= 1e-10, key
+
+
+def test_a_loosely_solved_profile_gets_its_tangents():
+    # Newton polishes to its own floor whatever tol the solve is held to, so
+    # a loose tol at a resolved band leaves a profile below TOL_PROFILE
+    for loose, tight, parameter in (
+            (solve_defocusing(defoc(), mu=1.0, n_modes=48, tol=1e-6),
+             _grid_profile(-1, 1.5, 1.0), "c"),
+            (solve_focusing(foc(), omega=0.5, n_modes=48, tol=1e-6),
+             _grid_profile(1, 1.5, 1.0), "omega")):
+        assert loose.residual <= TOL_PROFILE
+        got, want = family_tangent(loose, parameter), family_tangent(tight, parameter)
+        assert np.array_equal(got["field"].coeff, want["field"].coeff)
+        assert [got[k] for k in ("omega", "charge", "momentum")] == \
+            [want[k] for k in ("omega", "charge", "momentum")]
+
+
+def test_tangent_names_a_singular_system_and_a_foreign_parameter(monkeypatch):
+    prof = _grid_profile(-1, 1.5, 1.0)
+    with pytest.raises(ValidationError, match="parameter 'omega' not available"):
+        family_tangent(prof, "omega")
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for prof, parameter in ((prof, "mu"), (prof, "c"),
+                            (_grid_profile(1, 1.5, 1.0), "omega")):
+        with pytest.raises(NonConvergence,
+                           match="^singular Newton system: Singular matrix$"):
+            family_tangent(prof, parameter)
 
 
 # --- validation and failure modes ---------------------------------------------

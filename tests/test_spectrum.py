@@ -459,14 +459,12 @@ def test_jordan_chain_structure():
 
 def test_chains_at_the_sigma_half_floor_are_under_resolved():
     # the 96-mode profile stops at its algebraic floor (residual ~2e-5),
-    # so its neighbours cannot reach TOL_PROFILE: a band fault (exit 2),
-    # not a non-convergence (exit 3)
+    # above TOL_PROFILE, so its band does not resolve the family: a band
+    # fault (exit 2), not a non-convergence (exit 3)
     prof = solve_defocusing(defoc(1.5, 0.5), mu=1.0, n_modes=96, tol=2e-4)
     assert prof.residual > TOL_PROFILE
-    message = (r"^neighbour solve at mu = 0\.9990000000000351 did not converge: "
-               rf"the profile's residual {prof.residual:.3e} is above "
-               r"TOL_PROFILE = 1e-09, which its neighbours are solved to, "
-               r"at n_modes = 96$")
+    message = (rf"^tangent along mu: the profile's residual {prof.residual:.3e} "
+               r"is above TOL_PROFILE = 1e-09 at n_modes = 96$")
     with pytest.raises(UnderResolved, match=message):
         jordan_structure(prof)
     with pytest.raises(UnderResolved, match=message):
@@ -476,11 +474,24 @@ def test_chains_at_the_sigma_half_floor_are_under_resolved():
 def test_jordan_structure_rejects_vanishing_pairing(monkeypatch):
     # momentum flat along the c family makes dN/dc = 0: the odd chain
     # does not close at height 2
-    slope = spectrum.family_slope
-    monkeypatch.setattr(spectrum, "family_slope",
-                        lambda *args: {**slope(*args), "momentum": 0.0})
+    tangent = spectrum.family_tangent
+    monkeypatch.setattr(spectrum, "family_tangent",
+                        lambda *args: {**tangent(*args), "momentum": 0.0})
     with pytest.raises(ChainDoesNotTerminate, match="dN/dc = 0.000e"):
         jordan_structure(defoc_profile())
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 1.9])
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_chain_residuals_fall_to_roundoff(alpha, sigma):
+    # the tangents solve the Newton system at the profile, so the chains
+    # close and the deflated solve reproduces Im dphi/dc to roundoff
+    prof = defoc_profile(alpha, sigma, n_modes=48)
+    jo = jordan_structure(prof)
+    fr = fredholm_range_checks(prof, sector_spectra(prof, 128))
+    for value in (jo["chain_mu_inf"], jo["chain_c_inf"], fr["mu_chain_inf"],
+                  fr["c_consistency"]):
+        assert value <= 1e-12
 
 
 def test_speed_pairing_agrees_with_resolvent_route():

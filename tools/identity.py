@@ -12,15 +12,18 @@ digest per output field:
 - floats by `float.hex`, ints, bools and strings verbatim;
 - dataclasses field by field, dicts by key, lists and tuples by index;
 - a package error by its type and text;
-- an output directory (the cli tasks) by the sha256 of each file.
+- an output directory (the cli tasks) by the sha256 of each file, except
+  each `report.json`, which is digested by its JSON leaves as above.
 
 The scratch directory is written as <work> in every string, so the cli
 stdout compares across runs.  BLAS runs the benchmark's thread count.
 
 `--compare A B` prints each task and field whose digests differ and exits
-1 if any do.  To check a change against its parent, run a copy of this
-file in a checkout of the parent commit with the same seed, then compare
-the two files.
+1 if any do.  A float that moved is printed with its value in A and in B,
+|d| = |B - A| and rel = |d| / max(1, |A|); the last line counts the moved
+fields and names the largest relative move.  To check a change against its
+parent, run a copy of this file in a checkout of the parent commit with
+the same seed, then compare the two files.
 """
 
 from __future__ import annotations
@@ -81,8 +84,11 @@ def digest(value, path, out, workdir):
         if not value.is_dir():
             out[path] = "path " + str(value).replace(str(workdir), MASK)
         for file in sorted(p for p in value.rglob("*") if p.is_file()):
-            out[f"{path}/{file.relative_to(value).as_posix()}"] = \
-                f"file {_sha256(file.read_bytes())}"
+            label = f"{path}/{file.relative_to(value).as_posix()}"
+            if file.name == "report.json":
+                digest(json.loads(file.read_text(encoding="utf-8")), label, out, workdir)
+            else:
+                out[label] = f"file {_sha256(file.read_bytes())}"
     elif isinstance(value, BaseException):
         text = str(value).replace(str(workdir), MASK)
         out[path] = f"raised {type(value).__name__}: {text}"
@@ -134,21 +140,53 @@ def digests(named, workdir):
     return table
 
 
+def _float(entry):
+    """The value of a float digest, else None."""
+    return float.fromhex(entry.split()[1]) if entry.startswith("float ") else None
+
+
+def float_move(da, db):
+    """(A, B, |d|, rel) of two float digests, else None."""
+    fa, fb = _float(da), _float(db)
+    if fa is None or fb is None:
+        return None
+    d = abs(fb - fa)
+    return fa, fb, d, d / max(1.0, abs(fa))
+
+
 def compare(a, b):
-    """One line per task or field whose digests differ between a and b."""
+    """One line per task or field whose digests differ between a and b (a
+    moved float with its values, |d| and rel), and the closing summary
+    line: the fields moved and the largest relative float move."""
     lines = []
     if a["seed"] != b["seed"]:
         lines.append(f"seed: {a['seed']} != {b['seed']}")
     ta, tb = a["tasks"], b["tasks"]
+    moves = []
     for task in list(ta) + [t for t in tb if t not in ta]:
         if task not in ta or task not in tb:
             lines.append(f"{task}: only in {'A' if task in ta else 'B'}")
             continue
         fa, fb = ta[task], tb[task]
         for field in list(fa) + [f for f in fb if f not in fa]:
-            if fa.get(field) != fb.get(field):
-                lines.append(f"{task}: {field}: {fa.get(field)} != {fb.get(field)}")
-    return lines
+            da, db = fa.get(field), fb.get(field)
+            if da == db:
+                continue
+            if da is None or db is None:
+                side = "A" if db is None else "B"
+                lines.append(f"{task}: {field}: only in {side}: {da or db}")
+                continue
+            move = float_move(da, db)
+            if move is None:
+                lines.append(f"{task}: {field}: {da} != {db}")
+            else:
+                lines.append(f"{task}: {field}: float {move[0]!r} -> {move[1]!r}, "
+                             f"|d| = {move[2]:.3e}, rel = {move[3]:.3e}")
+                moves.append((move[3], f"{task}: {field}"))
+    text = f"{len(lines)} field(s) moved in {len(ta)} and {len(tb)} tasks"
+    if moves:
+        text += "; largest relative float move {:.3e} ({})".format(*max(moves))
+    return lines, text
 
 
 def main(argv=None):
@@ -160,11 +198,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
-        lines = compare(a, b)
+        lines, text = compare(a, b)
         for line in lines:
             print(line)
-        print(f"{len(lines)} difference(s) in {len(a['tasks'])} and "
-              f"{len(b['tasks'])} tasks")
+        print(text)
         return 1 if lines else 0
     threads = str(min(2, len(os.sched_getaffinity(0))))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
