@@ -14,9 +14,10 @@ are l2 isometries.  The stepper advances a (K, B) ensemble of
 coefficient columns with one FFT pair per substep, so the perturbations
 of a stability experiment run together; every column is bit-identical
 to a lone run, and the experiment stops at the first log block whose
-drift passes its tolerance.  A log block holds the samples as (B, n)
-rows and steps them in place, in buffers allocated once per block, by
-kernel calls only: numpy's pocketfft gufuncs and locally bound ufuncs.
+drift passes its tolerance.  A log block holds the samples as (B, n/2)
+rows, the grid folded by antiperiodicity (see _Stepper), and steps them
+in place, in buffers allocated once per block, by kernel calls only:
+numpy's pocketfft gufuncs and locally bound ufuncs.
 
 Orbital distance is the infimum of the energy-norm gap over phase
 rotations and translations: the phase minimization is closed-form and
@@ -119,12 +120,16 @@ def initial_state(field: AntiperiodicField, dt: float) -> EvolutionState:
 
 
 class _Stepper:
-    """Fused Strang splitting of an ensemble on a fixed dealiasing grid.
+    """Fused Strang splitting of an ensemble on a folded dealiasing grid.
 
     The coefficients are a (K, B) array, one column per trajectory over
-    a shared band, transposed to (B, n) samples only at block edges;
-    `full` is (B, n) too.  Every row gets exactly the arithmetic of a
-    lone trajectory, so B runs cost one pocketfft call per transform.
+    a shared band, transposed to (B, h) samples only at block edges;
+    `full` is (B, h) too.  The samples are w_j = exp(-2 pi i j/n) u_j at
+    x_j = 2T j/n, j < h = n/2, with c_k at FFT bin (k - 1)/2 mod h: the
+    same map as stepping all n, since u_(j+h) = -u_j keeps |w| = |u| and
+    the even bins the n-point grid zeroes hold nothing.  Every row gets
+    exactly the arithmetic of a lone trajectory, so B runs cost one
+    pocketfft call per transform.
     """
 
     def __init__(self, fields, params: ProblemParams, omega: float,
@@ -133,17 +138,17 @@ class _Stepper:
         head = fields[0]
         T = head.half_period
         k = head.wavenumbers
-        # at least 4M = 2 (max|k| + 1), so the band fits, and a power of
-        # two: the fused linear substep is exact only for powers of two
+        # n >= 4M = 2 (max|k| + 1), so h >= 2M holds the band, and a power
+        # of two: the fused linear substep is exact only for powers of two
         n = max(256, 1 << int(math.ceil(math.log2(4 * head.n_modes))))
         self.params = params
         self.T = T
-        self.n = n
-        self.bins = k % n
+        self.h = h = n // 2
+        self.bins = (k - 1) // 2 % h
         lin = np.exp(-1j * (np.abs(np.pi * k / T) ** params.alpha + omega) * dt)
-        # lin on all n bins (zero off the band), one row per trajectory, so
+        # lin on all h bins (zero off the band), one row per trajectory, so
         # each row's multiply is the same contiguous loop as a lone run's
-        self.full = np.zeros((len(fields), n), dtype=complex)
+        self.full = np.zeros((len(fields), h), dtype=complex)
         self.full[:, self.bins] = lin
         self.dt = dt
         self.guard = guard
@@ -159,23 +164,23 @@ class _Stepper:
         Fusing two adjacent half-kicks into one is exact in continuum
         but differs from per-step closure at the dealiasing-tail level,
         because the band projection between them sees a different phase.
-        The (B, n) samples are stepped in place by ufuncs bound to locals,
+        The (B, h) samples are stepped in place by ufuncs bound to locals,
         in buffers allocated once per block.  A linear substep multiplies
-        the spectrum by `full`; n is a power of two, so this equals
-        synthesize(analyze(vals) * lin) bit for bit.  The transforms are
-        the one private numpy binding: the pocketfft gufuncs under
-        np.fft.fft/ifft, with the same factors 1 and 1/n, so the same bits
-        without about 2 us of Python per call (a test pins them).  A kick
-        checks the guard, then rotates by theta = rate fraction
-        |vals|^(2 sigma) as cos + i sin, bit for bit exp(0 + i theta).
+        the spectrum by `full`; h is a power of two, so this equals
+        synthesize(analyze(vals) * lin) on the folded bins bit for bit.
+        The transforms are the one private numpy binding: the pocketfft
+        gufuncs under np.fft.fft/ifft, with the same factors 1 and 1/h, so
+        the same bits without about 2 us of Python per call (a test pins
+        them).  A kick checks the guard, then rotates by theta = rate
+        fraction |vals|^(2 sigma) as cos + i sin, bit for bit exp(0 + i theta).
         """
         if m < 1:
             return
-        n, full, dt, guard = self.n, self.full, self.dt, self.guard
-        rate, two_sigma, inv_n = self.rate, self.two_sigma, 1.0 / n
+        h, full, dt, guard = self.h, self.full, self.dt, self.guard
+        rate, two_sigma, inv_h = self.rate, self.two_sigma, 1.0 / h
         fft, ifft, absolute, power = _fft, _ifft, np.absolute, np.power
         multiply, cos, sin, peak_of = np.multiply, np.cos, np.sin, np.maximum.reduce
-        vals = np.ascontiguousarray(synthesize(self.coeff, self.bins, n).T)
+        vals = np.ascontiguousarray(synthesize(self.coeff, self.bins, h).T)
         spec, rot = np.empty_like(vals), np.empty_like(vals)
         amp, theta = np.empty(vals.shape), np.empty(vals.shape)
         rot_re, rot_im = rot.real, rot.imag
@@ -183,7 +188,7 @@ class _Stepper:
             if i:
                 fft(vals, 1.0, out=spec)
                 multiply(spec, full, out=spec)
-                ifft(spec, inv_n, out=vals)
+                ifft(spec, inv_h, out=vals)
             absolute(vals, out=amp)
             peak = peak_of(amp, axis=None)
             if not peak <= guard:
@@ -198,7 +203,7 @@ class _Stepper:
                 multiply(vals, rot, out=vals)
             if i:
                 self.time += dt
-        self.coeff = analyze(vals.T, self.bins, n)
+        self.coeff = analyze(vals.T, self.bins, h)
         self.steps_taken += m
 
     def field(self, j: int = 0) -> AntiperiodicField:
@@ -206,11 +211,11 @@ class _Stepper:
 
     def log_rows(self) -> list:
         """(t, H, Q, N) of every column at the current state: Q, N and K
-        from the functionals, P by quadrature on the stepper grid."""
+        from the functionals, P by quadrature on the folded stepper grid."""
         rows = []
         for j in range(self.coeff.shape[1]):
             f = self.field(j)
-            p = _potential_sum(synthesize(f.coeff, self.bins, self.n), self.T,
+            p = _potential_sum(synthesize(f.coeff, self.bins, self.h), self.T,
                                self.params.sigma)
             ham = kinetic(f, self.params.alpha) - self.params.gamma * p
             rows.append((self.time, ham, charge(f), momentum(f)))

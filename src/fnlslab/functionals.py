@@ -101,7 +101,7 @@ def potential(u: AntiperiodicField, sigma: float) -> float:
 
 def _potential_sum(values: np.ndarray, half_period: float, sigma: float) -> float:
     """(T/n) sum |u|^(2 sigma + 2) / (2 sigma + 2) over n samples of one 2T
-    period: P of the focusing solve's renormalization and the evolution log."""
+    or T period: P of the focusing solve and the (folded) evolution log."""
     p = (half_period / len(values)) * float(np.sum(np.abs(values) ** (2.0 * sigma + 2.0)))
     return p / (2.0 * sigma + 2.0)
 

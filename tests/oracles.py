@@ -308,14 +308,15 @@ def pair_tensor_dense(off, parity):
     return off[diff] - off[summ], idx
 
 
-def strang_reference(coeff, k, half_period, params, omega, dt, steps,
-                     log_interval, n):
+def strang_reference(coeff, k, bins, n, half_period, params, omega, dt,
+                     steps, log_interval):
     """Final coefficients of one Strang split-step trajectory, stepped one
-    substep at a time: every linear substep projects the samples onto the
-    band (FFT bins k mod n), multiplies by exp(-i (|pi k/T|^alpha + omega) dt)
-    and synthesizes again; half-kicks open and close each block of
+    substep at a time on the n-point grid with c_k at FFT bins `bins`
+    (k mod n on the full 2T grid, (k - 1)/2 mod n on the grid folded to
+    its first half): every linear substep projects the samples onto the
+    band, multiplies by exp(-i (|pi k/T|^alpha + omega) dt) and
+    synthesizes again; half-kicks open and close each block of
     log_interval steps, full kicks join the steps inside it."""
-    bins = k % n
     sym = np.abs(np.pi * k / half_period) ** params.alpha
     lin = np.exp(-1j * (sym + omega) * dt)
     rate = params.gamma * dt

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fnlslab import dynamics
@@ -12,8 +14,9 @@ from fnlslab.dynamics import (EvolutionState, coercivity_check, evolve,
                               stability_experiment, stability_indices)
 from fnlslab.errors import (BlowupDetected, ConservationDriftExceeded,
                             InconsistentRange, NonConvergence, ValidationError)
-from fnlslab.fields import (cosine_field, derivative, lift, random_field,
-                            real_part, rotate_phase, synthesize, translate)
+from fnlslab.fields import (analyze, cosine_field, derivative, lift,
+                            random_field, real_part, rotate_phase, synthesize,
+                            translate)
 from fnlslab.functionals import charge, inner, kinetic, momentum, x_norm
 from fnlslab.params import ProblemParams
 from fnlslab.profiles import (StandingProfile, solve_defocusing,
@@ -64,9 +67,9 @@ def test_log_rows_take_q_n_k_from_the_functionals(def15):
     assert len(rows) == 3
     for j, row in enumerate(rows):
         f = eng.field(j)
-        # P stays a quadrature on the stepper grid
-        vals = np.abs(synthesize(f.coeff, eng.bins, eng.n))
-        p = (T / eng.n) * float(np.sum(vals ** 4.0)) / 4.0
+        # P stays a quadrature on the stepper grid: its h folded samples
+        vals = np.abs(synthesize(f.coeff, eng.bins, eng.h))
+        p = (T / eng.h) * float(np.sum(vals ** 4.0)) / 4.0
         assert row == (eng.time, kinetic(f, pars.alpha) - pars.gamma * p,
                        charge(f), momentum(f))
 
@@ -122,15 +125,45 @@ def test_step_chain_matches_unfused_evolve(def15):
     assert x_norm(fused.field - bulk.field, 1.5) < 1e-9
 
 
+@settings(max_examples=200)
+@given(n_modes=st.integers(1, 64), width=st.sampled_from((1, 2, 6)),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stepper_fold_is_the_full_grid_twisted(n_modes, width, real, seed):
+    # the stepper's h folded samples, twisted back by exp(2 pi i j / n),
+    # are the first half of the full n-point grid's samples and the
+    # negated second half; analyze on the folded bins inverts both
+    rng = np.random.default_rng(seed)
+    fields = [random_field(T, n_modes, rng, real=real) for _ in range(width)]
+    pars = ProblemParams(alpha=1.5, sigma=1.0, gamma=-1, half_period=T)
+    eng = dynamics._Stepper(fields, pars, 0.0, 1e-3)
+    h, coeff = eng.h, eng.coeff
+    n = 2 * h
+    folded = synthesize(coeff, eng.bins, h)
+    samples = synthesize(coeff, fields[0].wavenumbers % n, n)
+    twist = np.exp(2j * np.pi * np.arange(h) / n)[:, None]
+    tol = 1e-14 * np.sum(np.abs(coeff), axis=0)
+    assert np.all(np.abs(twist * folded - samples[:h]) <= tol)
+    assert np.all(np.abs(twist * folded + samples[h:]) <= tol)
+    assert np.all(np.abs(analyze(folded, eng.bins, h) - coeff) <= tol)
+    assert np.all(np.abs(analyze(samples[:h] / twist, eng.bins, h) - coeff)
+                  <= tol)
+
+
+def _folded_bins(k):
+    # the 256-point stepper grid folded to its 128-point first half
+    return (k - 1) // 2 % 128, 128
+
+
 def test_evolve_matches_substep_reference(def15, def20):
     # the fused spectral multiply and the cos/sin kick reproduce
     # analyze -> * lin -> synthesize and the complex exp kick of the
-    # oracle bit for bit over blocks of every shape, the short last one
-    # included: on both dispersions, both sigma = 1/2 and 2, a focusing
-    # profile, and a column of a two-trajectory ensemble
+    # oracle on the folded grid bit for bit over blocks of every shape,
+    # the short last one included: on both dispersions, both sigma = 1/2
+    # and 2, a focusing profile, and a column of a two-trajectory ensemble
     def reference(w0, pars, omega):
-        return oracles.strang_reference(w0.coeff, w0.wavenumbers, T, pars,
-                                        omega, 1e-3, 1200, 500, 256)
+        k = w0.wavenumbers
+        return oracles.strang_reference(w0.coeff, k, *_folded_bins(k), T,
+                                        pars, omega, 1e-3, 1200, 500)
 
     foc = ProblemParams(alpha=1.5, sigma=1.0, gamma=1, half_period=T)
     focusing = (foc, solve_focusing(foc, omega=0.5, n_modes=48, tol=1e-12))
@@ -156,12 +189,43 @@ def test_evolve_matches_substep_reference(def15, def20):
                           reference(pair[1], pars, prof.omega))
 
 
+def test_folded_stepper_matches_full_grid_reference(def15):
+    # the folded grid is the full 256-point grid's map in exact
+    # arithmetic, so the stepper and the full-grid oracle differ by
+    # rounding alone.  Per step each route rounds two radix-2 transforms
+    # of length at most 2^8, each within 8 eta of the exact one in the l2
+    # norm, eta <= 6 u (Higham, Accuracy and Stability of Numerical
+    # Algorithms, thm 24.2), and one kick (abs, power, cos, sin, a complex
+    # multiply: under 10 u per sample).  Both substeps are l2 isometries,
+    # so |c|_2 stays at most sqrt(2M) max|c| of the start, and the two
+    # routes part by at most 2 (2 * 8 * 6 + 10) sqrt(2M) u max|c| per
+    # step.  The bound is that rate over the whole run, with the orbit's
+    # own growth of earlier rounding taken as O(1) on this short, stable
+    # horizon.
+    pars, prof = def15
+    w0 = prof.field + n_preserving_perturbation(
+        prof, 1e-3, np.random.default_rng(3))
+    steps = 1200
+    out = evolve(initial_state(w0, 1e-3), pars, prof.omega, steps=steps,
+                 log_interval=500)
+    k = w0.wavenumbers
+    full = oracles.strang_reference(w0.coeff, k, k % 256, 256, T, pars,
+                                    prof.omega, 1e-3, steps, 500)
+    diff = np.max(np.abs(out.field.coeff - full))
+    u = np.finfo(float).eps / 2
+    per_step = (2 * (2 * 8 * 6 + 10) * math.sqrt(len(k)) * u
+                * np.max(np.abs(w0.coeff)))
+    assert 0.0 < diff <= steps * per_step
+
+
 def test_pocketfft_binding_matches_np_fft():
     # the stepper calls numpy's private pocketfft gufuncs with the factors
-    # np.fft passes them; a numpy release that moves or changes them must
-    # fail here rather than move trajectories
+    # np.fft passes them, on the folded rows it steps; a numpy release
+    # that moves or changes them must fail here rather than move
+    # trajectories
     rng = np.random.default_rng(12)
-    for shape in ((1, 256), (2, 256), (6, 256), (1, 512)):
+    for shape in ((1, 128), (2, 128), (6, 128), (1, 256), (2, 256),
+                  (6, 256), (1, 512)):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         spec, back = np.empty_like(x), np.empty_like(x)
         dynamics._fft(x, 1.0, out=spec)

@@ -116,3 +116,38 @@ def test_a_moved_report_float_is_named_with_its_delta(quick, tmp_path):
     tasks = len(table["tasks"])
     assert text == (f"1 field(s) moved in {tasks} and {tasks} tasks; "
                     f"largest relative float move {rel} ({key})")
+
+
+def test_a_moved_csv_cell_and_stdout_value_are_named_with_their_deltas(quick,
+                                                                       tmp_path):
+    # stdout is digested by its `key = value` lines and a CSV by its
+    # numeric columns, so one planted cell and one planted value are each
+    # named with the largest |d| and rel of what moved
+    named, _, _ = quick
+    out = identity.run_task(dict(named)["cli/solve #0"], tmp_path)
+    before = identity.digest(out, "output", {}, tmp_path)
+    assert before["output.log.profile.iterations"].startswith("int ")
+    assert "profile.omega" not in before["output.log"]
+    line = next(s for s in out["log"].splitlines()
+                if s.startswith("profile.omega = "))
+    omega = float(line.split(" = ")[1])
+    out["log"] = out["log"].replace(line, f"profile.omega = {omega + 3e-9!r}")
+    path = out["dir"] / "profile_grid.csv"
+    header, row, rest = path.read_text(encoding="utf-8").split("\n", 2)
+    x, re, im = row.split(",")
+    path.write_text("\n".join([header, ",".join([x, re, repr(float(im) - 2e-7)]),
+                               rest]), encoding="utf-8")
+    after = identity.digest(out, "output", {}, tmp_path)
+    task = "cli/solve #0"
+    lines, text = identity.compare({"seed": 1, "tasks": {task: before}},
+                                   {"seed": 1, "tasks": {task: after}})
+    assert len(lines) == 2
+    csv_line = next(s for s in lines if "profile_grid.csv" in s)
+    d_im = abs(float(repr(float(im) - 2e-7)) - float(im))
+    assert csv_line.startswith(f"{task}: output.dir/profile_grid.csv: file ")
+    assert csv_line.endswith(f"; column im max |d| = {d_im:.3e}, "
+                             f"max rel = {d_im / max(1.0, abs(float(im))):.3e}")
+    d = abs(omega + 3e-9 - omega)
+    assert f"{task}: output.log.profile.omega: float {omega!r} -> " \
+        f"{omega + 3e-9!r}, |d| = {d:.3e}, rel = {d / max(1.0, abs(omega)):.3e}" in lines
+    assert text.startswith("2 field(s) moved in 1 and 1 tasks; largest relative")

@@ -8,30 +8,43 @@ from the task lists under bench/ (imported, never changed), against the
 fnlslab under src/ of the checkout that holds this file.  It records one
 digest per output field:
 
-- arrays by dtype, shape and the sha256 of their bytes;
+- arrays by dtype, shape and the sha256 of their bytes, float and complex
+  arrays with their values as well;
 - floats by `float.hex`, ints, bools and strings verbatim;
 - dataclasses field by field, dicts by key, lists and tuples by index;
+- a cli task's stdout (its `log`) by its `key = value` lines, each the
+  field log.key holding an int, a float or a string; the other lines stay
+  one string;
 - a package error by its type and text;
-- an output directory (the cli tasks) by the sha256 of each file, except
-  each `report.json`, which is digested by its JSON leaves as above.
+- an output directory (the cli tasks) by the sha256 of each file, a CSV
+  file with the values of each numeric column as well, except each
+  `report.json`, which is digested by its JSON leaves as above.
+
+A digest that carries values is written as a [digest, {column: values}]
+pair, the values as the base64 of their bytes.
 
 The scratch directory is written as <work> in every string, so the cli
 stdout compares across runs.  BLAS runs the benchmark's thread count.
 
 `--compare A B` prints each task and field whose digests differ and exits
 1 if any do.  A float that moved is printed with its value in A and in B,
-|d| = |B - A| and rel = |d| / max(1, |A|); the last line counts the moved
-fields and names the largest relative move.  To check a change against its
-parent, run a copy of this file in a checkout of the parent commit with
-the same seed, then compare the two files.
+|d| = |B - A| and rel = |d| / max(1, |A|); a float array or a numeric CSV
+column that moved, with the largest |d| and rel over its entries.  The
+last line counts the moved fields and names the largest relative move.
+To check a change against its parent, run a copy of this file in a
+checkout of the parent commit with the same seed, then compare the two
+files.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
+import csv
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import os
 import sys
@@ -59,6 +72,58 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _packed(values):
+    """[dtype, base64 of the bytes] of a numeric array."""
+    data = values.ravel()
+    return [data.dtype.str, base64.b64encode(data.tobytes()).decode("ascii")]
+
+
+def _unpacked(packed):
+    import numpy as np
+
+    return np.frombuffer(base64.b64decode(packed[1]), dtype=packed[0])
+
+
+def _csv_columns(text):
+    """{header: packed float64 values} of each numeric column of a CSV."""
+    import numpy as np
+
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2 or len({len(row) for row in rows}) != 1:
+        return {}
+    columns = {}
+    for name, *cells in zip(*rows):
+        try:
+            columns[name] = _packed(np.array([float(c) for c in cells]))
+        except ValueError:
+            continue
+    return columns
+
+
+def _scalar(text):
+    """An int or a float if the text spells one, else the text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _digest_stdout(text, path, out, workdir):
+    """One field path.key per `key = value` line of stdout (a key without
+    blanks, first occurrence); the other lines stay one string at path."""
+    rest = []
+    for line in text.splitlines(keepends=True):
+        key, sep, raw = line.rstrip("\n").partition(" = ")
+        label = f"{path}.{key}"
+        if sep and key.split() == [key] and label not in out:
+            digest(_scalar(raw), label, out, workdir)
+        else:
+            rest.append(line)
+    digest("".join(rest), path, out, workdir)
+
+
 def digest(value, path, out, workdir):
     """Add one entry to `out` per leaf of `value`, keyed by its field path."""
     import numpy as np  # here, so main sets the BLAS threads before numpy loads
@@ -78,8 +143,9 @@ def digest(value, path, out, workdir):
     elif isinstance(value, np.ndarray):
         if value.dtype.hasobject:
             raise TypeError(f"{path}: object array has no byte digest")
-        data = np.ascontiguousarray(value).tobytes()
-        out[path] = f"array {value.dtype.str} {value.shape} {_sha256(data)}"
+        data = np.ascontiguousarray(value)
+        text = f"array {value.dtype.str} {value.shape} {_sha256(data.tobytes())}"
+        out[path] = [text, {"": _packed(data)}] if value.dtype.kind in "fc" else text
     elif isinstance(value, Path):
         if not value.is_dir():
             out[path] = "path " + str(value).replace(str(workdir), MASK)
@@ -87,8 +153,11 @@ def digest(value, path, out, workdir):
             label = f"{path}/{file.relative_to(value).as_posix()}"
             if file.name == "report.json":
                 digest(json.loads(file.read_text(encoding="utf-8")), label, out, workdir)
-            else:
-                out[label] = f"file {_sha256(file.read_bytes())}"
+                continue
+            text = f"file {_sha256(file.read_bytes())}"
+            columns = (_csv_columns(file.read_text(encoding="utf-8"))
+                       if file.suffix == ".csv" else {})
+            out[label] = [text, columns] if columns else text
     elif isinstance(value, BaseException):
         text = str(value).replace(str(workdir), MASK)
         out[path] = f"raised {type(value).__name__}: {text}"
@@ -98,7 +167,10 @@ def digest(value, path, out, workdir):
     elif isinstance(value, dict):
         for key, item in value.items():
             label = f".{key}" if isinstance(key, str) else f"[{key!r}]"
-            digest(item, path + label, out, workdir)
+            if key == "log" and isinstance(item, str):
+                _digest_stdout(item, path + label, out, workdir)
+            else:
+                digest(item, path + label, out, workdir)
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             digest(item, f"{path}[{i}]", out, workdir)
@@ -142,7 +214,9 @@ def digests(named, workdir):
 
 def _float(entry):
     """The value of a float digest, else None."""
-    return float.fromhex(entry.split()[1]) if entry.startswith("float ") else None
+    if isinstance(entry, str) and entry.startswith("float "):
+        return float.fromhex(entry.split()[1])
+    return None
 
 
 def float_move(da, db):
@@ -154,10 +228,35 @@ def float_move(da, db):
     return fa, fb, d, d / max(1.0, abs(fa))
 
 
+def column_moves(da, db):
+    """(column, largest |d|, largest rel) of each packed column of two
+    digests whose values moved, keeping its length; the column of an
+    array is named ""."""
+    import numpy as np
+
+    ca = da[1] if isinstance(da, list) else {}
+    cb = db[1] if isinstance(db, list) else {}
+    moves = []
+    for name, packed in ca.items():
+        if name not in cb or cb[name] == packed:
+            continue
+        va, vb = _unpacked(packed), _unpacked(cb[name])
+        if va.shape == vb.shape and va.size:
+            d = np.abs(vb - va)
+            moves.append((name, float(np.max(d)),
+                          float(np.max(d / np.maximum(1.0, np.abs(va))))))
+    return moves
+
+
+def _text(entry):
+    return entry[0] if isinstance(entry, list) else entry
+
+
 def compare(a, b):
     """One line per task or field whose digests differ between a and b (a
-    moved float with its values, |d| and rel), and the closing summary
-    line: the fields moved and the largest relative float move."""
+    moved float with its values, |d| and rel; a moved float array or
+    numeric CSV column with its largest |d| and rel), and the closing
+    summary line: the fields moved and the largest relative move."""
     lines = []
     if a["seed"] != b["seed"]:
         lines.append(f"seed: {a['seed']} != {b['seed']}")
@@ -174,11 +273,16 @@ def compare(a, b):
                 continue
             if da is None or db is None:
                 side = "A" if db is None else "B"
-                lines.append(f"{task}: {field}: only in {side}: {da or db}")
+                lines.append(f"{task}: {field}: only in {side}: {_text(da or db)}")
                 continue
             move = float_move(da, db)
             if move is None:
-                lines.append(f"{task}: {field}: {da} != {db}")
+                line = f"{task}: {field}: {_text(da)} != {_text(db)}"
+                for name, d, rel in column_moves(da, db):
+                    column = f" column {name}" if name else ""
+                    line += f";{column} max |d| = {d:.3e}, max rel = {rel:.3e}"
+                    moves.append((rel, f"{task}: {field}{column}"))
+                lines.append(line)
             else:
                 lines.append(f"{task}: {field}: float {move[0]!r} -> {move[1]!r}, "
                              f"|d| = {move[2]:.3e}, rel = {move[3]:.3e}")
