@@ -116,26 +116,28 @@ def _offset_view(ka: KernelSamples) -> np.ndarray:
     return np.roll(ka.grid, -(ka.n // 2))
 
 
-def _violation(tag: str, x: float, value: float, extra: str = "") -> PositivityViolation:
-    return PositivityViolation(
-        f"{tag} at x = {x:+.6f}{extra}: value {value:.6e} is not positive "
-        f"(resolution or implementation bug; the sign is provable)")
-
-
-def _fault(ka: KernelSamples, tag: str, x: float, value: float, extra: str = ""):
-    """UnderResolved for a margin within the roundoff floor N u max K_p of
-    K_p(x) - K_p(x - T) at a t past t_max, where the leading mode's first
-    drop (2/T) e^(-(pi/T)^alpha t) (1 - cos(2 pi/N)) meets that floor (past
-    t_max, max K_p = 1/2T); any other failed margin is a PositivityViolation."""
+def _floor(ka: KernelSamples) -> tuple[float, float]:
+    """The roundoff floor N u max K_p of K_p(x) - K_p(x - T), and t_max,
+    where the leading mode's first drop (2/T) e^(-(pi/T)^alpha t)
+    (1 - cos(2 pi/N)) meets that floor (past t_max, max K_p = 1/2T)."""
     n, T = ka.n, ka.half_period
     floor = n * 0.5 * np.finfo(float).eps / (2.0 * T)
     t_max = math.log(4.0 * math.sin(math.pi / n) ** 2 / (T * floor)) / (math.pi / T) ** ka.alpha
+    return floor, t_max
+
+
+def _fault(ka: KernelSamples, tag: str, x: float, value: float, extra: str = ""):
+    """UnderResolved for a margin within the roundoff floor past t_max (see
+    _floor), whatever its sign; any other failed margin is a PositivityViolation."""
+    floor, t_max = _floor(ka)
     if abs(value) < floor and ka.t > t_max:
         return UnderResolved(
             f"{tag} at x = {x:+.6f}{extra}: value {value:.6e} is within the "
-            f"roundoff floor {floor:.1e} of K_p(x) - K_p(x - T) at N = {n}; "
+            f"roundoff floor {floor:.1e} of K_p(x) - K_p(x - T) at N = {ka.n}; "
             f"t = {ka.t:.6g} is past t = {t_max:.3g}, the largest this grid resolves")
-    return _violation(tag, x, value, extra)
+    return PositivityViolation(
+        f"{tag} at x = {x:+.6f}{extra}: value {value:.6e} is not positive "
+        f"(resolution or implementation bug; the sign is provable)")
 
 
 def positivity_report(ka: KernelSamples) -> dict:
@@ -149,8 +151,8 @@ def positivity_report(ka: KernelSamples) -> dict:
     least +/-K_a(x + y) that difference meets, in O(N) time and memory;
     only a minimum that is not positive scans the rows, one at a time, to
     name the first NaN, else the first minimum in row order.  A failed
-    margin at the roundoff floor of a t the grid cannot resolve is
-    UnderResolved (see _fault).
+    margin within the roundoff floor of a t the grid cannot resolve,
+    positive or not, is UnderResolved (see _fault).
     The grid must be a multiple of 4, at least 8, as kernel_kp requires.
     """
     if ka.kind != "Ka":
@@ -160,17 +162,19 @@ def positivity_report(ka: KernelSamples) -> dict:
     T = ka.half_period
     step = 2.0 * T / n
     off = _offset_view(ka)
+    floor, t_max = _floor(ka)
+    cut = floor if ka.t > t_max else 0.0         # past t_max a margin must reach the floor
 
     half = np.arange(-n // 4 + 1, n // 4)        # (-T/2, T/2) interior
     vals = off[half % n]
     i_min = int(np.argmin(vals))
-    if not vals[i_min] > 0.0:
+    if not (vals[i_min] > 0.0 and vals[i_min] >= cut):
         raise _fault(ka, "K_a", half[i_min] * step, float(vals[i_min]))
 
     ramp = off[np.arange(0, n // 2 + 1) % n]     # x from 0 to T inclusive
     drops = -np.diff(ramp)
     j_min = int(np.argmin(drops))
-    if not drops[j_min] > 0.0:
+    if not (drops[j_min] > 0.0 and drops[j_min] >= cut):
         raise _fault(ka, "monotone decrease of K_a", (j_min + 1) * step,
                          float(drops[j_min]))
 
@@ -189,7 +193,7 @@ def positivity_report(ka: KernelSamples) -> dict:
         for p in (0, 1):                         # nested windows, centre out
             w[p::2] = np.minimum.accumulate(ends[p::2][::-1])[::-1]
         pair_min[tag] = float(np.min(t + w[np.abs(d)]))
-        if not pair_min[tag] > 0.0:
+        if not (pair_min[tag] > 0.0 and pair_min[tag] >= cut):
             # row j is t[j - l] + y[j + l] over l; name its first NaN, else
             # the first minimum in row order
             lows = [np.min(t[j:j + m][::-1] + y[j:j + m]) for j in range(m)]

@@ -94,8 +94,8 @@ def profile_residual(field: AntiperiodicField, omega: float, c: float,
 # --- low-level mode/grid workspace -----------------------------------------
 
 class _Workspace:
-    """Precomputed lattice data for one (params, M, N) combination.  A
-    continuation builds one and solves every step in it."""
+    """Precomputed lattice data for one (params, M, N) combination, built
+    by each solve and each tangent for its band."""
 
     def __init__(self, params: ProblemParams, n_modes: int):
         self.params = params
@@ -358,14 +358,9 @@ def solve_defocusing(params: ProblemParams, c: float = 0.0, mu: float = 1.0,
     a degenerate object with no translation gauge and a c-independent
     momentum; the solver deliberately stays on the real branch, which is
     the one with a nondegenerate linearization.  For c != 0 the branch is
-    continued out of c = 0 by Newton iteration (no descent phase, which
-    would slide off the branch); intended for small |c|.
+    continued out of `init`, else c = 0, by Newton iteration (no descent
+    phase, which would slide off the branch); intended for small |c|.
     """
-    _check_defocusing(params, c, mu)
-    return _solve_defocusing(_Workspace(params, n_modes), c, mu, tol, init)
-
-
-def _check_defocusing(params: ProblemParams, c: float, mu: float) -> None:
     if params.gamma != -1:
         raise ValidationError("defocusing branch requires gamma = -1")
     if not mu > 0:
@@ -373,13 +368,7 @@ def _check_defocusing(params: ProblemParams, c: float, mu: float) -> None:
     if not abs(c) < params.speed_limit:
         raise SpeedOutOfRange(
             f"|c| = {abs(c)} outside the admissible window (0, {params.speed_limit})")
-
-
-def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
-                      init: AntiperiodicField | None) -> StandingProfile:
-    """solve_defocusing in the workspace ws, its arguments checked."""
-    params = ws.params
-    n_modes = ws.M
+    ws = _Workspace(params, n_modes)
 
     def renorm(u):
         q = ws.charge(u)
@@ -410,7 +399,7 @@ def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
         if init is not None:
             u = renorm(lift(init, n_modes).coeff)
         else:
-            base = _solve_defocusing(ws, 0.0, mu, tol, None)
+            base = solve_defocusing(params, 0.0, mu, n_modes, tol)
             it_bb = base.iterations
             u = base.field.coeff
         omega = recovered_omega(ws.field(u), c, params)
@@ -423,13 +412,8 @@ def _solve_defocusing(ws: _Workspace, c: float, mu: float, tol: float,
 def solve_focusing(params: ProblemParams, omega: float, p0: float = 1.0,
                    n_modes: int = 64, tol: float = TOL_PROFILE,
                    init: AntiperiodicField | None = None) -> StandingProfile:
-    """Minimizer of K + omega Q on {P = p0}, rescaled onto the profile
-    equation with unit nonlinearity coefficient."""
-    _check_focusing(params, omega, p0)
-    return _solve_focusing(_Workspace(params, n_modes), omega, p0, tol, init)
-
-
-def _check_focusing(params: ProblemParams, omega: float, p0: float) -> None:
+    """Minimizer of K + omega Q on {P = p0}, from `init` or a cosine,
+    rescaled onto the profile equation with unit nonlinearity coefficient."""
     if params.gamma != 1:
         raise ValidationError("focusing branch requires gamma = +1")
     if not p0 > 0:
@@ -437,13 +421,7 @@ def _check_focusing(params: ProblemParams, omega: float, p0: float) -> None:
     if not abs(omega) < params.frequency_limit:
         raise OmegaOutOfRange(
             f"|omega| = {abs(omega)} outside (0, {params.frequency_limit})")
-
-
-def _solve_focusing(ws: _Workspace, omega: float, p0: float, tol: float,
-                    init: AntiperiodicField | None) -> StandingProfile:
-    """solve_focusing in the workspace ws, its arguments checked."""
-    params = ws.params
-    n_modes = ws.M
+    ws = _Workspace(params, n_modes)
     sig = params.sigma
 
     if init is not None:
@@ -525,24 +503,10 @@ def continue_in(start: StandingProfile, parameter: str, target: float,
                 steps: int, tol: float = TOL_PROFILE) -> Sweep:
     """Warm-started parameter sweep from `start` to `target`.
 
-    On NonConvergence the sweep stops and returns the partial result with
-    `failed_at` set; already-converged profiles are kept.  Every step is
-    solved in one workspace.
+    Each step is a solve_defocusing or solve_focusing call from the
+    previous field.  On NonConvergence the sweep stops and returns the
+    partial result with `failed_at` set; converged profiles are kept.
     """
-    return _continue(_Workspace(start.params, start.field.n_modes), start,
-                     parameter, target, steps, tol)
-
-
-def _check_parameter(params: ProblemParams, parameter: str) -> None:
-    allowed = {"c", "mu"} if params.gamma == -1 else {"omega"}
-    if parameter not in allowed:
-        raise ValidationError(
-            f"parameter {parameter!r} not available on this branch; use {sorted(allowed)}")
-
-
-def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
-              target: float, steps: int, tol: float) -> Sweep:
-    """continue_in with its steps solved in ws (the band of `start`)."""
     params = start.params
     _check_parameter(params, parameter)
     if steps < 1:
@@ -554,16 +518,21 @@ def _continue(ws: _Workspace, start: StandingProfile, parameter: str,
             if params.gamma == -1:
                 c = v if parameter == "c" else prev.c
                 mu = v if parameter == "mu" else prev.mu
-                _check_defocusing(params, c, mu)
-                prof = _solve_defocusing(ws, c, mu, tol, prev.field)
+                prof = solve_defocusing(params, c, mu, start.field.n_modes, tol, prev.field)
             else:
-                _check_focusing(params, v, prev.p0)
-                prof = _solve_focusing(ws, v, prev.p0, tol, prev.field)
+                prof = solve_focusing(params, v, prev.p0, start.field.n_modes, tol, prev.field)
         except NonConvergence:
             return Sweep(profiles, float(v))
         profiles.append(prof)
         prev = prof
     return Sweep(profiles, None)
+
+
+def _check_parameter(params: ProblemParams, parameter: str) -> None:
+    allowed = {"c", "mu"} if params.gamma == -1 else {"omega"}
+    if parameter not in allowed:
+        raise ValidationError(
+            f"parameter {parameter!r} not available on this branch; use {sorted(allowed)}")
 
 
 def family_tangent(profile: StandingProfile, parameter: str) -> dict:

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
 from fnlslab import kernels, profiles, spectrum
-from fnlslab.errors import ValidationError
+from fnlslab.errors import PositivityViolation, ValidationError
 from fnlslab.functionals import charge, momentum
 from fnlslab.fields import (GridSamples, _blocks, analyze,
                             antiperiodic_defects, lift, odd_wavenumbers,
@@ -541,6 +541,12 @@ def _first_min(tile, start):
     return tile.flat[j], start + j
 
 
+def _violation(tag, x, value, extra=""):
+    return PositivityViolation(
+        f"{tag} at x = {x:+.6f}{extra}: value {value:.6e} is not positive "
+        f"(resolution or implementation bug; the sign is provable)")
+
+
 def positivity_report_reference(ka):
     if ka.kind != "Ka":
         raise ValidationError(f"positivity_report needs a Ka kernel, got {ka.kind}")
@@ -554,14 +560,14 @@ def positivity_report_reference(ka):
     vals = off[half % n]
     i_min = int(np.argmin(vals))
     if not vals[i_min] > 0.0:
-        raise kernels._violation("K_a", half[i_min] * step, float(vals[i_min]))
+        raise _violation("K_a", half[i_min] * step, float(vals[i_min]))
 
     ramp = off[np.arange(0, n // 2 + 1) % n]     # x from 0 to T inclusive
     drops = -np.diff(ramp)
     j_min = int(np.argmin(drops))
     if not drops[j_min] > 0.0:
-        raise kernels._violation("monotone decrease of K_a", (j_min + 1) * step,
-                                 float(drops[j_min]))
+        raise _violation("monotone decrease of K_a", (j_min + 1) * step,
+                         float(drops[j_min]))
 
     # pairs over offsets lo + (0..m-1): K_a(x - y) is shared, K_a(x + y) is not
     m = n // 2 - 1
@@ -579,8 +585,8 @@ def positivity_report_reference(ka):
         pair_min[tag] = float(low)
         if not pair_min[tag] > 0.0:
             xi, yi = divmod(k, m)
-            raise kernels._violation(f"{tag} pair kernel", (lo + xi) * step,
-                                     pair_min[tag], extra=f", y = {(lo + yi) * step:+.6f}")
+            raise _violation(f"{tag} pair kernel", (lo + xi) * step,
+                             pair_min[tag], extra=f", y = {(lo + yi) * step:+.6f}")
 
     return {
         "alpha": ka.alpha,

@@ -115,6 +115,16 @@ def test_malformed_ini_reports_line():
         parse_config("[problem]\nalpha = 1.5\nalpha = 1.6\n")
 
 
+def test_a_line_that_is_no_pair_names_it_from_the_parsing_errors():
+    # configparser's ParsingError carries no lineno; the line comes from
+    # its first recorded error
+    text = MINIMAL.lstrip("\n").replace("3.14159\n", "3.14159\nnot a pair\n")
+    assert text.splitlines()[5] == "not a pair"
+    with pytest.raises(ParseError, match="^" + re.escape(
+            "config line 6: Source contains parsing errors: '<string>'") + "$"):
+        parse_config(text)
+
+
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ValidationError, match=r"unknown section \[widgets\]"):
         parse_config(MINIMAL + "\n[widgets]\nx = 1\n")
@@ -169,6 +179,16 @@ def test_sweep_parameter_enum_and_branch_default():
     assert parse_config(foc).sweep["parameter"] == "omega"
     with pytest.raises(ValidationError, match="sweep.parameter"):
         parse_config(MINIMAL + "\n[sweep]\nparameter = beta\n")
+
+
+def test_sweep_target_in_c_keeps_the_speed_window():
+    # at T = pi the window is |c| < (pi/T)^(alpha - 1) = 1
+    text = MINIMAL.replace("3.14159", repr(math.pi))
+    assert parse_config(text + "\n[sweep]\nparameter = c\ntarget = 0.5\n")
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            "configuration has 1 problem(s):\n"
+            "  - sweep.target must satisfy |c| < 1, got 5.0") + "$"):
+        parse_config(text + "\n[sweep]\nparameter = c\ntarget = 5\n")
 
 
 def test_run_command_enum():

@@ -376,19 +376,19 @@ def test_stability_indices_defocusing(def15):
 
 
 def test_stability_indices_solve_no_neighbours(def15, monkeypatch):
-    # every slope is a tangent at the profile: no profile is solved
+    # every slope is a tangent at the profile: neither public solver, which
+    # every continuation step also calls, solves a profile on either branch
     import fnlslab.profiles as profiles
 
-    solve = profiles._solve_defocusing
-    targets = []
-
-    def counted(ws, c, mu, tol, init):
-        targets.append((c, mu))
-        return solve(ws, c, mu, tol, init)
-
-    monkeypatch.setattr(profiles, "_solve_defocusing", counted)
-    stability_indices(def15[1])
-    assert targets == []
+    foc = ProblemParams(alpha=1.5, sigma=1.0, gamma=1, half_period=T)
+    focusing = solve_focusing(foc, omega=0.5, n_modes=48)
+    solved = []
+    for name in ("solve_defocusing", "solve_focusing"):
+        monkeypatch.setattr(profiles, name,
+                            lambda *args, name=name, **kwargs: solved.append(name))
+    for prof in (def15[1], focusing):
+        stability_indices(prof)
+    assert solved == []
 
 
 def test_dndc_dual_route(def15, def20):

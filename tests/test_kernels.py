@@ -192,16 +192,47 @@ def doctored(ka, index, value):
 def test_margins_at_the_cancellation_floor_are_under_resolved(t):
     # K_a = K_p(x) - K_p(x - T) cancels two values near 1/2T down to about
     # e^(-t) 2/T, so past t = 20.3 at N = 1024 its smallest margins fall to
-    # the roundoff floor N u max K_p and read zero: a resolution fault
+    # the roundoff floor N u max K_p: a resolution fault, the interior
+    # margin first
+    value = {30.0: "3.330669e-16", 100.0: "0.000000e+00"}[t]
     ka = kernel_ka(kernel_kp(1.5, T, t, 1024))
     with pytest.raises(UnderResolved, match=(
-            r": value -?0\.000000e\+00 is within the roundoff floor 1\.8e-14 of "
+            rf"^K_a at x = -1\.564660: value {re.escape(value)} is within the "
+            r"roundoff floor 1\.8e-14 of "
             rf"K_p\(x\) - K_p\(x - T\) at N = 1024; t = {t:g} is past t = 20\.3, "
             r"the largest this grid resolves$")):
         positivity_report(ka)
     # a negative margin above the floor is still a violation
     with pytest.raises(PositivityViolation, match="value -1.000000e-06 is not positive"):
         positivity_report(doctored(ka, 5, -1e-6))
+
+
+@pytest.mark.parametrize("n, t, x, value, floor, t_max", [
+    (1024, 21.0, "+0.006136", "9.076073e-15", "1.8e-14", "20.3"),
+    (1024, 23.0, "+0.006136", "1.193490e-15", "1.8e-14", "20.3"),
+    (1024, 25.0, "+0.006136", "1.665335e-16", "1.8e-14", "20.3"),
+    (4096, 17.0, "+0.001534", "3.097522e-14", "7.2e-14", "16.2"),
+    (4096, 22.0, "+0.001534", "1.665335e-16", "7.2e-14", "16.2")])
+def test_positive_margins_within_the_floor_past_t_max_are_under_resolved(
+        n, t, x, value, floor, t_max):
+    # past t_max a positive margin below the floor certifies nothing: its
+    # sign is the rounding's, so it fails as the zero margins do
+    with pytest.raises(UnderResolved, match="^" + re.escape(
+            f"monotone decrease of K_a at x = {x}: value {value} is within the "
+            f"roundoff floor {floor} of K_p(x) - K_p(x - T) at N = {n}; "
+            f"t = {t:g} is past t = {t_max}, the largest this grid resolves") + "$"):
+        positivity_report(kernel_ka(kernel_kp(1.5, T, t, n)))
+
+
+def test_positive_margins_within_the_floor_pass_at_a_resolved_t():
+    # at t <= t_max the floor does not apply: a decrease margin of one ulp
+    # (the floor is 4.5e-15 at N = 256) still certifies
+    ka = kernel_ka(kernel_kp(1.5, T, 0.5, 256))
+    j = 3 * ka.n // 8
+    bad = doctored(ka, j, np.nextafter(offset(ka)[j - 1], -np.inf))
+    drop = offset(bad)[j - 1] - offset(bad)[j]
+    assert 0.0 < drop < 1e-16
+    assert positivity_report(bad)["decrease_min"] == drop
 
 
 def test_interior_certificate_names_the_first_minimum():

@@ -4,6 +4,7 @@ degeneracies that shaped the solver design."""
 
 import dataclasses
 import functools
+import inspect
 import re
 
 import numpy as np
@@ -317,7 +318,7 @@ def _fresh_step(prev, parameter, value):
 @pytest.mark.parametrize("branch, parameter, target", [
     ("defocusing", "c", 0.2), ("defocusing", "mu", 2.0),
     ("focusing", "omega", 0.8)])
-def test_sweep_in_one_workspace_matches_fresh_solves(branch, parameter, target):
+def test_sweep_steps_match_fresh_solves(branch, parameter, target):
     if branch == "defocusing":
         start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
     else:
@@ -348,20 +349,37 @@ def test_workspace_nonlinearity_is_alias_free(sigma, n_modes):
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
-def test_continuation_builds_one_workspace(monkeypatch):
-    import fnlslab.profiles as profiles
+@pytest.mark.parametrize("branch, parameter, target", [
+    ("defocusing", "c", 0.1), ("defocusing", "mu", 1.5),
+    ("focusing", "omega", 0.6)])
+def test_continuation_is_one_public_solve_per_step(branch, parameter, target,
+                                                   monkeypatch):
+    # each step calls the branch's public solver once, in the band of the
+    # start and from the previous step's field
+    if branch == "defocusing":
+        start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
+    else:
+        start = solve_focusing(foc(), omega=0.5, p0=1.0, n_modes=32)
+    calls = []
 
-    start = solve_defocusing(defoc(), c=0.0, mu=1.0, n_modes=16)
-    built = []
+    def counted(name, solve):
+        def call(*args, **kwargs):
+            prof = solve(*args, **kwargs)
+            bound = inspect.signature(solve).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments["n_modes"], bound.arguments["init"], prof))
+            return prof
+        return call
 
-    class Counted(profiles._Workspace):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(profiles, "_Workspace", Counted)
-    continue_in(start, "c", 0.1, 4)
-    assert len(built) == 1
+    for name in ("solve_defocusing", "solve_focusing"):
+        monkeypatch.setattr(profiles, name, counted(name, getattr(profiles, name)))
+    sweep = continue_in(start, parameter, target, 4)
+    assert sweep.failed_at is None and len(calls) == 4
+    solver = f"solve_{branch}"
+    for (name, n_modes, init, prof), prev, step in zip(
+            calls, sweep.profiles, sweep.profiles[1:]):
+        assert (name, n_modes) == (solver, start.field.n_modes)
+        assert init is prev.field and prof is step
 
 
 def test_continue_in_needs_a_step():
