@@ -8,7 +8,8 @@ codes separate failure kinds so batch scripts can tell them apart:
     0  success
     2  validation problem (bad config, parameter window, malformed INI)
        or a band or grid that does not resolve the run
-    3  numerical non-convergence (solver, singular Newton system, blowup)
+    3  numerical non-convergence (solver, singular Newton system, a
+       blow-up to nan or inf)
     4  a mathematical property that should hold numerically does not
 
 Results go to stdout as deterministic key=value lines; with --out they

@@ -51,7 +51,7 @@ class NonConvergence(ConvergenceError):
 
 
 class BlowupDetected(ConvergenceError):
-    """Field amplitude left the trust region during evolution."""
+    """A sample turned nan or inf during evolution."""
 
 
 class PropertyViolation(FnlslabError):

@@ -78,9 +78,6 @@ class AntiperiodicField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "AntiperiodicField":
-        return self.with_coeff(-self.coeff)
-
     def realness_defect(self) -> float:
         """Relative size of c_k - conj(c_{-k}); zero for real fields."""
         return realness_defects(self.coeff[None])[0]
@@ -320,25 +317,19 @@ def cosine_field(half_period: float, amplitude: float,
 
 
 def random_field(half_period: float, n_modes: int, rng: np.random.Generator,
-                 decay: float = 2.0, real: bool = False,
-                 scale: float = 1.0) -> AntiperiodicField:
+                 decay: float = 2.0) -> AntiperiodicField:
     """Random smooth field with |c_k| ~ (1 + |k|)^(-decay)."""
-    return AntiperiodicField(half_period,
-                             random_rows(n_modes, rng, 1, decay, real, scale)[0])
+    return AntiperiodicField(half_period, random_rows(n_modes, rng, 1, decay)[0])
 
 
 def random_rows(n_modes: int, rng: np.random.Generator, rows: int,
-                decay: float = 2.0, real: bool = False,
-                scale: float = 1.0) -> np.ndarray:
+                decay: float = 2.0) -> np.ndarray:
     """Coefficients of `rows` successive random_field draws, one per row:
     the generator is read in the same order, so row i is the i-th call."""
     k = odd_wavenumbers(n_modes)
     sig = (1.0 + np.abs(k)) ** (-decay)
     draws = rng.standard_normal((rows, 2, len(k)))
-    c = sig * (draws[:, 0] + 1j * draws[:, 1])
-    if real:
-        c = real_projection(c)
-    return scale * c
+    return sig * (draws[:, 0] + 1j * draws[:, 1])
 
 
 def lift(f: AntiperiodicField, n_modes: int) -> AntiperiodicField:

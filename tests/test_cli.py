@@ -572,8 +572,8 @@ def test_main_non_finite_values_exit_2(tmp_path, capsys, old, new, keys):
 
 
 def test_main_report_runs_past_128_modes(tmp_path, capsys):
-    # the guard peak was sampled on a fixed 512-point grid, which refused
-    # every band past 128 modes inside the n_modes window
+    # a report past 128 modes steps on a 1024-point grid and folds the
+    # 512-bin orbit scan; both must run inside the n_modes window
     cfg = tmp_path / "run.ini"
     cfg.write_text(BASE.replace("n_modes = 32", "n_modes = 130")
                    .replace("horizon_periods = 2", "horizon_periods = 0.01"))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fnlslab.errors import ValidationError
-from fnlslab.fields import (cosine_field, random_field, rotate_phase,
-                            to_grid, translate, zero_field)
+from fnlslab.fields import (cosine_field, random_field, real_part,
+                            rotate_phase, to_grid, translate, zero_field)
 from fnlslab.functionals import (_GRID_CAP, _default_grid, _potential_sum,
                                  _residual_grid,
                                  charge, hamiltonian, inner, kinetic,
@@ -45,7 +45,7 @@ def test_single_mode_charge_and_momentum():
 def test_momentum_of_real_and_conjugate_fields():
     u = random_field(T, 12, RNG)
     assert abs(momentum(conjugate_field(u)) + momentum(u)) < 1e-12
-    r = random_field(T, 12, RNG, real=True)
+    r = real_part(random_field(T, 12, RNG))
     assert abs(momentum(r)) < 1e-13
 
 

@@ -14,8 +14,8 @@ from fnlslab.errors import (GaugeAmbiguity, NonConvergence, OmegaOutOfRange,
                             SpeedOutOfRange, ValidationError)
 from fnlslab import profiles
 from fnlslab.fields import (GridSamples, cosine_field, odd_wavenumbers,
-                            random_field, rotate_phase, synthesize, to_grid,
-                            to_modes, translate, zero_field)
+                            random_field, real_part, rotate_phase, synthesize,
+                            to_grid, to_modes, translate, zero_field)
 from fnlslab.functionals import (charge, momentum, moving_frame_energy,
                                  potential, quadratic_energy)
 from fnlslab.params import TOL_PROFILE, ProblemParams
@@ -195,7 +195,7 @@ def test_small_mu_bifurcation_from_fundamental_mode():
 def test_descent_property_against_projected_init():
     p = defoc()
     rng = np.random.default_rng(7)
-    init = random_field(T, 16, rng, decay=1.5, real=True, scale=0.5)
+    init = real_part(random_field(T, 16, rng, decay=1.5)) * 0.5
     proj = init.with_coeff(init.coeff * np.sqrt(1.0 / charge(init)))
     prof = solve_defocusing(p, c=0.0, mu=1.0, n_modes=32, init=init)
     assert prof.objective <= moving_frame_energy(proj, 0.0, p) + 1e-12
